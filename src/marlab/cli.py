@@ -16,12 +16,14 @@ dial_metrics.csv with step, loss and evaluation accuracy.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -51,188 +53,10 @@ class ChecksumMismatch(CliError):
     exit_code = 1
 
 
-ALGOS = ("iql", "vdn", "qmix", "maddpg_ctde", "maddpg_dec", "selfplay", "dial", "rial")
-
 METRICS_HEADER = ["step", "episodes", "loss", "epsilon",
                   "eval_return_mean", "eval_return_per_agent", "extra"]
 
 GRADCHECK_TOL = 1e-4
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass
-class RunConfig:
-    algo: str
-    env: str
-    seed: int
-    gamma: float
-    lr: float
-    total_steps: int
-    batch_size: int
-    buffer_capacity: int
-    target_update_interval: int
-    tau: float
-    epsilon_start: float
-    epsilon_end: float
-    epsilon_decay_steps: int
-    hidden_sizes: list
-    embed_dim: int
-    beta: float
-    eval_interval: int
-    eval_episodes: int
-    out_dir: str
-
-
-_BASE_DEFAULTS = {
-    "algo": "qmix",
-    "env": "two_step_coop",
-    "seed": 0,
-    "gamma": None,           # None -> the environment's own discount
-    "lr": None,              # None -> per-algo default below
-    "total_steps": 20000,
-    "batch_size": None,
-    "buffer_capacity": 5000,
-    "target_update_interval": 200,
-    "tau": 0.01,
-    "epsilon_start": 1.0,
-    "epsilon_end": 0.05,
-    "epsilon_decay_steps": 10000,
-    "hidden_sizes": None,
-    "embed_dim": 8,
-    "beta": 0.01,
-    "eval_interval": 1000,
-    "eval_episodes": 200,
-    "out_dir": None,         # None -> runs/<algo>-<env>-s<seed>
-}
-
-_ALGO_DEFAULTS = {
-    "iql": {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]},
-    "vdn": {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]},
-    "qmix": {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]},
-    "maddpg_ctde": {"lr": 1e-3, "batch_size": 64, "hidden_sizes": [64, 64]},
-    "maddpg_dec": {"lr": 1e-3, "batch_size": 64, "hidden_sizes": [64, 64]},
-    "selfplay": {"lr": 0.05, "batch_size": 256, "hidden_sizes": []},
-    "dial": {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]},
-    "rial": {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]},
-}
-
-
-def _as_int(name, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
-        raise InvalidConfig(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _as_float(name, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidConfig(f"{name} must be a number, got {v!r}")
-    return float(v)
-
-
-def build_config(file_dict=None, flag_dict=None):
-    """Merge defaults, config-file keys, and flag overrides into a validated
-    RunConfig.  Precedence: flags > file > defaults."""
-    file_dict = dict(file_dict or {})
-    flag_dict = dict(flag_dict or {})
-    known = set(_BASE_DEFAULTS)
-    for source, label in ((file_dict, "config file"), (flag_dict, "flags")):
-        unknown = set(source) - known
-        if unknown:
-            raise InvalidConfig(f"unknown {label} keys: {sorted(unknown)}")
-
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(file_dict)
-    merged.update(flag_dict)
-
-    algo = merged["algo"]
-    if algo not in ALGOS:
-        raise InvalidConfig(f"algo must be one of {ALGOS}, got {algo!r}")
-    for key, val in _ALGO_DEFAULTS[algo].items():
-        if merged[key] is None:
-            merged[key] = val
-
-    if "MARLAB_SEED" in os.environ:
-        try:
-            merged["seed"] = int(os.environ["MARLAB_SEED"])
-        except ValueError:
-            raise InvalidConfig("MARLAB_SEED must be an integer")
-
-    merged["seed"] = _as_int("seed", merged["seed"])
-    if merged["out_dir"] is None:
-        stem = pathlib.Path(str(merged["env"])).stem
-        merged["out_dir"] = f"runs/{algo}-{stem}-s{merged['seed']}"
-
-    cfg = RunConfig(**merged)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg):
-    if not isinstance(cfg.env, str) or not cfg.env:
-        raise InvalidConfig("env must be a fixture name or game-file path")
-    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
-        raise InvalidConfig("out_dir must be a path")
-
-    cfg.lr = _as_float("lr", cfg.lr)
-    cfg.tau = _as_float("tau", cfg.tau)
-    cfg.beta = _as_float("beta", cfg.beta)
-    cfg.epsilon_start = _as_float("epsilon_start", cfg.epsilon_start)
-    cfg.epsilon_end = _as_float("epsilon_end", cfg.epsilon_end)
-    for name in ("total_steps", "batch_size", "buffer_capacity",
-                 "target_update_interval", "eval_interval", "eval_episodes",
-                 "embed_dim"):
-        setattr(cfg, name, _as_int(name, getattr(cfg, name)))
-        if getattr(cfg, name) < 1:
-            raise InvalidConfig(f"{name} must be positive")
-    cfg.epsilon_decay_steps = _as_int("epsilon_decay_steps", cfg.epsilon_decay_steps)
-    if cfg.epsilon_decay_steps < 0:
-        raise InvalidConfig("epsilon_decay_steps must be non-negative")
-
-    if cfg.lr <= 0:
-        raise InvalidConfig("lr must be positive")
-    if not 0 < cfg.tau <= 1:
-        raise InvalidConfig("tau must be in (0, 1]")
-    for name in ("epsilon_start", "epsilon_end"):
-        v = getattr(cfg, name)
-        if not 0.0 <= v <= 1.0:
-            raise InvalidConfig(f"{name} must be in [0, 1]")
-    if cfg.gamma is not None:
-        cfg.gamma = _as_float("gamma", cfg.gamma)
-        if not 0.0 <= cfg.gamma <= 1.0:
-            raise InvalidConfig("gamma must be in [0, 1]")
-    if not isinstance(cfg.hidden_sizes, (list, tuple)):
-        raise InvalidConfig("hidden_sizes must be a list of layer widths")
-    cfg.hidden_sizes = [_as_int("hidden size", h) for h in cfg.hidden_sizes]
-    if any(h < 1 for h in cfg.hidden_sizes):
-        raise InvalidConfig("hidden sizes must be positive")
-    if cfg.seed < 0:
-        raise InvalidConfig("seed must be non-negative")
-
-
-def check_compat(algo, env):
-    """Reject algo/env pairings the learner cannot represent."""
-    if algo in ("iql", "vdn", "qmix"):
-        if not env.all_discrete():
-            raise IncompatibleAlgoEnv(f"{algo} needs discrete action spaces")
-        if algo != "iql" and not env.cooperative:
-            raise IncompatibleAlgoEnv(
-                f"{algo} factorizes one shared value; {env.name} is not cooperative")
-    elif algo == "maddpg_dec":
-        if not env.all_discrete():
-            raise IncompatibleAlgoEnv(
-                "decentralized targets model opponents with categorical "
-                "distributions; continuous co-actors are not supported")
-    elif algo == "selfplay":
-        try:
-            selfplay.check_selfplay_env(env)
-        except (envs.NotZeroSum, envs.NotSymmetric) as e:
-            raise IncompatibleAlgoEnv(str(e))
-    elif algo in ("dial", "rial"):
-        if not env.meta.get("comm"):
-            raise IncompatibleAlgoEnv(f"{algo} needs a signalling fixture")
 
 
 # ---------------------------------------------------------------------------
@@ -292,148 +116,309 @@ def rollout_returns(env, policy_fn, episodes, gamma, rng):
 
 
 # ---------------------------------------------------------------------------
-# per-algo training loops
+# the algorithm table
 # ---------------------------------------------------------------------------
 
-def _qfamily_mode(algo):
-    return {"iql": "independent", "vdn": "vdn", "qmix": "qmix"}[algo]
+class AlgoSpec(typing.NamedTuple):
+    """start(cfg, env, rng) builds the learner and returns (learner, step,
+    evaluate).  step(t) does training step t (from 1), drawing from rng in
+    the learner's own order, and returns (episodes finished, loss, epsilon,
+    extra); a loss of None means no update, so rows keep the last loss and
+    extra.  evaluate(episodes, rng) returns (per-episode returns, the metrics
+    row's per-agent returns, info); the training rows and `marlab eval` both
+    call it."""
+    start: typing.Callable
+    defaults: dict              # values for the config keys left unset
+    extra_csv: tuple = ()       # files of (step, loss, eval accuracy) rows
 
 
-def _train_qfamily(cfg, env, rng):
+# the info keys `marlab eval` adds to its summary
+EVAL_SUMMARY_KEYS = ("accuracy", "policy")
+
+
+def _epsilon(cfg, t):
+    return qmix.epsilon_at(t - 1, cfg.epsilon_start, cfg.epsilon_end,
+                           cfg.epsilon_decay_steps)
+
+
+def _rollout(env, gamma, policy_fn):
+    def evaluate(episodes, rng):
+        totals = rollout_returns(env, policy_fn, episodes, gamma, rng)
+        return totals, totals.mean(axis=0), {}
+    return evaluate
+
+
+def _q_start(mode, cfg, env, rng):
     learner = qmix.QmixLearner(
-        env, _qfamily_mode(cfg.algo), rng, hidden=tuple(cfg.hidden_sizes),
-        embed_dim=cfg.embed_dim, gamma=cfg.gamma, lr=cfg.lr,
-        target_interval=cfg.target_update_interval)
-    buf = ReplayBuffer(cfg.buffer_capacity)
-    state = env.reset(rng)
-    episodes, last_loss, rows = 0, None, []
-    for step in range(1, cfg.total_steps + 1):
-        eps = qmix.epsilon_at(step - 1, cfg.epsilon_start, cfg.epsilon_end,
-                              cfg.epsilon_decay_steps)
+        env, mode, rng, hidden=tuple(cfg.hidden_sizes), embed_dim=cfg.embed_dim,
+        gamma=cfg.gamma, lr=cfg.lr, target_interval=cfg.target_update_interval)
+    buf, state = ReplayBuffer(cfg.buffer_capacity), env.reset(rng)
+
+    def step(t):
+        nonlocal state
+        eps = _epsilon(cfg, t)
         tr, state = qmix.collect_step(env, learner, state, eps, rng)
-        episodes += int(tr.done)
         buf.push(tr)
-        if len(buf) >= cfg.batch_size:
-            last_loss = learner.td_update(buf.sample(cfg.batch_size, rng))
-        if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            totals = rollout_returns(env, lambda s, r: learner.greedy_joint(s),
-                                     cfg.eval_episodes, learner.gamma,
-                                     _eval_rng(cfg.seed, step))
-            rows.append(_row(step, episodes, last_loss, eps,
-                             totals.mean(axis=0), {}))
-    payload = learner.to_checkpoint(config_echo=dataclasses.asdict(cfg))
-    return rows, payload, {}
+        if len(buf) < cfg.batch_size:
+            return int(tr.done), None, eps, {}
+        return int(tr.done), learner.td_update(buf.sample(cfg.batch_size, rng)), eps, {}
+    return learner, step, _rollout(env, learner.gamma, lambda s, r: learner.greedy_joint(s))
 
 
-def _train_maddpg(cfg, env, rng):
-    try:
-        learner = maddpg.MaddpgLearner(
-            env, rng, hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
-            tau=cfg.tau, beta=cfg.beta, decentralized=(cfg.algo == "maddpg_dec"))
-    except maddpg.ContinuousOpponent as e:
-        raise IncompatibleAlgoEnv(str(e))
-    buf = ReplayBuffer(cfg.buffer_capacity)
-    state = env.reset(rng)
-    episodes, last, rows = 0, {}, []
-    for step in range(1, cfg.total_steps + 1):
+def _maddpg_start(decentralized, cfg, env, rng):
+    learner = maddpg.MaddpgLearner(
+        env, rng, hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
+        tau=cfg.tau, beta=cfg.beta, decentralized=decentralized)
+    buf, state = ReplayBuffer(cfg.buffer_capacity), env.reset(rng)
+
+    def step(t):
+        nonlocal state
         joint = learner.act(state, rng, explore=True)
         nxt, rewards, done = env.step(state, joint, rng)
         buf.push(JointTransition(state=state.index, actions=joint,
                                  rewards=tuple(float(r) for r in rewards),
                                  next_state=nxt.index, done=done))
         state = env.reset(rng) if done else nxt
-        episodes += int(done)
-        if len(buf) >= cfg.batch_size:
-            last = learner.learner_step(buf.sample(cfg.batch_size, rng), rng)
-        if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            totals = rollout_returns(
-                env, lambda s, r: learner.act(s, r, explore=False),
-                cfg.eval_episodes, learner.gamma, _eval_rng(cfg.seed, step))
-            extra = {k: float(v) for k, v in last.items()}
-            rows.append(_row(step, episodes, last.get("critic_loss"), None,
-                             totals.mean(axis=0), extra))
-    payload = learner.to_checkpoint(config_echo=dataclasses.asdict(cfg))
-    return rows, payload, {}
+        if len(buf) < cfg.batch_size:
+            return int(done), None, None, {}
+        out = learner.learner_step(buf.sample(cfg.batch_size, rng), rng)
+        return int(done), out["critic_loss"], None, out
+    return learner, step, _rollout(env, learner.gamma,
+                                   lambda s, r: learner.act(s, r, explore=False))
 
 
-def _train_selfplay(cfg, env, rng, threads=1):
+def _selfplay_start(cfg, env, rng):
     run = selfplay.SelfPlayRun(env, lr=cfg.lr, batch_episodes=cfg.batch_size)
-    episodes, rows = 0, []
-    for step in range(1, cfg.total_steps + 1):
-        reported = selfplay.selfplay_step(run, env, cfg.batch_size, rng,
-                                          threads=threads)
-        episodes += cfg.batch_size
-        if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            p = run.policy()
-            erng = _eval_rng(cfg.seed, step)
-            a, b, r1, r2 = selfplay._play_batch(env, p, p, cfg.eval_episodes, erng)
-            coin = erng.random(cfg.eval_episodes) < 0.5
-            m = float(np.where(coin, r1, r2).mean())
-            uniform = np.full(run.k, 1.0 / run.k)
-            extra = {"policy": [float(x) for x in p],
-                     "tv_from_uniform": selfplay.total_variation(p, uniform),
-                     "train_batch_mean": reported}
-            rows.append(_row(step, episodes, run.last_loss, None, [m, -m], extra))
-    payload = run.to_checkpoint(config_echo=dataclasses.asdict(cfg))
-    return rows, payload, {}
+    uniform = np.full(run.k, 1.0 / run.k)
+
+    def step(t):
+        reported = selfplay.selfplay_step(run, env, cfg.batch_size, rng)
+        return cfg.batch_size, run.last_loss, None, {"train_batch_mean": reported}
+
+    def evaluate(episodes, erng):
+        p = run.policy()
+        _, _, r1, r2 = selfplay.play_batch(env, p, p, episodes, erng)
+        # as in training, a fair coin picks the seat whose payoff the row reports
+        m = float(np.where(erng.random(episodes) < 0.5, r1, r2).mean())
+        info = {"policy": [float(x) for x in p],
+                "tv_from_uniform": selfplay.total_variation(p, uniform)}
+        return np.stack([r1, r2], axis=1), [m, -m], info
+    return run, step, evaluate
 
 
-def _comm_return_rows(env, gamma, acc):
-    # the shared reward is 1 on the final step iff the listener matches the
-    # bit, so the discounted per-agent return is gamma^(horizon-1) * accuracy
-    ret = (gamma ** (env.horizon - 1)) * acc
-    return [ret] * env.n_agents
-
-
-def _train_dial(cfg, env, rng):
-    system = dialmod.DialSystem(env, rng, net_hidden=tuple(cfg.hidden_sizes),
-                                lr=cfg.lr)
+def _comm_eval(cfg, env, system):
     gamma = env.gamma if cfg.gamma is None else cfg.gamma
-    episodes, last_loss, rows, comm_rows = 0, None, [], []
-    for step in range(1, cfg.total_steps + 1):
-        last_loss = system.train_step(cfg.batch_size, rng)
-        episodes += cfg.batch_size
-        if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            acc = system.evaluate(cfg.eval_episodes, _eval_rng(cfg.seed, step))
-            rows.append(_row(step, episodes, last_loss, None,
-                             _comm_return_rows(env, gamma, acc),
-                             {"accuracy": acc}))
-            comm_rows.append([step, _fmt(last_loss), _fmt(acc)])
-    payload = system.to_checkpoint(config_echo=dataclasses.asdict(cfg))
-    return rows, payload, {"dial_metrics.csv": comm_rows}
+
+    def evaluate(episodes, rng):
+        acc = system.evaluate(episodes, rng)
+        # the shared reward is 1 on the final step iff the listener matches the
+        # bit, so the discounted per-agent return is gamma^(horizon-1) * accuracy
+        returns = [(gamma ** (env.horizon - 1)) * acc] * env.n_agents
+        return np.tile(returns, (episodes, 1)), returns, {"accuracy": float(acc)}
+    return evaluate
 
 
-def _train_rial(cfg, env, rng):
+def _dial_start(cfg, env, rng):
+    system = dialmod.DialSystem(env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr)
+
+    def step(t):
+        return cfg.batch_size, system.train_step(cfg.batch_size, rng), None, {}
+    return system, step, _comm_eval(cfg, env, system)
+
+
+def _rial_start(cfg, env, rng):
     system = dialmod.RialSystem(
         env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
         target_interval=cfg.target_update_interval,
         buffer_capacity=cfg.buffer_capacity, batch_size=cfg.batch_size)
-    episodes, last_loss, rows, comm_rows = 0, None, [], []
-    for step in range(1, cfg.total_steps + 1):
-        eps = qmix.epsilon_at(step - 1, cfg.epsilon_start, cfg.epsilon_end,
-                              cfg.epsilon_decay_steps)
-        loss = system.step(rng, eps)
-        if loss is not None:
-            last_loss = loss
-        episodes += 1
-        if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            acc = system.evaluate(cfg.eval_episodes, _eval_rng(cfg.seed, step))
-            rows.append(_row(step, episodes, last_loss, eps,
-                             _comm_return_rows(env, system.gamma, acc),
-                             {"accuracy": acc}))
-            comm_rows.append([step, _fmt(last_loss), _fmt(acc)])
-    payload = system.to_checkpoint(config_echo=dataclasses.asdict(cfg))
-    return rows, payload, {"dial_metrics.csv": comm_rows}
+
+    def step(t):
+        eps = _epsilon(cfg, t)
+        return 1, system.step(rng, eps), eps, {}
+    return system, step, _comm_eval(cfg, env, system)
 
 
-def cmd_train(cfg, threads=1):
+_VALUE = {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]}
+_ACTOR_CRITIC = {"lr": 1e-3, "batch_size": 64, "hidden_sizes": [64, 64]}
+_COMM_CSV = ("dial_metrics.csv",)
+
+ALGO_SPECS = {
+    "iql": AlgoSpec(functools.partial(_q_start, "independent"), _VALUE),
+    "vdn": AlgoSpec(functools.partial(_q_start, "vdn"), _VALUE),
+    "qmix": AlgoSpec(functools.partial(_q_start, "qmix"), _VALUE),
+    "maddpg_ctde": AlgoSpec(functools.partial(_maddpg_start, False), _ACTOR_CRITIC),
+    "maddpg_dec": AlgoSpec(functools.partial(_maddpg_start, True), _ACTOR_CRITIC),
+    "selfplay": AlgoSpec(_selfplay_start, {"lr": 0.05, "batch_size": 256, "hidden_sizes": []}),
+    "dial": AlgoSpec(_dial_start, {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]},
+                     _COMM_CSV),
+    "rial": AlgoSpec(_rial_start, _VALUE, _COMM_CSV),
+}
+
+ALGOS = tuple(ALGO_SPECS)
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+def _key(default, check=None, rule="", **flag):
+    """A config key: its default (None: set per algo, by the env, or derived),
+    a range check on the converted value with what it demands, and extra
+    argparse settings for its flag."""
+    return dataclasses.field(default=default,
+                             metadata={"check": check, "rule": rule, "flag": flag})
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+
+
+@dataclasses.dataclass
+class RunConfig:
+    algo: str = _key("qmix", choices=ALGOS)
+    env: str = _key("two_step_coop", bool, "must be a fixture name or game-file path",
+                    help="fixture name or game-file path")
+    seed: int = _key(0, lambda v: v >= 0, "must be non-negative")
+    gamma: float = _key(None, *_UNIT)          # None: the env's own discount
+    lr: float = _key(None, *_POSITIVE)
+    total_steps: int = _key(20000, *_POSITIVE)
+    batch_size: int = _key(None, *_POSITIVE)
+    buffer_capacity: int = _key(5000, *_POSITIVE)
+    target_update_interval: int = _key(200, *_POSITIVE)
+    tau: float = _key(0.01, lambda v: 0 < v <= 1, "must be in (0, 1]")
+    epsilon_start: float = _key(1.0, *_UNIT)
+    epsilon_end: float = _key(0.05, *_UNIT)
+    epsilon_decay_steps: int = _key(10000, lambda v: v >= 0, "must be non-negative")
+    hidden_sizes: list = _key(None, lambda v: all(h > 0 for h in v), "must be positive",
+                              help="comma-separated layer widths, e.g. 64,64")
+    embed_dim: int = _key(8, *_POSITIVE)
+    beta: float = _key(0.01)
+    eval_interval: int = _key(1000, *_POSITIVE)
+    eval_episodes: int = _key(200, *_POSITIVE)
+    out_dir: str = _key(None, bool, "must be a path")   # None: runs/<algo>-<env>-s<seed>
+
+
+CONFIG_FIELDS = dataclasses.fields(RunConfig)
+
+
+def _as_int(name, v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+        raise InvalidConfig(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _as_float(name, v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InvalidConfig(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
+def _as_str(name, v):
+    if not isinstance(v, str):
+        raise InvalidConfig(f"{name} must be a string, got {v!r}")
+    return v
+
+
+def _as_widths(name, v):
+    if not isinstance(v, (list, tuple)):
+        raise InvalidConfig(f"{name} must be a list of layer widths")
+    return [_as_int("hidden size", h) for h in v]
+
+
+_CONVERT = {int: _as_int, float: _as_float, str: _as_str, list: _as_widths}
+
+
+def build_config(file_dict=None, flag_dict=None):
+    """Merge defaults, config-file keys, and flag overrides into a validated
+    RunConfig.  Precedence: flags > file > defaults."""
+    file_dict = dict(file_dict or {})
+    flag_dict = dict(flag_dict or {})
+    for source, label in ((file_dict, "config file"), (flag_dict, "flags")):
+        unknown = set(source) - {f.name for f in CONFIG_FIELDS}
+        if unknown:
+            raise InvalidConfig(f"unknown {label} keys: {sorted(unknown)}")
+
+    merged = {f.name: f.default for f in CONFIG_FIELDS}
+    merged.update(file_dict)
+    merged.update(flag_dict)
+
+    algo = merged["algo"]
+    if algo not in ALGOS:
+        raise InvalidConfig(f"algo must be one of {ALGOS}, got {algo!r}")
+    for key, val in ALGO_SPECS[algo].defaults.items():
+        if merged[key] is None:
+            merged[key] = val
+
+    if "MARLAB_SEED" in os.environ:
+        try:
+            merged["seed"] = int(os.environ["MARLAB_SEED"])
+        except ValueError:
+            raise InvalidConfig("MARLAB_SEED must be an integer")
+
+    merged["seed"] = _as_int("seed", merged["seed"])
+    if merged["out_dir"] is None:
+        stem = pathlib.Path(str(merged["env"])).stem
+        merged["out_dir"] = f"runs/{algo}-{stem}-s{merged['seed']}"
+
+    for f in CONFIG_FIELDS:
+        v = merged[f.name]
+        if v is None and f.default is None:
+            continue    # only gamma is still unset here
+        merged[f.name] = v = _CONVERT[f.type](f.name, v)
+        check = f.metadata["check"]
+        if check is not None and not check(v):
+            raise InvalidConfig(f"{f.name} {f.metadata['rule']}")
+    return RunConfig(**merged)
+
+
+def check_compat(algo, env):
+    """Reject algo/env pairings the learner cannot represent."""
+    if algo in ("iql", "vdn", "qmix"):
+        if not env.all_discrete():
+            raise IncompatibleAlgoEnv(f"{algo} needs discrete action spaces")
+        if algo != "iql" and not env.cooperative:
+            raise IncompatibleAlgoEnv(
+                f"{algo} factorizes one shared value; {env.name} is not cooperative")
+    elif algo == "maddpg_dec":
+        if not env.all_discrete():
+            raise IncompatibleAlgoEnv(
+                "decentralized targets model opponents with categorical "
+                "distributions; continuous co-actors are not supported")
+    elif algo == "selfplay":
+        try:
+            selfplay.check_selfplay_env(env)
+        except (envs.NotZeroSum, envs.NotSymmetric) as e:
+            raise IncompatibleAlgoEnv(str(e))
+    elif algo in ("dial", "rial"):
+        if not env.meta.get("comm"):
+            raise IncompatibleAlgoEnv(f"{algo} needs a signalling fixture")
+
+
+# ---------------------------------------------------------------------------
+# train subcommand
+# ---------------------------------------------------------------------------
+
+def train(cfg, env):
+    """The one training loop.  Returns the metrics rows, the checkpoint
+    payload and the (step, loss, eval accuracy) rows."""
+    spec = ALGO_SPECS[cfg.algo]
+    learner, step, evaluate = spec.start(cfg, env, np.random.default_rng(cfg.seed))
+    episodes, loss, extra, rows, acc_rows = 0, None, {}, [], []
+    for t in range(1, cfg.total_steps + 1):
+        done, step_loss, eps, step_extra = step(t)
+        episodes += done
+        if step_loss is not None:
+            loss, extra = step_loss, step_extra
+        if t % cfg.eval_interval == 0 or t == cfg.total_steps:
+            _, returns, info = evaluate(cfg.eval_episodes, _eval_rng(cfg.seed, t))
+            rows.append(_row(t, episodes, loss, eps, returns, {**info, **extra}))
+            acc_rows.append([t, _fmt(loss), _fmt(info.get("accuracy"))])
+    return rows, learner.to_checkpoint(config_echo=dataclasses.asdict(cfg)), acc_rows
+
+
+def cmd_train(cfg):
     env = envs.resolve_env(cfg.env)
     check_compat(cfg.algo, env)
-    if threads != 1 and cfg.algo != "selfplay":
-        raise InvalidConfig("--threads applies only to selfplay episode generation")
-    if threads < 1:
-        raise InvalidConfig("--threads must be at least 1")
-
     out = pathlib.Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -442,21 +427,10 @@ def cmd_train(cfg, threads=1):
     _write_text(out / "config_echo.json",
                 json.dumps(dataclasses.asdict(cfg), indent=1, sort_keys=True) + "\n")
 
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.algo in ("iql", "vdn", "qmix"):
-        rows, payload, extra_files = _train_qfamily(cfg, env, rng)
-    elif cfg.algo in ("maddpg_ctde", "maddpg_dec"):
-        rows, payload, extra_files = _train_maddpg(cfg, env, rng)
-    elif cfg.algo == "selfplay":
-        rows, payload, extra_files = _train_selfplay(cfg, env, rng, threads)
-    elif cfg.algo == "dial":
-        rows, payload, extra_files = _train_dial(cfg, env, rng)
-    else:
-        rows, payload, extra_files = _train_rial(cfg, env, rng)
-
+    rows, payload, acc_rows = train(cfg, env)
     _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
-    for name, extra_rows in extra_files.items():
-        _write_csv(out / name, ["step", "loss", "eval_accuracy"], extra_rows)
+    for name in ALGO_SPECS[cfg.algo].extra_csv:
+        _write_csv(out / name, ["step", "loss", "eval_accuracy"], acc_rows)
     checkpoint = {"format": "marlab-checkpoint-v1", "algo": cfg.algo,
                   "env": cfg.env, "payload": payload, "sha256": _digest(payload)}
     _write_text(out / "checkpoint.json", json.dumps(checkpoint, sort_keys=True))
@@ -488,84 +462,35 @@ def _load_checkpoint_file(path):
     return blob
 
 
-def _rebuild(cfg, env, rng):
-    """Reconstruct an untrained learner shaped like the one that wrote the
-    checkpoint; the caller then loads parameters into it."""
-    algo = cfg.algo
-    if algo in ("iql", "vdn", "qmix"):
-        return qmix.QmixLearner(
-            env, _qfamily_mode(algo), rng, hidden=tuple(cfg.hidden_sizes),
-            embed_dim=cfg.embed_dim, gamma=cfg.gamma, lr=cfg.lr,
-            target_interval=cfg.target_update_interval)
-    if algo in ("maddpg_ctde", "maddpg_dec"):
-        return maddpg.MaddpgLearner(
-            env, rng, hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
-            tau=cfg.tau, beta=cfg.beta, decentralized=(algo == "maddpg_dec"))
-    if algo == "selfplay":
-        return selfplay.SelfPlayRun(env, lr=cfg.lr, batch_episodes=cfg.batch_size)
-    if algo == "dial":
-        return dialmod.DialSystem(env, rng, net_hidden=tuple(cfg.hidden_sizes),
-                                  lr=cfg.lr)
-    return dialmod.RialSystem(
-        env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
-        target_interval=cfg.target_update_interval,
-        buffer_capacity=cfg.buffer_capacity, batch_size=cfg.batch_size)
-
-
-def _summarize_returns(env, totals):
-    per_agent = [float(v) for v in totals.mean(axis=0)]
-    out = {"episodes": int(totals.shape[0]),
-           "mean_return_per_agent": per_agent,
-           "mean_return": float(np.mean(per_agent))}
-    if env.zero_sum:
-        tol = 1e-12
-        out["win_rate_per_agent"] = [float((totals[:, i] > tol).mean())
-                                     for i in range(env.n_agents)]
-        out["draw_rate"] = float((np.abs(totals[:, 0]) <= tol).mean())
-    return out
-
-
 def evaluate_checkpoint(blob, env, episodes, seed):
     cfg = build_config(blob["payload"].get("config") or {})
+    spec = ALGO_SPECS[cfg.algo]
     try:
-        learner = _rebuild(cfg, env, np.random.default_rng(seed))
+        # an untrained learner shaped like the one that wrote the checkpoint
+        learner, _, evaluate = spec.start(cfg, env, np.random.default_rng(seed))
         learner.load_checkpoint(blob["payload"])
     except (envs.EnvError, qmix.QmixError, maddpg.MaddpgError,
             dialmod.DialError) as e:
         raise IncompatibleAlgoEnv(f"checkpoint does not fit {env.name}: {e}")
-    gamma = env.gamma if cfg.gamma is None else cfg.gamma
-    erng = _eval_rng(seed, 0)
+    totals, _, info = evaluate(episodes, _eval_rng(seed, 0))
 
-    if cfg.algo in ("iql", "vdn", "qmix"):
-        totals = rollout_returns(env, lambda s, r: learner.greedy_joint(s),
-                                 episodes, learner.gamma, erng)
-    elif cfg.algo in ("maddpg_ctde", "maddpg_dec"):
-        totals = rollout_returns(env, lambda s, r: learner.act(s, r, explore=False),
-                                 episodes, learner.gamma, erng)
-    elif cfg.algo == "selfplay":
-        p = learner.policy()
-        a, b, r1, r2 = selfplay._play_batch(env, p, p, episodes, erng)
-        totals = np.stack([r1, r2], axis=1)
-    else:
-        acc = learner.evaluate(episodes, erng)
-        totals = np.tile(_comm_return_rows(env, gamma, acc), (episodes, 1))
-        summary = _summarize_returns(env, totals)
-        summary["accuracy"] = float(acc)
-        summary["algo"] = cfg.algo
-        return summary
-
-    summary = _summarize_returns(env, totals)
-    summary["algo"] = cfg.algo
-    if cfg.algo == "selfplay":
-        summary["policy"] = [float(x) for x in learner.policy()]
+    per_agent = [float(v) for v in totals.mean(axis=0)]
+    summary = {"algo": cfg.algo, "episodes": int(totals.shape[0]),
+               "mean_return_per_agent": per_agent,
+               "mean_return": float(np.mean(per_agent))}
+    if env.zero_sum:
+        tol = 1e-12
+        summary["win_rate_per_agent"] = [float((totals[:, i] > tol).mean())
+                                         for i in range(env.n_agents)]
+        summary["draw_rate"] = float((np.abs(totals[:, 0]) <= tol).mean())
+    summary.update((k, info[k]) for k in EVAL_SUMMARY_KEYS if k in info)
     return summary
 
 
 def cmd_eval(args):
     blob = _load_checkpoint_file(args.checkpoint)
     env = envs.resolve_env(args.env or blob["env"])
-    episodes = args.episodes
-    summary = evaluate_checkpoint(blob, env, episodes, args.seed)
+    summary = evaluate_checkpoint(blob, env, args.episodes, args.seed)
     text = json.dumps(summary, sort_keys=True)
     print(text)
     out = pathlib.Path(args.out) if args.out else \
@@ -698,31 +623,21 @@ def cmd_gradcheck(args):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _widths(text):
+    try:
+        return [int(t) for t in text.strip().split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated widths: {text!r}")
+
+
+_FLAG_TYPES = {int: int, float: float, str: str, list: _widths}
+
+
 def _add_train_flags(p):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--algo", choices=ALGOS)
-    p.add_argument("--env", help="fixture name or game-file path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--total-steps", type=int, dest="total_steps")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--buffer-capacity", type=int, dest="buffer_capacity")
-    p.add_argument("--target-update-interval", type=int,
-                   dest="target_update_interval")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epsilon-start", type=float, dest="epsilon_start")
-    p.add_argument("--epsilon-end", type=float, dest="epsilon_end")
-    p.add_argument("--epsilon-decay-steps", type=int, dest="epsilon_decay_steps")
-    p.add_argument("--hidden-sizes", dest="hidden_sizes",
-                   help="comma-separated layer widths, e.g. 64,64")
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eval-interval", type=int, dest="eval_interval")
-    p.add_argument("--eval-episodes", type=int, dest="eval_episodes")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for selfplay episode generation")
+    for f in CONFIG_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=_FLAG_TYPES[f.type], **f.metadata["flag"])
 
 
 def build_parser():
@@ -773,17 +688,8 @@ def _config_from_args(args):
             raise InvalidConfig(f"cannot parse config file: {e}")
         if not isinstance(file_dict, dict):
             raise InvalidConfig("config file must hold a JSON object")
-    flags = {}
-    for field in dataclasses.fields(RunConfig):
-        v = getattr(args, field.name, None)
-        if v is not None:
-            flags[field.name] = v
-    if isinstance(flags.get("hidden_sizes"), str):
-        text = flags["hidden_sizes"].strip()
-        try:
-            flags["hidden_sizes"] = [int(t) for t in text.split(",") if t] if text else []
-        except ValueError:
-            raise InvalidConfig(f"bad --hidden-sizes value: {text!r}")
+    flags = {f.name: getattr(args, f.name) for f in CONFIG_FIELDS
+             if getattr(args, f.name) is not None}
     return build_config(file_dict, flags)
 
 
@@ -795,7 +701,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         if args.cmd == "train":
-            return cmd_train(_config_from_args(args), args.threads)
+            return cmd_train(_config_from_args(args))
         if args.cmd == "eval":
             return cmd_eval(args)
         if args.cmd == "oracle":

@@ -468,8 +468,6 @@ def game_to_dict(env):
 
 
 def game_from_dict(obj):
-    if "builtin" in obj:
-        return fixture_by_name(obj["builtin"])
     required = {"n_agents", "actions", "states", "rewards", "transition", "flags", "horizon"}
     missing = required - set(obj)
     if missing:
@@ -502,10 +500,6 @@ def load_game(path):
     return game_from_dict(obj)
 
 
-def fixtures_dir():
-    return pathlib.Path(__file__).parent / "fixtures"
-
-
 def resolve_env(spec_str):
     """A fixture name, or a path to a game file."""
     if spec_str in FIXTURES:
@@ -513,7 +507,4 @@ def resolve_env(spec_str):
     p = pathlib.Path(spec_str)
     if p.suffix == ".json" and p.exists():
         return load_game(p)
-    builtin_file = fixtures_dir() / f"{spec_str}.json"
-    if builtin_file.exists():
-        return load_game(builtin_file)
     raise EnvError(f"cannot resolve environment {spec_str!r}")

@@ -9,8 +9,6 @@ policy on any zero-sum game; systematic drift signals an accounting bug
 rather than policy quality.
 """
 
-import threading
-
 import numpy as np
 
 from . import ndiff
@@ -62,41 +60,13 @@ class SelfPlayRun:
         ndiff.params_from_json(blob["policy"], [(self.logits.name, self.logits)])
 
 
-def _play_batch(env, probs_a, probs_b, n, rng):
+def play_batch(env, probs_a, probs_b, n, rng):
     """Sample n one-shot episodes; returns (a, b, r1, r2) arrays."""
     k = env.action_space[0].n
     a = rng.choice(k, size=n, p=probs_a)
     b = rng.choice(k, size=n, p=probs_b)
     r1 = env.rewards[0, a, b, 0]
     r2 = env.rewards[0, a, b, 1]
-    return a, b, r1, r2
-
-
-def _play_batch_threaded(env, probs_a, probs_b, n, threads, rng):
-    """Episode generation split across worker threads.
-
-    Chunk seeds are drawn from the caller's generator up front and each worker
-    fills its own slice, so the result does not depend on thread scheduling.
-    """
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    seeds = rng.integers(0, 2**63 - 1, size=threads)
-    a = np.zeros(n, dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    r1 = np.zeros(n)
-    r2 = np.zeros(n)
-
-    def work(c):
-        lo, hi = bounds[c], bounds[c + 1]
-        if hi == lo:
-            return
-        part = _play_batch(env, probs_a, probs_b, hi - lo, np.random.default_rng(seeds[c]))
-        a[lo:hi], b[lo:hi], r1[lo:hi], r2[lo:hi] = part
-
-    workers = [threading.Thread(target=work, args=(c,)) for c in range(threads)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
     return a, b, r1, r2
 
 
@@ -112,16 +82,13 @@ def _policy_gradient_step(logits, lr, weights, scale):
     return float(loss.value)
 
 
-def selfplay_step(run, env, batch_episodes, rng, threads=1):
+def selfplay_step(run, env, batch_episodes, rng):
     """Play a batch with the shared policy in both seats, apply one pooled
     policy-gradient step (each seat's own reward as its return), and return
     the coin-relabeled seat-1 mean payoff."""
     check_selfplay_env(env)
     p = run.policy()
-    if threads > 1:
-        a, b, r1, r2 = _play_batch_threaded(env, p, p, batch_episodes, threads, rng)
-    else:
-        a, b, r1, r2 = _play_batch(env, p, p, batch_episodes, rng)
+    a, b, r1, r2 = play_batch(env, p, p, batch_episodes, rng)
     coin = rng.random(batch_episodes) < 0.5
     reported = float(np.where(coin, r1, r2).mean())
 
@@ -162,14 +129,14 @@ def exploit(frozen, env, train_steps, rng, lr=0.05, batch_episodes=256,
 
     for _ in range(train_steps):
         q = responder.policy()
-        _, b, _, r2 = _play_batch(env, probs, q, batch_episodes, rng)
+        _, b, _, r2 = play_batch(env, probs, q, batch_episodes, rng)
         advantage = r2 - r2.mean()
         weights = np.zeros(responder.k)
         np.add.at(weights, b, advantage)
         _policy_gradient_step(responder.logits, lr, weights, float(batch_episodes))
 
     q = responder.policy()
-    _, _, _, r2 = _play_batch(env, probs, q, eval_episodes, rng)
+    _, _, _, r2 = play_batch(env, probs, q, eval_episodes, rng)
     return responder, float(r2.mean())
 
 

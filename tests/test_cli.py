@@ -158,16 +158,14 @@ def test_config_echo_round_trip_stable(tmp_path):
     assert dataclasses.asdict(again) == echo
 
 
-def test_threads_only_for_selfplay(tmp_path):
-    rc, _ = _train(tmp_path, "x", "--algo", "qmix", "--threads", "2")
+def test_threads_flag_is_gone_and_selfplay_is_deterministic(tmp_path):
+    rc, _ = _train(tmp_path, "x", "--threads", "2")
     assert rc == 2
-    rc, a = _train(tmp_path, "sp1", "--algo", "selfplay", "--env", "matching_pennies",
-                   "--seed", "7", "--threads", "3",
-                   "--total-steps", "40", "--eval-interval", "20", "--eval-episodes", "50")
-    assert rc == 0
-    rc, b = _train(tmp_path, "sp2", "--algo", "selfplay", "--env", "matching_pennies",
-                   "--seed", "7", "--threads", "3",
-                   "--total-steps", "40", "--eval-interval", "20", "--eval-episodes", "50")
+    flags = ["--algo", "selfplay", "--env", "matching_pennies", "--seed", "7",
+             "--total-steps", "40", "--eval-interval", "20", "--eval-episodes", "50"]
+    rc_a, a = _train(tmp_path, "sp1", *flags)
+    rc_b, b = _train(tmp_path, "sp2", *flags)
+    assert rc_a == rc_b == 0
     assert _read(a / "metrics.csv") == _read(b / "metrics.csv")
 
 
@@ -243,6 +241,29 @@ def test_eval_fresh_selfplay_policy_is_balanced(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert abs(summary["mean_return_per_agent"][0]) <= 0.05
     assert "win_rate_per_agent" in summary and "draw_rate" in summary
+
+
+HOME_ENVS = {"iql": "two_step_coop", "vdn": "coop_climb", "qmix": "two_step_coop",
+             "maddpg_ctde": "coop_cts", "maddpg_dec": "two_step_coop",
+             "selfplay": "rock_paper_scissors", "dial": "signal_relay",
+             "rial": "signal_relay"}
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_train_then_eval_every_algo(tmp_path, capsys, algo):
+    rc, out = _train(tmp_path, algo, "--algo", algo, "--env", HOME_ENVS[algo],
+                     "--batch-size", "8", "--total-steps", "40",
+                     "--eval-interval", "20", "--eval-episodes", "5")
+    assert rc == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                   "--episodes", "7"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["algo"] == algo and summary["episodes"] == 7
+    assert len(summary["mean_return_per_agent"]) == 2
+    assert np.all(np.isfinite(summary["mean_return_per_agent"]))
+    assert (out / "dial_metrics.csv").exists() == (algo in ("dial", "rial"))
 
 
 # -- oracle subcommand ---------------------------------------------------------

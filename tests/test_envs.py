@@ -1,7 +1,10 @@
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marlab import envs
 from marlab.envs import (
@@ -17,8 +20,8 @@ from marlab.envs import (
     game_from_dict,
     game_to_dict,
     induce_mdp,
-    load_game,
     resolve_env,
+    two_step_coop,
 )
 
 
@@ -208,23 +211,53 @@ def test_encode_state_one_hot():
     assert np.array_equal(fixture_by_name("coop_cts").encode_state(0), [1.0])
 
 
-def test_game_file_round_trip():
-    g = fixture_by_name("two_step_coop")
-    blob = game_to_dict(g)
-    back = game_from_dict(blob)
+@st.composite
+def small_games(draw):
+    """Random discrete games: 1-3 agents with 1-3 actions each, 1-3 states,
+    horizon 1-3, row-stochastic transitions."""
+    actions = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n_states = draw(st.integers(1, 3))
+    shape = (n_states, *actions)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transition = rng.random(shape + (n_states,)) + 0.1
+    return MarkovGame(
+        name="random", action_space=[Discrete(k) for k in actions],
+        horizon=draw(st.integers(1, 3)), gamma=draw(st.floats(0.0, 1.0)),
+        cooperative=False, zero_sum=False, n_states=n_states,
+        rewards=rng.normal(size=shape + (len(actions),)),
+        transition=transition / transition.sum(axis=-1, keepdims=True),
+        terminal_after=rng.random(shape) < 0.3,
+        init_dist=rng.dirichlet(np.ones(n_states)))
+
+
+@given(small_games())
+@example(fixture_by_name("matching_pennies"))
+@example(fixture_by_name("rock_paper_scissors"))
+@example(fixture_by_name("coop_climb"))
+@example(fixture_by_name("two_step_coop"))
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_game_file_round_trip(g):
+    back = game_from_dict(game_to_dict(g))
+    assert back.name == g.name and back.n_states == g.n_states
+    assert [sp.n for sp in back.action_space] == [sp.n for sp in g.action_space]
     assert np.array_equal(back.rewards, g.rewards)
     assert np.array_equal(back.transition, g.transition)
     assert np.array_equal(back.terminal_after, g.terminal_after)
+    assert np.array_equal(back.init_dist, g.init_dist)
     assert back.horizon == g.horizon and back.gamma == g.gamma
     assert back.cooperative == g.cooperative and back.zero_sum == g.zero_sum
 
 
 def test_shipped_fixture_files_resolve():
-    for name in ("matching_pennies", "coop_climb", "coop_cts", "two_step_coop",
-                 "signal_relay", "rock_paper_scissors"):
-        from_file = load_game(envs.fixtures_dir() / f"{name}.json")
-        assert from_file.name == name
-        assert resolve_env(name).name == name
+    path = pathlib.Path(envs.__file__).parent / "fixtures" / "two_step_coop.json"
+    from_file, built = resolve_env(str(path)), two_step_coop()
+    assert from_file.name == built.name
+    assert np.array_equal(from_file.rewards, built.rewards)
+    assert np.array_equal(from_file.transition, built.transition)
+    assert np.array_equal(from_file.terminal_after, built.terminal_after)
+    assert from_file.horizon == built.horizon and from_file.gamma == built.gamma
+    assert from_file.cooperative == built.cooperative
+    assert from_file.zero_sum == built.zero_sum
 
 
 def test_game_from_dict_rejects_missing_keys():

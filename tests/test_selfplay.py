@@ -49,10 +49,10 @@ def test_seat_payoffs_negate_exactly_per_batch():
     env = envs.fixture_by_name("rock_paper_scissors")
     run = SelfPlayRun(env)
     rng = np.random.default_rng(0)
-    from marlab.selfplay import _play_batch
+    from marlab.selfplay import play_batch
 
     p = run.policy()
-    _, _, r1, r2 = _play_batch(env, p, p, 2048, rng)
+    _, _, r1, r2 = play_batch(env, p, p, 2048, rng)
     assert r1.mean() == -r2.mean()
     assert np.array_equal(r1, -r2)
 
