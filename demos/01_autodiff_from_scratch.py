@@ -19,8 +19,7 @@ W = param(rng.normal(size=(3, 2)), name="W")
 b = param(np.zeros((1, 2)), name="b")
 
 g = Graph()
-ones = g.constant(np.ones((4, 1)))
-h = g.tanh(g.add(g.matmul(g.constant(x), W), g.matmul(ones, b)))
+h = g.tanh(g.add(g.matmul(g.constant(x), W), b))   # b's row is added to every row
 loss = g.mean(g.square(h))
 print("forward value:", float(loss.value))
 
@@ -36,8 +35,7 @@ b.grad[...] = 0.0
 
 def f():
     g = Graph()
-    ones = g.constant(np.ones((4, 1)))
-    h = g.tanh(g.add(g.matmul(g.constant(x), W), g.matmul(ones, b)))
+    h = g.tanh(g.add(g.matmul(g.constant(x), W), b))
     return g.mean(g.square(h))
 
 

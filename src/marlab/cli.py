@@ -488,6 +488,8 @@ def evaluate_checkpoint(blob, env, episodes, seed):
 
 
 def cmd_eval(args):
+    if args.episodes < 1:
+        raise InvalidConfig(f"--episodes must be at least 1, got {args.episodes}")
     blob = _load_checkpoint_file(args.checkpoint)
     env = envs.resolve_env(args.env or blob["env"])
     summary = evaluate_checkpoint(blob, env, args.episodes, args.seed)

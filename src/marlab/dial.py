@@ -65,7 +65,8 @@ class CommAgentCell:
     def forward_np(self, obs, msg, h):
         out = self.net.forward_np(np.concatenate([obs, msg, h], axis=1))
         a, d = self.n_actions, self.msg_dim
-        return out[:, :a], np.tanh(out[:, a:a + d]), np.tanh(out[:, a + d:])
+        return (out[:, :a], ndiff.apply_np("tanh", out[:, a:a + d]),
+                ndiff.apply_np("tanh", out[:, a + d:]))
 
 
 @dataclass
@@ -184,13 +185,8 @@ class DialSystem:
         """Cross-entropy of the listener's final-step action scores against
         the episode's bit, on the unroll's own graph."""
         g = unroll.graph
-        scores = unroll.listener_scores
-        k = scores.value.shape[1]
-        onehot = np.zeros((len(unroll.bits), k))
-        onehot[np.arange(len(unroll.bits)), unroll.bits] = 1.0
-        logp = g.log(g.softmax(scores))
-        picked = g.matmul(g.mul(logp, g.constant(onehot)), g.constant(np.ones((k, 1))))
-        return g.neg(g.mean(picked))
+        logp = g.log_softmax(unroll.listener_scores)
+        return g.neg(g.mean(g.pick(logp, unroll.bits)))
 
     def update(self, unroll):
         """One optimization step on the unroll's loss; rejects rollouts made
@@ -307,7 +303,7 @@ class RialSystem:
     signalled)."""
 
     def __init__(self, env, rng, n_messages=2, net_hidden=(32,), lr=5e-3,
-                 gamma=None, epsilon=0.1, target_interval=100,
+                 gamma=None, target_interval=100,
                  buffer_capacity=5000, batch_size=32):
         _check_comm_env(env)
         self.env = env
@@ -397,15 +393,8 @@ class RialSystem:
 
             g = Graph()
             qa_t, qm_t = head.forward(g, g.constant(x))
-            n = len(batch)
-            a_hot = np.zeros((n, head.n_actions))
-            a_hot[np.arange(n), [tr.action for tr in batch]] = 1.0
-            m_hot = np.zeros((n, head.n_messages))
-            m_hot[np.arange(n), [tr.message for tr in batch]] = 1.0
-            taken = g.add(
-                g.matmul(g.mul(qa_t, g.constant(a_hot)), g.constant(np.ones((head.n_actions, 1)))),
-                g.matmul(g.mul(qm_t, g.constant(m_hot)), g.constant(np.ones((head.n_messages, 1)))),
-            )
+            taken = g.add(g.pick(qa_t, [tr.action for tr in batch]),
+                          g.pick(qm_t, [tr.message for tr in batch]))
             loss = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
             backward(g, loss)
             adam_step(self.opts[i].params, self.opts[i])

@@ -21,10 +21,11 @@ class ContinuousOpponent(MaddpgError):
     pass
 
 
-def _softmax_np(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _draw(logits, rng):
+    """One categorical draw per row of softmax(logits), by inverse CDF."""
+    p = ndiff.apply_np("softmax", logits)
+    u = rng.random((len(p), 1))
+    return (p.cumsum(axis=1) > u).argmax(axis=1)
 
 
 class Actor:
@@ -62,14 +63,12 @@ class Actor:
             a = self._mid + self._half * out[:, 0]
             a = a + rng.normal(0.0, SIGMA_EXPLORE, size=a.shape)
             return np.clip(a, self.space.lo, self.space.hi)
-        p = _softmax_np(out)
-        u = rng.random((len(p), 1))
-        return (p.cumsum(axis=1) > u).argmax(axis=1)
+        return _draw(out, rng)
 
     def probs_np(self, s):
         if self.kind != "cat":
             raise MaddpgError("probabilities exist only for categorical actors")
-        return _softmax_np(self.net.forward_np(s))
+        return ndiff.apply_np("softmax", self.net.forward_np(s))
 
     def scaled_graph(self, g, s_t):
         """Graph forward for pathwise gradients (box actors only)."""
@@ -186,11 +185,6 @@ class MaddpgLearner:
         done = np.array([tr.done for tr in batch], dtype=np.float64)
         return s, acts, r, s2, done
 
-    def _model_sample(self, i, j, s_enc, rng):
-        p = _softmax_np(self.opponent_models[(i, j)].forward_np(s_enc))
-        u = rng.random((len(p), 1))
-        return (p.cumsum(axis=1) > u).argmax(axis=1)
-
     def _target_actions(self, s2, rng):
         return [ta.sample_np(s2, rng) if ta.kind == "cat" else ta.greedy_np(s2)
                 for ta in self.target_actors]
@@ -219,7 +213,7 @@ class MaddpgLearner:
             else:
                 if (owner, j) not in self.opponent_models:
                     raise MaddpgError("decentralized target needs opponent models")
-                aj = self._model_sample(owner, j, s2, rng)
+                aj = _draw(self.opponent_models[(owner, j)].forward_np(s2), rng)
             cols.append(self._encode_action_col(j, aj))
         x2 = self.critic_input(s2, cols)
         q2 = self.target_critics[owner].forward_np(x2)[:, 0]
@@ -275,7 +269,7 @@ class MaddpgLearner:
             if self.decentralized:
                 if (i, j) not in self.opponent_models:
                     raise MaddpgError("decentralized actor update needs opponent models")
-                aj = self._model_sample(i, j, s, rng)
+                aj = _draw(self.opponent_models[(i, j)].forward_np(s), rng)
             else:
                 co = self.actors[j]
                 aj = co.sample_np(s, rng) if co.kind == "cat" else co.greedy_np(s)
@@ -296,11 +290,8 @@ class MaddpgLearner:
             q = self.critics[i].forward_np(self.critic_input(s, parts))[:, 0]
             adv = q - q.mean()
             g = Graph()
-            logits = actor.net.forward(g, g.constant(s))
-            logp = g.log(g.softmax(logits))
-            onehot = self._encode_action_col(i, a_i)
-            picked = g.matmul(g.mul(logp, g.constant(onehot)),
-                              g.constant(np.ones((self.enc_dims[i], 1))))
+            logp = g.log_softmax(actor.net.forward(g, g.constant(s)))
+            picked = g.pick(logp, a_i)
             objective_value = float(q.mean())
             loss = g.neg(g.mean(g.mul(picked, g.constant(adv[:, None]))))
 
@@ -324,15 +315,10 @@ class MaddpgLearner:
         for j in range(self.n_agents):
             if (owner, j) not in self.opponent_models:
                 continue
-            net = self.opponent_models[(owner, j)]
-            probs = g.softmax(net.forward(g, s_t))
-            logp = g.log(probs)
-            onehot = self._encode_action_col(j, acts[j])
-            picked = g.matmul(g.mul(logp, g.constant(onehot)),
-                              g.constant(np.ones((self.enc_dims[j], 1))))
-            nll = g.neg(g.mean(picked))
-            entropy = g.neg(g.mean(g.matmul(g.mul(probs, logp),
-                                            g.constant(np.ones((self.enc_dims[j], 1))))))
+            logits = self.opponent_models[(owner, j)].forward(g, s_t)
+            logp = g.log_softmax(logits)
+            nll = g.neg(g.mean(g.pick(logp, acts[j])))
+            entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
             term = g.sub(nll, g.mul(g.constant(np.asarray(self.beta)), entropy))
             total = term if total is None else g.add(total, term)
             nll_value += float(nll.value)
@@ -342,7 +328,7 @@ class MaddpgLearner:
 
     def model_probs(self, owner, j, state):
         s = self._encode_states([state.index if hasattr(state, "index") else state])
-        return _softmax_np(self.opponent_models[(owner, j)].forward_np(s))[0]
+        return ndiff.apply_np("softmax", self.opponent_models[(owner, j)].forward_np(s))[0]
 
     # -- full step ----------------------------------------------------------
     def learner_step(self, batch, rng):

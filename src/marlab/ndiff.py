@@ -5,8 +5,6 @@ tape in reverse from a scalar root.  Graphs are meant to be rebuilt every
 training step and are single-threaded.
 """
 
-import json
-
 import numpy as np
 
 
@@ -87,20 +85,26 @@ class _Record:
 # op table: kind -> (forward, backward)
 # forward(values, attrs) -> (out_value, ctx); backward(ctx, values, out_grad)
 # -> per-input gradient arrays (None for inputs that need no gradient)
+#
+# add and mul broadcast one way only: the operands match exactly, or one is a
+# scalar (size 1), or one is a (1, k) row repeated over the rows of an (n, k)
+# matrix (a bias).  Anything else is a ShapeMismatch.
 # ---------------------------------------------------------------------------
 
 def _binary_shapes(a, b, kind):
-    if a.shape == b.shape:
+    if a.shape == b.shape or a.size == 1 or b.size == 1:
         return
-    if a.size == 1 or b.size == 1:
+    if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0]):
         return
-    raise ShapeMismatch(f"{kind}: {a.shape} vs {b.shape} (exact match or scalar broadcast only)")
+    raise ShapeMismatch(f"{kind}: {a.shape} vs {b.shape} (exact match, scalar or (1, k) row only)")
 
 
 def _reduce_to(g, shape):
-    # collapse a broadcast gradient back onto a size-1 operand
+    # collapse a broadcast gradient back onto a size-1 operand or a (1, k) row
     if g.shape == shape:
         return g
+    if len(shape) == 2 and shape[0] == 1 and shape[1] > 1:
+        return g.sum(axis=0, keepdims=True)
     return np.full(shape, g.sum(), dtype=np.float64)
 
 
@@ -219,6 +223,18 @@ def _bw_softmax(ctx, vals, g):
     return (y * (g - dot),)
 
 
+def _fw_log_softmax(vals, attrs):
+    # log(softmax(x)) without forming softmax: finite however far apart x's entries are
+    (x,) = vals
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), None
+
+
+def _bw_log_softmax(ctx, vals, g):
+    y = ctx
+    return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
+
+
 def _fw_log(vals, attrs):
     (x,) = vals
     return np.log(x), None
@@ -230,13 +246,15 @@ def _bw_log(ctx, vals, g):
 
 
 def _fw_sum(vals, attrs):
+    # the sum of all entries, or the sums along `axis` with that dim kept (size 1)
     (x,) = vals
-    return np.asarray(x.sum()), None
+    axis = attrs.get("axis")
+    return (np.asarray(x.sum()) if axis is None else x.sum(axis=axis, keepdims=True)), None
 
 
 def _bw_sum(ctx, vals, g):
     (x,) = vals
-    return (np.full_like(x, float(g)),)
+    return (np.broadcast_to(g, x.shape).copy(),)
 
 
 def _fw_mean(vals, attrs):
@@ -297,6 +315,23 @@ def _bw_slice(ctx, vals, g):
     return (out,)
 
 
+def _fw_pick(vals, attrs):
+    # the (n, 1) column x[i, index[i]]: row i's entry at its own column
+    (x,) = vals
+    index = np.asarray(attrs["index"], dtype=np.intp)
+    if x.ndim != 2 or index.shape != (x.shape[0],):
+        raise ShapeMismatch(f"pick: index of shape {index.shape} on {x.shape}")
+    rows = np.arange(x.shape[0])
+    return x[rows, index][:, None], (rows, index)
+
+
+def _bw_pick(ctx, vals, g):
+    (x,) = vals
+    out = np.zeros_like(x)
+    out[ctx] = g[:, 0]
+    return (out,)
+
+
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
     "add": (_fw_add, _bw_add),
@@ -314,10 +349,19 @@ OPS = {
     "abs": (_fw_abs, _bw_abs),
     "neg": (_fw_neg, _bw_neg),
     "slice": (_fw_slice, _bw_slice),
+    "pick": (_fw_pick, _bw_pick),
+    "log_softmax": (_fw_log_softmax, _bw_log_softmax),
 }
 
 # ops whose backward reads the output value rather than the inputs
-_CTX_IS_OUTPUT = {"tanh", "sigmoid", "softmax"}
+_CTX_IS_OUTPUT = {"tanh", "sigmoid", "softmax", "log_softmax"}
+
+
+def apply_np(kind, x):
+    """The value of the one-input op `kind` (or "identity") on the numpy array
+    x, off the tape: the numpy-only paths share the op table's forward, so
+    each activation and softmax has one numpy definition."""
+    return x if kind == "identity" else OPS[kind][0]((x,), {})[0]
 
 
 class Graph:
@@ -378,11 +422,14 @@ class Graph:
     def softmax(self, x):
         return forward_op(self, "softmax", (x,))
 
+    def log_softmax(self, x):
+        return forward_op(self, "log_softmax", (x,))
+
     def log(self, x):
         return forward_op(self, "log", (x,))
 
-    def sum(self, x):
-        return forward_op(self, "sum", (x,))
+    def sum(self, x, axis=None):
+        return forward_op(self, "sum", (x,), axis=axis)
 
     def mean(self, x):
         return forward_op(self, "mean", (x,))
@@ -398,6 +445,9 @@ class Graph:
 
     def slice(self, x, start, stop):
         return forward_op(self, "slice", (x,), start=start, stop=stop)
+
+    def pick(self, x, index):
+        return forward_op(self, "pick", (x,), index=index)
 
 
 def forward_op(graph, kind, inputs, **attrs):
@@ -454,14 +504,7 @@ def backward(graph, root):
 # dense networks
 # ---------------------------------------------------------------------------
 
-_ACT_NP = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "elu": lambda x: np.where(x >= 0.0, x, np.expm1(x)),
-    "tanh": np.tanh,
-    "sigmoid": lambda x: np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))),
-    "identity": lambda x: x,
-}
+_ACTIVATIONS = ("relu", "elu", "tanh", "sigmoid", "identity")
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -478,7 +521,7 @@ class DenseNet:
         if len(activations) != len(layer_sizes) - 1:
             raise ShapeMismatch("one activation per layer required")
         for a in activations:
-            if a not in _ACT_NP:
+            if a not in _ACTIVATIONS:
                 raise UnknownOp(f"activation {a!r}")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.activations = tuple(activations)
@@ -500,10 +543,9 @@ class DenseNet:
     def forward(self, g, x):
         if x.value.ndim != 2:
             raise ShapeMismatch(f"DenseNet input must be 2-D, got {x.shape}")
-        ones = g.constant(np.ones((x.value.shape[0], 1)))
         h = x
         for act, w, b in zip(self.activations, self.weights, self.biases):
-            h = g.add(g.matmul(h, w), g.matmul(ones, b))
+            h = g.add(g.matmul(h, w), b)
             if act != "identity":
                 h = forward_op(g, act, (h,))
         return h
@@ -513,7 +555,7 @@ class DenseNet:
         if h.ndim != 2:
             raise ShapeMismatch(f"DenseNet input must be 2-D, got {h.shape}")
         for act, w, b in zip(self.activations, self.weights, self.biases):
-            h = _ACT_NP[act](h @ w.value + b.value)
+            h = apply_np(act, h @ w.value + b.value)
         return h
 
     def clone(self, name=None):
@@ -666,7 +708,3 @@ def params_from_json(obj, named_params):
         if flat.size != p.value.size:
             raise ShapeMismatch(f"{name}: {flat.size} values for shape {p.value.shape}")
         p.value[...] = flat.reshape(p.value.shape)
-
-
-def dumps_params(named_params):
-    return json.dumps(params_to_json(named_params), sort_keys=True)

@@ -49,15 +49,8 @@ class MixingNet:
         self.hyper_b2 = DenseNet(sizes + [1], ["relu", "identity"], rng, "hyper_b2")
         # constant routing matrices: tile repeats the agent axis per embedding
         # row, group sums each embedding row back to one column
-        tile = np.zeros((n_agents, n_agents * embed_dim))
-        group = np.zeros((n_agents * embed_dim, embed_dim))
-        for e in range(embed_dim):
-            for a in range(n_agents):
-                tile[a, e * n_agents + a] = 1.0
-                group[e * n_agents + a, e] = 1.0
-        self._tile = tile
-        self._group = group
-        self._col = np.ones((embed_dim, 1))
+        self._tile = np.tile(np.eye(n_agents), (1, embed_dim))
+        self._group = np.repeat(np.eye(embed_dim), n_agents, axis=0)
 
     @property
     def nets(self):
@@ -74,7 +67,7 @@ class MixingNet:
         b2 = self.hyper_b2.forward(g, s)
         tiled = g.matmul(q, g.constant(self._tile))
         hidden = g.elu(g.add(g.matmul(g.mul(w1, tiled), g.constant(self._group)), b1))
-        return g.add(g.matmul(g.mul(w2, hidden), g.constant(self._col)), b2)
+        return g.add(g.sum(g.mul(w2, hidden), axis=1), b2)
 
     def forward_np(self, q, s):
         w1 = np.abs(self.hyper_w1.forward_np(s))
@@ -82,8 +75,8 @@ class MixingNet:
         w2 = np.abs(self.hyper_w2.forward_np(s))
         b2 = self.hyper_b2.forward_np(s)
         pre = (w1 * (q @ self._tile)) @ self._group + b1
-        hidden = np.where(pre >= 0.0, pre, np.expm1(pre))
-        return (w2 * hidden) @ self._col + b2
+        hidden = ndiff.apply_np("elu", pre)
+        return (w2 * hidden).sum(axis=1, keepdims=True) + b2
 
     def clone(self):
         other = MixingNet.__new__(MixingNet)
@@ -95,7 +88,6 @@ class MixingNet:
         other.hyper_b2 = self.hyper_b2.clone()
         other._tile = self._tile
         other._group = self._group
-        other._col = self._col
         return other
 
 
@@ -197,7 +189,7 @@ class QmixLearner:
         s = self._encode(state)[np.newaxis, :]
         return float(self._mix_np(q, s)[0, 0])
 
-    def _mix_np(self, q, s, nets=None, mixing=None):
+    def _mix_np(self, q, s, mixing=None):
         if self.mode == "independent":
             raise ModeMismatch("independent mode has no joint mixer")
         if self.mode == "vdn":
@@ -206,7 +198,7 @@ class QmixLearner:
 
     def _mix_graph(self, g, q, s_np):
         if self.mode == "vdn":
-            return g.matmul(q, g.constant(np.ones((self.n_agents, 1))))
+            return g.sum(q, axis=1)
         return self.mixing.forward(g, q, g.constant(s_np))
 
     # -- learning -------------------------------------------------------------
@@ -245,14 +237,8 @@ class QmixLearner:
 
         g = Graph()
         s_t = g.constant(s_np)
-        taken = []
-        for i, net in enumerate(self.agent_nets):
-            utils = net.forward(g, s_t)
-            onehot = np.zeros((n, self.n_actions[i]))
-            onehot[np.arange(n), actions[:, i]] = 1.0
-            picked = g.matmul(g.mul(utils, g.constant(onehot)),
-                              g.constant(np.ones((self.n_actions[i], 1))))
-            taken.append(picked)
+        taken = [g.pick(net.forward(g, s_t), actions[:, i])
+                 for i, net in enumerate(self.agent_nets)]
         q_taken = taken[0] if self.n_agents == 1 else g.concat(*taken)
 
         if self.mode == "independent":

@@ -46,9 +46,7 @@ class SelfPlayRun:
         self.last_loss = None
 
     def policy(self):
-        z = self.logits.value[0]
-        e = np.exp(z - z.max())
-        return e / e.sum()
+        return ndiff.apply_np("softmax", self.logits.value[0])
 
     def to_checkpoint(self, config_echo=None):
         return {
@@ -73,7 +71,7 @@ def play_batch(env, probs_a, probs_b, n, rng):
 def _policy_gradient_step(logits, lr, weights, scale):
     """Ascend E[log pi . weights] / scale by one SGD step; returns the loss."""
     g = Graph()
-    logp = g.log(g.softmax(logits))
+    logp = g.log_softmax(logits)
     objective = g.mean(g.matmul(logp, g.constant(weights[:, None] / scale)))
     loss = g.neg(objective)
     backward(g, loss)
@@ -109,9 +107,7 @@ class BestResponder:
         self.logits = param(np.zeros((1, k)), name="responder/logits")
 
     def policy(self):
-        z = self.logits.value[0]
-        e = np.exp(z - z.max())
-        return e / e.sum()
+        return ndiff.apply_np("softmax", self.logits.value[0])
 
 
 def exploit(frozen, env, train_steps, rng, lr=0.05, batch_episodes=256,

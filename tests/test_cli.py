@@ -217,6 +217,18 @@ def test_eval_rejects_truncated_checkpoint(tmp_path):
     assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("algo,env", [("vdn", "coop_climb"), ("dial", "signal_relay")])
+def test_eval_episodes_below_one_exits_2(tmp_path, capsys, algo, env):
+    _, out = _train(tmp_path, "run", "--algo", algo, "--env", env, "--batch-size", "8",
+                    "--total-steps", "20", "--eval-interval", "20", "--eval-episodes", "5")
+    for episodes in ("0", "-1"):
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                       "--episodes", episodes])
+        assert rc == 2
+        assert "--episodes must be at least 1" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
+
 def test_eval_greedy_policy_is_constant_on_deterministic_game(tmp_path, capsys):
     _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
     capsys.readouterr()

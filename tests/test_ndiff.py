@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marlab import ndiff
+from marlab import ndiff, selfplay
 from marlab.ndiff import (
     AdamState,
     DenseNet,
@@ -45,6 +47,89 @@ def test_add_shape_mismatch():
     g = Graph()
     with pytest.raises(ShapeMismatch):
         g.add(g.constant(np.zeros((2, 3))), g.constant(np.zeros((3, 2))))
+
+
+def test_row_broadcast_shape_mismatch():
+    g = Graph()
+    with pytest.raises(ShapeMismatch):
+        g.add(g.constant(np.zeros((2, 3))), g.constant(np.zeros((1, 2))))
+    with pytest.raises(ShapeMismatch):
+        g.mul(g.constant(np.zeros((2, 3))), g.constant(np.zeros((2, 1))))
+
+
+def test_pick_shape_mismatch():
+    g = Graph()
+    x = g.constant(np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        g.pick(x, [0, 1])
+    with pytest.raises(ShapeMismatch):
+        g.pick(x, [[0], [1], [1]])
+
+
+# each case: op name -> (tape forward of (x, row, index), plain numpy forward)
+_WIDENED_OPS = {
+    "pick": (lambda g, x, row, idx: g.pick(x, idx),
+             lambda x, row, idx: x[np.arange(len(x)), idx][:, None]),
+    "log_softmax": (lambda g, x, row, idx: g.log_softmax(x),
+                    lambda x, row, idx: np.log(np.exp(x) / np.exp(x).sum(axis=1, keepdims=True))),
+    "add_row": (lambda g, x, row, idx: g.add(x, row), lambda x, row, idx: x + row),
+    "row_add": (lambda g, x, row, idx: g.add(row, x), lambda x, row, idx: row + x),
+    "mul_row": (lambda g, x, row, idx: g.mul(x, row), lambda x, row, idx: x * row),
+    "row_mul": (lambda g, x, row, idx: g.mul(row, x), lambda x, row, idx: row * x),
+    "sum_axis1": (lambda g, x, row, idx: g.sum(x, axis=1),
+                  lambda x, row, idx: x.sum(axis=1, keepdims=True)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDENED_OPS))
+@given(n=st.integers(1, 5), k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_pick_log_softmax_and_broadcasts_match_numpy_and_finite_differences(kind, n, k, seed):
+    # entries and weights are kept away from zero so that no gradient
+    # coordinate is small enough for finite-difference rounding to dominate
+    rng = np.random.default_rng(seed)
+    x = param(rng.uniform(0.5, 1.5, size=(n, k)))
+    row = param(rng.uniform(0.5, 1.5, size=(1, k)))
+    idx = rng.integers(k, size=n)
+    tape_fw, numpy_fw = _WIDENED_OPS[kind]
+    g = Graph()
+    out = tape_fw(g, x, row, idx)
+    expect = numpy_fw(x.value, row.value, idx)
+    assert out.shape == expect.shape
+    if kind == "log_softmax":
+        assert np.allclose(out.value, expect, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(out.value, expect)
+    weights = rng.uniform(0.5, 1.5, size=expect.shape)
+
+    def f():
+        g = Graph()
+        return g.sum(g.mul(tape_fw(g, x, row, idx), g.constant(weights)))
+
+    assert grad_check(f, [x, row]) < 1e-6
+
+
+def test_log_softmax_and_pick_stay_finite_on_far_apart_logits():
+    # log(softmax(x)) underflows to log(0) = -inf here, and its gradient is nan
+    for index in (0, 1):
+        x = param(np.array([[0.0, 800.0]]))
+        g = Graph()
+        loss = g.neg(g.sum(g.pick(g.log_softmax(x), [index])))
+        backward(g, loss)
+        assert loss.item() == [800.0, 0.0][index]
+        assert np.array_equal(x.grad, [[-1.0, 1.0]] if index == 0 else [[0.0, 0.0]])
+    logits = param(np.array([[0.0, 800.0]]))
+    loss = selfplay._policy_gradient_step(logits, 0.05, np.array([1.0, 0.0]), 1.0)
+    assert np.isfinite(loss) and loss == 800.0
+    assert np.all(np.isfinite(logits.value))
+    assert np.allclose(logits.value, [[0.05, 799.95]], rtol=0.0, atol=1e-9)
+
+
+def test_apply_np_is_the_op_forward():
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for kind in ("relu", "elu", "tanh", "sigmoid", "softmax", "log_softmax"):
+        g = Graph()
+        assert np.array_equal(ndiff.apply_np(kind, x), forward_op(g, kind, (g.constant(x),)).value)
 
 
 def test_scalar_broadcast_add_and_mul():

@@ -231,6 +231,19 @@ def test_td_update_moves_hypernet_parameters():
     assert moved
 
 
+@pytest.mark.parametrize("mode,records", [("qmix", 47), ("vdn", 18), ("independent", 17)])
+def test_td_update_tape_length(monkeypatch, mode, records):
+    # one matmul and one row-broadcast add per layer, one pick per agent
+    learner, _ = make(mode, seed=6)
+    lengths = []
+    real_backward = ndiff.backward
+    monkeypatch.setattr(ndiff, "backward",
+                        lambda g, root: (lengths.append(len(g.records)), real_backward(g, root)))
+    tr = JointTransition(state=0, actions=(0, 1), rewards=(5.0, 5.0), next_state=1, done=False)
+    learner.td_update([tr] * 32)
+    assert lengths == [records]
+
+
 def test_target_nets_sync_on_interval():
     learner, _ = make("qmix", seed=5, target_interval=3)
     tr = JointTransition(state=0, actions=(0, 0), rewards=(5.0, 5.0), next_state=1, done=False)
