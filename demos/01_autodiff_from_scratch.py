@@ -27,8 +27,9 @@ backward(g, loss)            # accumulates into W.grad and b.grad
 print("dloss/dW:\n", W.grad)
 print("dloss/db:", b.grad)
 
-# every op's backward rule is checked against finite differences; the graph
-# must be rebuilt per call because the tape is append-only
+# every op's backward rule is checked against finite differences; f returns
+# a fresh graph and its scalar root, rebuilt per call because the tape is
+# append-only
 W.grad[...] = 0.0
 b.grad[...] = 0.0
 
@@ -36,7 +37,7 @@ b.grad[...] = 0.0
 def f():
     g = Graph()
     h = g.tanh(g.add(g.matmul(g.constant(x), W), b))
-    return g.mean(g.square(h))
+    return g, g.mean(g.square(h))
 
 
 err = grad_check(f, [W, b])

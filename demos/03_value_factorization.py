@@ -60,7 +60,7 @@ for _ in range(500):
     q0 = rng.normal(scale=2.0, size=(1, env.n_agents))
     g = Graph()
     q = param(q0, name="q")
-    out = learner.mixing.forward(g, g._register(q), g.constant(s))
+    out = learner.mixing.forward(g, q, g.constant(s))
     backward(g, out)
     worst = min(worst, float(q.grad.min()))
 print(f"\nsmallest dQ_tot/dQ_i over 500 random probes: {worst:.3e}  (>= 0)")

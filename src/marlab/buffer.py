@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class Empty(Exception):
     pass
@@ -17,7 +15,6 @@ class JointTransition:
     rewards: tuple
     next_state: int
     done: bool
-    behavior: tuple = None   # optional action probabilities at draw time
 
 
 @dataclass

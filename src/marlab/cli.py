@@ -568,10 +568,10 @@ def ndiff_gradcheck_suite(instances=100, seed=1234):
             g = Graph()
             out = net.forward(g, g.constant(x))
             if style == 0:
-                return g.mean(g.square(g.sub(out, g.constant(target))))
+                return g, g.mean(g.square(g.sub(out, g.constant(target))))
             if style == 1:
-                return g.sum(g.mul(g.softmax(out), g.constant(target)))
-            return g.mean(g.abs(g.tanh(out)))
+                return g, g.sum(g.mul(g.softmax(out), g.constant(target)))
+            return g, g.mean(g.abs(g.tanh(out)))
 
         worst = max(worst, grad_check(f, net.params))
     return worst
@@ -598,13 +598,15 @@ def dial_gradcheck_suite(instances=100, seed=1234):
 
         def f():
             u = system.unroll(None, np.random.default_rng(0), bits=bits)
-            return system.loss_tensor(u)
+            return u.graph, system.loss_tensor(u)
 
         worst = max(worst, grad_check(f, system.params()))
     return worst
 
 
 def cmd_gradcheck(args):
+    if args.instances < 1:
+        raise InvalidConfig(f"--instances must be at least 1, got {args.instances}")
     t0 = time.perf_counter()
     suites = {"ndiff": ndiff_gradcheck_suite(args.instances),
               "dial_bptt": dial_gradcheck_suite(args.instances)}

@@ -10,6 +10,7 @@ Messages are pure communication: they are routed between agent inputs and
 never enter the environment's transition or reward computations.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,13 +282,6 @@ class FactoredQHead:
         return (g.slice(out, 0, self.n_actions),
                 g.slice(out, self.n_actions, self.n_actions + self.n_messages))
 
-    def clone(self):
-        other = FactoredQHead.__new__(FactoredQHead)
-        other.n_actions = self.n_actions
-        other.n_messages = self.n_messages
-        other.net = self.net.clone()
-        return other
-
 
 def greedy_factored(qa, qm):
     """Independent argmax per head; equals the joint argmax of qa[a] + qm[m]
@@ -318,7 +312,7 @@ class RialSystem:
         self.heads = [FactoredQHead(self.in_dims[i], env.action_space[i].n, m,
                                     net_hidden, rng, f"rial{i}")
                       for i in range(self.n_agents)]
-        self.targets = [h.clone() for h in self.heads]
+        self.targets = copy.deepcopy(self.heads)
         self.opts = [AdamState(h.net.params, lr=lr) for h in self.heads]
         self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(self.n_agents)]
         self.learn_steps = 0

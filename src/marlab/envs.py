@@ -227,10 +227,6 @@ class MarkovGame:
         return self.rewards[(int(state_index),) + tuple(joint)]
 
 
-def step(env, state, actions, rng):
-    return env.step(state, actions, rng)
-
-
 def enumerate_joint_actions(env):
     """All joint actions in lexicographic order (last agent fastest)."""
     for sp in env.action_space:

@@ -4,6 +4,8 @@ and optionally categorical models of the other agents' policies so that the
 critic target can be formed without seeing the co-actors at training time.
 """
 
+import copy
+
 import numpy as np
 
 from . import ndiff
@@ -78,16 +80,6 @@ class Actor:
         return g.add(g.mul(out, g.constant(np.asarray(self._half))),
                      g.constant(np.asarray(self._mid)))
 
-    def clone(self):
-        other = Actor.__new__(Actor)
-        other.space = self.space
-        other.kind = self.kind
-        other.net = self.net.clone()
-        if self.kind == "box":
-            other._mid = self._mid
-            other._half = self._half
-        return other
-
 
 class MaddpgLearner:
     """Per-agent critics Q_i(s, a_1..a_N) with target copies, per-agent
@@ -117,8 +109,8 @@ class MaddpgLearner:
         self.critics = [DenseNet([critic_in, *hidden, 1],
                                  ["relu"] * len(hidden) + ["identity"], rng, f"critic{i}")
                         for i in range(self.n_agents)]
-        self.target_actors = [a.clone() for a in self.actors]
-        self.target_critics = [c.clone() for c in self.critics]
+        self.target_actors = copy.deepcopy(self.actors)
+        self.target_critics = copy.deepcopy(self.critics)
 
         if model_opponents is None:
             model_opponents = decentralized

@@ -2,7 +2,9 @@
 
 A Graph records ops as they execute (define-by-run); backward replays the
 tape in reverse from a scalar root.  Graphs are meant to be rebuilt every
-training step and are single-threaded.
+training step and are single-threaded.  Tensors hold no reference to a
+graph: the tape points at its tensors, never the reverse, so a dropped tape
+is freed at once and a model is plain data that copy.deepcopy copies.
 """
 
 import numpy as np
@@ -29,24 +31,21 @@ class StaleState(NdiffError):
 
 
 class Tensor:
-    """A float64 array with a gradient buffer of the same shape."""
+    """A float64 array.  A leaf (made here, by param or by Graph.constant)
+    carries a gradient buffer of the same shape; an op output carries
+    grad None, since backward keeps its adjoint only for the sweep."""
 
-    __slots__ = ("value", "grad", "requires_grad", "node_id", "name", "graph")
+    __slots__ = ("value", "grad", "requires_grad", "name")
 
     def __init__(self, value, requires_grad=False, name=None):
         self.value = np.array(value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
         self.requires_grad = requires_grad
         self.name = name
-        self.node_id = None   # assigned when the tensor joins a Graph
-        self.graph = None
 
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def item(self):
         return float(self.value.reshape(-1)[0])
@@ -63,11 +62,9 @@ def param(value, name=None):
 def _wrap(value, requires_grad):
     t = Tensor.__new__(Tensor)
     t.value = value
-    t.grad = np.zeros_like(value)
+    t.grad = None
     t.requires_grad = requires_grad
     t.name = None
-    t.node_id = None
-    t.graph = None
     return t
 
 
@@ -365,31 +362,13 @@ def apply_np(kind, x):
 
 
 class Graph:
-    """Append-only tape of op records; node ids are unique within a graph."""
+    """Append-only tape of op records."""
 
     def __init__(self):
         self.records = []
-        self.tensors = []
-
-    def _register(self, t):
-        if t.graph is not self:
-            t.graph = self
-            t.node_id = len(self.tensors)
-            self.tensors.append(t)
-        return t
 
     def constant(self, value):
-        return self._register(Tensor(value, requires_grad=False))
-
-    def leaf_params(self):
-        outs = {rec.output.node_id for rec in self.records}
-        seen, found = set(), []
-        for rec in self.records:
-            for t in rec.inputs:
-                if t.requires_grad and t.node_id not in outs and t.node_id not in seen:
-                    seen.add(t.node_id)
-                    found.append(t)
-        return found
+        return Tensor(value, requires_grad=False)
 
     # convenience wrappers around forward_op -------------------------------
     def matmul(self, a, b):
@@ -460,9 +439,6 @@ def forward_op(graph, kind, inputs, **attrs):
     vals = tuple(t.value for t in inputs)
     out_value, ctx = fw(vals, attrs)
     out = _wrap(out_value, any(t.requires_grad for t in inputs))
-    for t in inputs:
-        graph._register(t)
-    graph._register(out)
     if kind in _CTX_IS_OUTPUT:
         ctx = out_value
     graph.records.append(_Record(kind, inputs, out, ctx))
@@ -470,19 +446,20 @@ def forward_op(graph, kind, inputs, **attrs):
 
 
 def backward(graph, root):
-    """Accumulate d(root)/d(ancestor) into .grad of every requires_grad ancestor.
+    """Accumulate d(root)/d(leaf) into .grad of every requires_grad leaf.
 
-    The root must be scalar-sized; the tape is swept once in reverse, so each
-    node is visited exactly once and fan-out contributions sum.
+    The root must be scalar-sized and the output of one of the graph's
+    records.  The tape is swept once in reverse, so each op is visited exactly
+    once and fan-out contributions sum into one adjoint per tensor; a leaf's
+    summed adjoint is then added to its .grad.
     """
-    if root.graph is not graph or root.node_id is None:
+    if not any(rec.output is root for rec in reversed(graph.records)):
         raise NdiffError("root does not belong to this graph")
     if root.value.size != 1:
         raise NonScalarRoot(f"root has shape {root.shape}")
-    acc = [None] * len(graph.tensors)
-    acc[root.node_id] = np.ones_like(root.value)
+    acc = {root: np.ones_like(root.value)}
     for rec in reversed(graph.records):
-        g = acc[rec.output.node_id]
+        g = acc.get(rec.output)
         if g is None or not rec.output.requires_grad:
             continue
         _, bw = OPS[rec.kind]
@@ -491,12 +468,10 @@ def backward(graph, root):
         for t, gi in zip(rec.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
-            if acc[t.node_id] is None:
-                acc[t.node_id] = gi
-            else:
-                acc[t.node_id] = acc[t.node_id] + gi
-    for t, g in zip(graph.tensors, acc):
-        if g is not None and t.requires_grad:
+            prev = acc.get(t)
+            acc[t] = gi if prev is None else prev + gi
+    for t, g in acc.items():
+        if t.grad is not None:
             t.grad = t.grad + g
 
 
@@ -557,15 +532,6 @@ class DenseNet:
         for act, w, b in zip(self.activations, self.weights, self.biases):
             h = apply_np(act, h @ w.value + b.value)
         return h
-
-    def clone(self, name=None):
-        other = DenseNet.__new__(DenseNet)
-        other.layer_sizes = self.layer_sizes
-        other.activations = self.activations
-        other.name = name or self.name
-        other.weights = [param(w.value.copy(), name=w.name) for w in self.weights]
-        other.biases = [param(b.value.copy(), name=b.name) for b in self.biases]
-        return other
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +621,9 @@ def copy_params(src, dst):
 # ---------------------------------------------------------------------------
 
 def grad_check(f, params, h=1e-5):
-    """Compare tape gradients of the scalar f() against central differences.
+    """Compare tape gradients of a scalar root against central differences.
 
+    f() returns (graph, root): a fresh graph and the scalar it computed.
     Returns the maximum relative error |analytic - numeric| /
     max(|analytic|, |numeric|, 1e-8) over all coordinates of params that
     require gradients.  f must be deterministic and rebuild its graph on
@@ -664,10 +631,10 @@ def grad_check(f, params, h=1e-5):
     """
     params = [p for p in params if p.requires_grad]
     zero_grads(params)
-    root = f()
+    graph, root = f()
     if root.value.size != 1:
         raise NonScalarRoot(f"grad_check root has shape {root.shape}")
-    backward(root.graph, root)
+    backward(graph, root)
     analytic = [p.grad.copy() for p in params]
     zero_grads(params)
     worst = 0.0
@@ -677,9 +644,9 @@ def grad_check(f, params, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(f().value.reshape(-1)[0])
+            up = f()[1].item()
             flat[i] = orig - h
-            down = float(f().value.reshape(-1)[0])
+            down = f()[1].item()
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             denom = max(abs(aflat[i]), abs(numeric), 1e-8)

@@ -7,6 +7,8 @@ network exists so that this decentralized argmax coincides with the argmax
 of the mixed joint value.
 """
 
+import copy
+
 import numpy as np
 
 from . import ndiff
@@ -78,18 +80,6 @@ class MixingNet:
         hidden = ndiff.apply_np("elu", pre)
         return (w2 * hidden).sum(axis=1, keepdims=True) + b2
 
-    def clone(self):
-        other = MixingNet.__new__(MixingNet)
-        other.n_agents = self.n_agents
-        other.embed_dim = self.embed_dim
-        other.hyper_w1 = self.hyper_w1.clone()
-        other.hyper_b1 = self.hyper_b1.clone()
-        other.hyper_w2 = self.hyper_w2.clone()
-        other.hyper_b2 = self.hyper_b2.clone()
-        other._tile = self._tile
-        other._group = self._group
-        return other
-
 
 class QmixLearner:
     """Joint TD learner over per-agent utility heads.
@@ -133,15 +123,10 @@ class QmixLearner:
         self.mixing = None
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
-        self.target_agent_nets = self._clone_agents()
-        self.target_mixing = self.mixing.clone() if self.mixing else None
+        # deepcopy's memo keeps a shared head shared in the target copy
+        self.target_agent_nets = copy.deepcopy(self.agent_nets)
+        self.target_mixing = copy.deepcopy(self.mixing)
         self.opt = AdamState(self.current_params(), lr=lr)
-
-    def _clone_agents(self):
-        if self.share_params:
-            shared = self.agent_nets[0].clone()
-            return [shared] * self.n_agents
-        return [net.clone() for net in self.agent_nets]
 
     def _unique_agent_nets(self, nets):
         return nets[:1] if self.share_params else nets

@@ -76,7 +76,6 @@ def _policy_gradient_step(logits, lr, weights, scale):
     loss = g.neg(objective)
     backward(g, loss)
     sgd_step([logits], lr)
-    logits.zero_grad()
     return float(loss.value)
 
 

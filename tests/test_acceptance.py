@@ -91,7 +91,7 @@ def _monotonicity_probes(learner, env, n_probes, rng, h=1e-6):
 
         g = Graph()
         q = param(q0, name="q")
-        out = learner.mixing.forward(g, g._register(q), g.constant(s))
+        out = learner.mixing.forward(g, q, g.constant(s))
         backward(g, out)
 
         for i in range(env.n_agents):

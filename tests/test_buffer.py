@@ -61,7 +61,6 @@ def test_empty_raises():
 def test_joint_transition_fields():
     t = JointTransition(state=0, actions=(1, 0), rewards=(1.0, -1.0),
                         next_state=0, done=True)
-    assert t.behavior is None
     assert t.actions == (1, 0)
 
 

@@ -331,6 +331,15 @@ def test_gradcheck_reports_both_suites(capsys):
         assert suite["max_rel_error"] < 1e-4
 
 
+def test_gradcheck_instances_below_one_exits_2(capsys):
+    for instances in ("0", "-1"):
+        rc = cli.main(["gradcheck", "--instances", instances])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--instances must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_gradcheck_catches_broken_activation_backward(capsys, monkeypatch):
     fw, _ = ndiff.OPS["elu"]
 

@@ -11,7 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_autodiff_from_scratch.py", "02_games_and_oracles.py",
-                                  "04_selfplay_pennies.py"])
+                                  "03_value_factorization.py", "04_selfplay_pennies.py"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

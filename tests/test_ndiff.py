@@ -1,13 +1,18 @@
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlab import ndiff, selfplay
+from marlab import dial, envs, maddpg, ndiff, qmix, selfplay
 from marlab.ndiff import (
     AdamState,
     DenseNet,
     Graph,
+    NdiffError,
     NonScalarRoot,
     ShapeMismatch,
     StaleState,
@@ -104,7 +109,7 @@ def test_pick_log_softmax_and_broadcasts_match_numpy_and_finite_differences(kind
 
     def f():
         g = Graph()
-        return g.sum(g.mul(tape_fw(g, x, row, idx), g.constant(weights)))
+        return g, g.sum(g.mul(tape_fw(g, x, row, idx), g.constant(weights)))
 
     assert grad_check(f, [x, row]) < 1e-6
 
@@ -193,6 +198,50 @@ def test_constants_get_no_grad():
     assert np.allclose(c.grad, 0.0)
 
 
+def test_op_outputs_carry_no_grad_buffer():
+    rng = np.random.default_rng(11)
+    net = DenseNet([2, 2, 1], ["relu", "identity"], rng)
+    g = Graph()
+    c = g.constant(np.ones((1, 2)))
+    frozen = g.tanh(c)
+    out = g.sum(net.forward(g, c))
+    assert not frozen.requires_grad
+    assert out.requires_grad
+    backward(g, out)
+    assert all(rec.output.grad is None for rec in g.records)
+    assert all(p.grad.shape == p.value.shape for p in net.params)
+    assert np.array_equal(c.grad, np.zeros((1, 2)))
+
+
+def test_backward_rejects_a_root_off_the_graph():
+    x = param(np.array([1.0, 2.0]))
+    g1 = Graph()
+    root = g1.sum(g1.square(x))
+    g2 = Graph()
+    g2.sum(x)
+    with pytest.raises(NdiffError):
+        backward(g2, root)
+    with pytest.raises(NdiffError):
+        backward(g1, x)
+    assert np.array_equal(x.grad, [0.0, 0.0])
+
+
+def test_dropped_graph_is_freed_without_the_cyclic_collector():
+    net = DenseNet([3, 4, 1], ["tanh", "identity"], np.random.default_rng(0))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = Graph()
+        loss = g.mean(g.square(net.forward(g, g.constant(np.ones((2, 3))))))
+        backward(g, loss)
+        tape = weakref.ref(g)
+        del g, loss
+        assert tape() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_relu_and_elu_values():
     g = Graph()
     x = g.constant(np.array([-1.0, 0.0, 2.0]))
@@ -236,7 +285,7 @@ def test_grad_check_linear_is_exact():
 
     def f():
         g = Graph()
-        return g.sum(x)
+        return g, g.sum(x)
 
     assert grad_check(f, [x]) < 1e-10
 
@@ -247,7 +296,7 @@ def test_grad_check_skips_frozen_params():
 
     def f():
         g = Graph()
-        return g.sum(g.mul(x, frozen))
+        return g, g.sum(g.mul(x, frozen))
 
     err = grad_check(f, [x, frozen])
     assert err < 1e-8
@@ -263,7 +312,7 @@ def test_grad_check_dense_net_mse():
     def f():
         g = Graph()
         pred = net.forward(g, g.constant(x))
-        return g.mean(g.square(g.sub(pred, g.constant(target))))
+        return g, g.mean(g.square(g.sub(pred, g.constant(target))))
 
     assert grad_check(f, net.params) < 1e-4
 
@@ -287,10 +336,10 @@ def test_grad_check_random_net_suite():
             g = Graph()
             out = net.forward(g, g.constant(x))
             if style == 0:
-                return g.mean(g.square(g.sub(out, g.constant(target))))
+                return g, g.mean(g.square(g.sub(out, g.constant(target))))
             if style == 1:
-                return g.sum(g.mul(g.softmax(out), g.constant(target)))
-            return g.mean(g.abs(g.tanh(out)))
+                return g, g.sum(g.mul(g.softmax(out), g.constant(target)))
+            return g, g.mean(g.abs(g.tanh(out)))
 
         worst = max(worst, grad_check(f, net.params))
     assert worst < 1e-4
@@ -390,7 +439,9 @@ def test_dense_net_init_and_forward_paths_agree():
 def test_dense_net_clone_is_detached():
     rng = np.random.default_rng(3)
     net = DenseNet([2, 2], ["identity"], rng)
-    twin = net.clone()
+    twin = copy.deepcopy(net)
+    assert [p.name for p in twin.params] == [p.name for p in net.params]
+    assert np.array_equal(twin.weights[0].value, net.weights[0].value)
     twin.weights[0].value[...] = 0.0
     assert not np.array_equal(net.weights[0].value, twin.weights[0].value)
 
@@ -427,11 +478,34 @@ def test_param_json_round_trip():
         params_from_json({}, named)
 
 
-def test_leaf_params_finds_only_leaves():
-    rng = np.random.default_rng(11)
-    net = DenseNet([2, 2, 1], ["relu", "identity"], rng)
-    g = Graph()
-    out = g.sum(net.forward(g, g.constant(np.ones((1, 2)))))
-    leaves = g.leaf_params()
-    assert set(id(p) for p in leaves) == set(id(p) for p in net.params)
-    assert out.requires_grad
+
+def _live_and_target_params(algo, share_params):
+    rng = np.random.default_rng(4)
+    if algo == "qmix":
+        learner = qmix.QmixLearner(envs.two_step_coop(), "qmix", rng, share_params=share_params)
+        targets = learner.target_agent_nets + [learner.target_mixing]
+        return learner, learner.agent_nets + [learner.mixing], targets
+    if algo == "maddpg_ctde":
+        learner = maddpg.MaddpgLearner(envs.coop_cts(), rng)
+        return (learner, [a.net for a in learner.actors] + learner.critics,
+                [a.net for a in learner.target_actors] + learner.target_critics)
+    system = dial.RialSystem(envs.signal_relay(), rng)
+    return system, [h.net for h in system.heads], [h.net for h in system.targets]
+
+
+@pytest.mark.parametrize("algo,share_params", [("qmix", False), ("qmix", True),
+                                               ("maddpg_ctde", False), ("rial", False)])
+def test_target_copies_share_no_memory_with_live_nets(algo, share_params):
+    learner, live, targets = _live_and_target_params(algo, share_params)
+    live_params = [p for net in live for p in net.params]
+    target_params = [p for net in targets for p in net.params]
+    assert len(live_params) == len(target_params)
+    for p, q in zip(live_params, target_params):
+        assert p is not q and p.name == q.name
+        assert np.array_equal(p.value, q.value)
+        for a in (p.value, p.grad):
+            for b in (q.value, q.grad):
+                assert not np.shares_memory(a, b)
+    if algo == "qmix":
+        tied = learner.target_agent_nets[0] is learner.target_agent_nets[1]
+        assert tied == share_params

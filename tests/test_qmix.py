@@ -118,7 +118,7 @@ def test_mixer_gradients_match_finite_differences_and_are_monotone():
 
         g = Graph()
         q = param(q0, name="q")
-        out = learner.mixing.forward(g, g._register(q), g.constant(s))
+        out = learner.mixing.forward(g, q, g.constant(s))
         backward(g, out)
 
         for i in range(2):
