@@ -62,7 +62,8 @@ print("\nstate  true P(co-action=0)  modeled")
 for s in range(env2.n_states):
     print(f"{s:5d}  {script[s][0]:18.3f}  {dec.model_probs(0, 1, s)[0]:.3f}")
 
-batch = [tr for tr in buf2.contents() if not tr.done][:2000]
+contents = buf2.contents()
+batch = JointTransition._make(col[~contents.done][:2000] for col in contents)
 y_ctde = dec.target_ctde(batch, np.random.default_rng(1))[:, 0]
 y_dec = dec.target_decentralized(batch, 0, np.random.default_rng(2))
 print(f"\nmean TD target, centralized: {y_ctde.mean():+.4f}   "

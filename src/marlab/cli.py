@@ -454,6 +454,9 @@ def _load_checkpoint_file(path):
         blob = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ChecksumMismatch(f"malformed checkpoint {path}: {e}")
+    if not isinstance(blob, dict) or not isinstance(blob.get("payload", {}), dict):
+        raise ChecksumMismatch(f"malformed checkpoint {path}: "
+                               "the file and its payload must be JSON objects")
     for key in ("algo", "env", "payload", "sha256"):
         if key not in blob:
             raise ChecksumMismatch(f"checkpoint {path} is missing {key!r}")
@@ -520,10 +523,14 @@ def cmd_oracle(args):
             raise IncompatibleAlgoEnv("argmax scans a shared reward; "
                                       f"{env.name} is not cooperative")
         s = args.state
+        if not 0 <= s < env.n_states:
+            raise InvalidConfig(f"--state must be in [0, {env.n_states}), got {s}")
         joint, value = oracle.joint_argmax(
             lambda j: env.reward_vector(s, j)[0], env)
         out = {"state": s, "joint": [int(a) for a in joint], "value": float(value)}
     elif sub == "qiter":
+        if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
+            raise InvalidConfig(f"--gamma must be in [0, 1], got {args.gamma}")
         tab = oracle.tabular_q_iteration(env, gamma=args.gamma)
         out = {"gamma": float(tab.gamma),
                "value_per_state": [tab.value(s) for s in range(env.n_states)],

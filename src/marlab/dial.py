@@ -11,12 +11,13 @@ never enter the environment's transition or reward computations.
 """
 
 import copy
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ndiff
-from .buffer import EpisodeTrace, ReplayBuffer
+from .buffer import ReplayBuffer
 from .envs import EpisodeState
 from .ndiff import AdamState, DenseNet, Graph, adam_step, backward, copy_params
 
@@ -72,10 +73,12 @@ class CommAgentCell:
 
 @dataclass
 class Unroll:
-    """One batched on-policy rollout and its computation graph."""
+    """One batched on-policy rollout and its computation graph; `actions` and
+    `rewards` hold each step's joint actions and rewards, (horizon, batch, n_agents)."""
 
     graph: Graph
-    traces: list
+    actions: np.ndarray
+    rewards: np.ndarray
     bits: np.ndarray
     listener_scores: object
     messages: dict
@@ -141,7 +144,8 @@ class DialSystem:
         h = [g.constant(np.zeros((batch_size, self.hidden_dim)))
              for _ in range(self.n_agents)]
         messages_prev = None
-        traces = [EpisodeTrace() for _ in range(batch_size)]
+        shape = (env.horizon, batch_size, self.n_agents)
+        actions_taken, rewards_got = np.empty(shape, dtype=int), np.empty(shape)
         listener = env.meta["listener"]
         listener_scores = None
         messages_out = {}
@@ -163,22 +167,12 @@ class DialSystem:
             if t == env.horizon - 1:
                 listener_scores = scores_t[listener]
 
-            next_states = []
+            actions_taken[t] = np.stack(joint, axis=1)
             for e in range(batch_size):
-                actions = tuple(int(joint[i][e]) for i in range(self.n_agents))
-                nxt, rewards, done = env.step(states[e], actions, rng)
-                tr = traces[e]
-                tr.observations.append([self.env.obs(i, states[e].index)
-                                        for i in range(self.n_agents)])
-                tr.actions.append(actions)
-                tr.messages.append([msg_t[i].value[e].tolist() for i in range(self.n_agents)])
-                tr.rewards.append(tuple(rewards))
-                tr.dones.append(bool(done))
-                next_states.append(nxt)
-            states = next_states
+                states[e], rewards_got[t, e], _ = env.step(states[e], actions_taken[t, e], rng)
             messages_prev = msg_t
 
-        return Unroll(graph=g, traces=traces, bits=bits_arr,
+        return Unroll(graph=g, actions=actions_taken, rewards=rewards_got, bits=bits_arr,
                       listener_scores=listener_scores, messages=messages_out,
                       incoming=incoming_by_agent, version=self.version)
 
@@ -253,13 +247,12 @@ class DialSystem:
 # factored-Q baseline with a discrete message alphabet
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RialTransition:
-    x: tuple
+class RialTransition(typing.NamedTuple):
+    x: np.ndarray
     action: int
     message: int
     reward: float
-    x_next: tuple
+    x_next: np.ndarray
     done: bool
 
 
@@ -358,15 +351,13 @@ class RialSystem:
             for i in range(self.n_agents):
                 if pending[i] is not None:
                     px, pa, pm, pr = pending[i]
-                    self.buffers[i].push(RialTransition(tuple(px), pa, pm, pr,
-                                                        tuple(xs[i]), False))
+                    self.buffers[i].push(RialTransition(px, pa, pm, pr, xs[i], False))
                 pending[i] = (xs[i], actions[i], msgs[i], float(rewards[i]))
             if done:
                 x_terminal = [self._input(i, nxt.index, msgs) for i in range(self.n_agents)]
                 for i in range(self.n_agents):
                     px, pa, pm, pr = pending[i]
-                    self.buffers[i].push(RialTransition(tuple(px), pa, pm, pr,
-                                                        tuple(x_terminal[i]), True))
+                    self.buffers[i].push(RialTransition(px, pa, pm, pr, x_terminal[i], True))
                 final_reward = float(rewards[0])
             state = nxt
             prev_msgs = msgs
@@ -377,18 +368,13 @@ class RialSystem:
         onto r + gamma (1-done) (max Qa' + max Qm') from the target head."""
         total = 0.0
         for i, head in enumerate(self.heads):
-            batch = self.buffers[i].sample(self.batch_size, rng)
-            x = np.array([tr.x for tr in batch])
-            x2 = np.array([tr.x_next for tr in batch])
-            r = np.array([tr.reward for tr in batch])
-            done = np.array([tr.done for tr in batch], dtype=np.float64)
-            qa2, qm2 = self.targets[i].values_np(x2)
-            y = r + self.gamma * (1.0 - done) * (qa2.max(axis=1) + qm2.max(axis=1))
+            b = self.buffers[i].sample(self.batch_size, rng)
+            qa2, qm2 = self.targets[i].values_np(b.x_next)
+            y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
 
             g = Graph()
-            qa_t, qm_t = head.forward(g, g.constant(x))
-            taken = g.add(g.pick(qa_t, [tr.action for tr in batch]),
-                          g.pick(qm_t, [tr.message for tr in batch]))
+            qa_t, qm_t = head.forward(g, g.constant(b.x))
+            taken = g.add(g.pick(qa_t, b.action), g.pick(qm_t, b.message))
             loss = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
             backward(g, loss)
             adam_step(self.opts[i].params, self.opts[i])

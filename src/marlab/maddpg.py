@@ -67,6 +67,10 @@ class Actor:
             return np.clip(a, self.space.lo, self.space.hi)
         return _draw(out, rng)
 
+    def co_action_np(self, s, rng):
+        """Action per row as co-actors see it: a categorical draw, or the noiseless box action."""
+        return self.sample_np(s, rng) if self.kind == "cat" else self.greedy_np(s)
+
     def probs_np(self, s):
         if self.kind != "cat":
             raise MaddpgError("probabilities exist only for categorical actors")
@@ -168,40 +172,27 @@ class MaddpgLearner:
             joint.append(float(val) if actor.kind == "box" else int(val))
         return tuple(joint)
 
-    # -- batch plumbing ---------------------------------------------------
-    def _stack(self, batch):
-        s = self._encode_states([tr.state for tr in batch])
-        s2 = self._encode_states([tr.next_state for tr in batch])
-        acts = [np.array([tr.actions[i] for tr in batch]) for i in range(self.n_agents)]
-        r = np.array([tr.rewards for tr in batch], dtype=np.float64)
-        done = np.array([tr.done for tr in batch], dtype=np.float64)
-        return s, acts, r, s2, done
-
-    def _target_actions(self, s2, rng):
-        return [ta.sample_np(s2, rng) if ta.kind == "cat" else ta.greedy_np(s2)
-                for ta in self.target_actors]
-
     def target_ctde(self, batch, rng):
         """Numpy per-agent targets y_i = r_i + gamma (1-done) Q'_i(s', a'),
         with a' from the target actors."""
-        s, _, r, s2, done = self._stack(batch)
-        a2 = self._target_actions(s2, rng)
-        cols = [self._encode_action_col(i, a2[i]) for i in range(self.n_agents)]
+        s2 = self._encode_states(batch.next_state)
+        cols = [self._encode_action_col(i, ta.co_action_np(s2, rng))
+                for i, ta in enumerate(self.target_actors)]
         x2 = self.critic_input(s2, cols)
-        y = np.empty_like(r)
+        y = np.empty_like(batch.rewards)
         for i, tc in enumerate(self.target_critics):
-            y[:, i] = r[:, i] + self.gamma * (1.0 - done) * tc.forward_np(x2)[:, 0]
+            q2 = tc.forward_np(x2)[:, 0]
+            y[:, i] = batch.rewards[:, i] + self.gamma * (1.0 - batch.done) * q2
         return y
 
     def target_decentralized(self, batch, owner, rng):
         """Numpy target for one agent with co-actions drawn from its own
         opponent models instead of the live target actors."""
-        s, _, r, s2, done = self._stack(batch)
+        s2 = self._encode_states(batch.next_state)
         cols = []
         for j in range(self.n_agents):
             if j == owner:
-                ta = self.target_actors[j]
-                aj = ta.sample_np(s2, rng) if ta.kind == "cat" else ta.greedy_np(s2)
+                aj = self.target_actors[j].co_action_np(s2, rng)
             else:
                 if (owner, j) not in self.opponent_models:
                     raise MaddpgError("decentralized target needs opponent models")
@@ -209,13 +200,12 @@ class MaddpgLearner:
             cols.append(self._encode_action_col(j, aj))
         x2 = self.critic_input(s2, cols)
         q2 = self.target_critics[owner].forward_np(x2)[:, 0]
-        return r[:, owner] + self.gamma * (1.0 - done) * q2
+        return batch.rewards[:, owner] + self.gamma * (1.0 - batch.done) * q2
 
     # -- updates ----------------------------------------------------------
     def _critic_loss_graph(self, g, batch, owners, y_cols):
-        s, acts, _, _, _ = self._stack(batch)
-        cols = [self._encode_action_col(i, acts[i]) for i in range(self.n_agents)]
-        x = g.constant(self.critic_input(s, cols))
+        cols = [self._encode_action_col(i, batch.actions[:, i]) for i in range(self.n_agents)]
+        x = g.constant(self.critic_input(self._encode_states(batch.state), cols))
         total = None
         for i in owners:
             err = g.sub(self.critics[i].forward(g, x), g.constant(y_cols[i][:, None]))
@@ -252,7 +242,7 @@ class MaddpgLearner:
         """One ascent step on agent i's objective; co-actions come from the
         live co-actors (or this agent's opponent models when decentralized).
         Only theta_i moves. Returns the pre-step objective estimate."""
-        s, _, _, _, _ = self._stack(batch)
+        s = self._encode_states(batch.state)
         actor = self.actors[i]
         cols = {}
         for j in range(self.n_agents):
@@ -263,8 +253,7 @@ class MaddpgLearner:
                     raise MaddpgError("decentralized actor update needs opponent models")
                 aj = _draw(self.opponent_models[(i, j)].forward_np(s), rng)
             else:
-                co = self.actors[j]
-                aj = co.sample_np(s, rng) if co.kind == "cat" else co.greedy_np(s)
+                aj = self.actors[j].co_action_np(s, rng)
             cols[j] = self._encode_action_col(j, aj)
 
         if actor.kind == "box":
@@ -298,9 +287,8 @@ class MaddpgLearner:
         modeled co-actors."""
         if not any(key[0] == owner for key in self.opponent_models):
             raise ContinuousOpponent(f"agent {owner} models no opponents")
-        s, acts, _, _, _ = self._stack(batch)
         g = Graph()
-        s_t = g.constant(s)
+        s_t = g.constant(self._encode_states(batch.state))
         total = None
         nll_value = 0.0
         opts = []
@@ -309,7 +297,7 @@ class MaddpgLearner:
                 continue
             logits = self.opponent_models[(owner, j)].forward(g, s_t)
             logp = g.log_softmax(logits)
-            nll = g.neg(g.mean(g.pick(logp, acts[j])))
+            nll = g.neg(g.mean(g.pick(logp, batch.actions[:, j])))
             entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
             term = g.sub(nll, g.mul(g.constant(np.asarray(self.beta)), entropy))
             total = term if total is None else g.add(total, term)

@@ -187,21 +187,13 @@ class QmixLearner:
         return self.mixing.forward(g, q, g.constant(s_np))
 
     # -- learning -------------------------------------------------------------
-    def _stack_batch(self, batch):
-        s = np.array([tr.state for tr in batch], dtype=int)
-        a = np.array([tr.actions for tr in batch], dtype=int)
-        r = np.array([tr.rewards for tr in batch], dtype=np.float64)
-        s2 = np.array([tr.next_state for tr in batch], dtype=int)
-        done = np.array([tr.done for tr in batch], dtype=np.float64)
-        return s, a, r, s2, done
-
     def td_update(self, batch):
-        """One optimization step on a batch of joint transitions; returns the
-        pre-step loss."""
-        s_idx, actions, rewards, s2_idx, done = self._stack_batch(batch)
-        n = len(batch)
-        s_np = self._eye[s_idx]
-        s2_np = self._eye[s2_idx]
+        """One optimization step on a stacked batch of joint transitions;
+        returns the pre-step loss."""
+        rewards, done = batch.rewards, batch.done
+        n = len(rewards)
+        s_np = self._eye[batch.state]
+        s2_np = self._eye[batch.next_state]
 
         if self.mode != "independent":
             spread = np.abs(rewards - rewards[:, :1]).max()
@@ -222,7 +214,7 @@ class QmixLearner:
 
         g = Graph()
         s_t = g.constant(s_np)
-        taken = [g.pick(net.forward(g, s_t), actions[:, i])
+        taken = [g.pick(net.forward(g, s_t), batch.actions[:, i])
                  for i, net in enumerate(self.agent_nets)]
         q_taken = taken[0] if self.n_agents == 1 else g.concat(*taken)
 

@@ -5,7 +5,6 @@ the assertion message otherwise) and exercises the full pipeline at the stated
 tolerance against exact oracle ground truth.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -164,8 +163,7 @@ def test_A4_iql_converges_to_induced_mdp_values():
                                       scripted={1: opp})
         # the opponent-marginalized process rewards the expected payoff of
         # the chosen arm; training on it removes the sampling-noise floor
-        tr = dataclasses.replace(
-            tr, rewards=(float(mdp.reward[tr.state, tr.actions[0]]), 0.0))
+        tr = tr._replace(rewards=(float(mdp.reward[tr.state, tr.actions[0]]), 0.0))
         buf.push(tr)
         if len(buf) >= 128:
             learner.td_update(buf.sample(64, rng))
@@ -328,13 +326,15 @@ def test_A9_decentralized_target_matches_ctde_with_trained_models():
         float(np.max(np.abs(learner.model_probs(0, 1, s) - script[s])))
         for s in range(env.n_states))
 
-    paired = [tr for tr in collected if not tr.done][:10000]
+    contents = buf.contents()
+    paired = JointTransition._make(col[~contents.done][:10000] for col in contents)
     y_ctde = learner.target_ctde(paired, np.random.default_rng(18))[:, 0]
     y_dec = learner.target_decentralized(paired, 0, np.random.default_rng(19))
     gap = abs(float(y_ctde.mean()) - float(y_dec.mean()))
 
-    ok = model_gap < 0.02 and gap < 0.02 and len(paired) == 10000
+    n_paired = len(paired.done)
+    ok = model_gap < 0.02 and gap < 0.02 and n_paired == 10000
     _report("A9", ok,
-            f"|mean(dec) - mean(ctde)| = {gap:.4f} over {len(paired)} paired "
+            f"|mean(dec) - mean(ctde)| = {gap:.4f} over {n_paired} paired "
             f"samples (<0.02); trained model within {model_gap:.4f} of the "
             f"true policy")

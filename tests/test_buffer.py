@@ -1,61 +1,65 @@
+import typing
+
 import numpy as np
 import pytest
 
-from marlab.buffer import Empty, EpisodeTrace, JointTransition, ReplayBuffer
+from marlab.buffer import Empty, JointTransition, ReplayBuffer
+
+
+class Item(typing.NamedTuple):
+    value: object
+
+
+def filled(capacity, values):
+    buf = ReplayBuffer(capacity)
+    for v in values:
+        buf.push(Item(v))
+    return buf
 
 
 def test_fifo_overwrite():
-    buf = ReplayBuffer(2)
-    for i in (1, 2, 3):
-        buf.push(i)
+    buf = filled(2, (1, 2, 3))
     assert len(buf) == 2
-    assert sorted(buf.contents()) == [2, 3]
-    assert buf.contents() == [2, 3]
+    assert sorted(buf.contents().value) == [2, 3]
+    assert buf.contents().value.tolist() == [2, 3]
 
 
 def test_contents_keep_push_order():
-    buf = ReplayBuffer(3)
-    for i in range(7):
-        buf.push(i)
-    assert buf.contents() == [4, 5, 6]
+    buf = filled(3, range(7))
+    assert buf.contents().value.tolist() == [4, 5, 6]
 
 
 def test_singleton_sample():
-    buf = ReplayBuffer(4)
-    buf.push("only")
-    assert buf.sample(3, np.random.default_rng(0)) == ["only"] * 3
+    buf = filled(4, ["only"])
+    assert buf.sample(3, np.random.default_rng(0)).value.tolist() == ["only"] * 3
 
 
 def test_sample_uniformity():
-    buf = ReplayBuffer(10)
-    for i in range(2):
-        buf.push(i)
+    buf = filled(10, range(2))
     rng = np.random.default_rng(7)
-    draws = buf.sample(10_000, rng)
+    draws = buf.sample(10_000, rng).value
     freq = sum(draws) / len(draws)
     assert 0.45 < freq < 0.55
 
 
 def test_sample_determinism():
-    buf = ReplayBuffer(5)
-    for i in range(5):
-        buf.push(i)
+    buf = filled(5, range(5))
     a = buf.sample(20, np.random.default_rng(3))
     b = buf.sample(20, np.random.default_rng(3))
-    assert a == b
+    assert np.array_equal(a.value, b.value)
 
 
 def test_sample_larger_than_len_allowed():
-    buf = ReplayBuffer(5)
-    buf.push(1)
-    buf.push(2)
-    out = buf.sample(50, np.random.default_rng(1))
-    assert len(out) == 50 and set(out) <= {1, 2}
+    buf = filled(5, (1, 2))
+    out = buf.sample(50, np.random.default_rng(1)).value
+    assert len(out) == 50 and set(out.tolist()) <= {1, 2}
 
 
 def test_empty_raises():
     with pytest.raises(Empty):
         ReplayBuffer(3).sample(1, np.random.default_rng(0))
+    with pytest.raises(Empty):
+        ReplayBuffer(3).contents()
 
 
 def test_joint_transition_fields():
@@ -64,8 +68,34 @@ def test_joint_transition_fields():
     assert t.actions == (1, 0)
 
 
-def test_episode_trace_length():
-    tr = EpisodeTrace()
-    tr.actions.append((0, 1))
-    tr.rewards.append((0.0, 0.0))
-    assert len(tr) == 1
+@pytest.mark.parametrize("pushes", [3, 12])
+def test_sample_stacks_the_records_at_the_drawn_slots(pushes):
+    # the reference is a list ring: record p sits in slot p % capacity
+    rng = np.random.default_rng(pushes)
+    capacity, ring = 5, [None] * 5
+    buf = ReplayBuffer(capacity)
+    for p in range(pushes):
+        tr = JointTransition(state=int(rng.integers(4)), actions=tuple(rng.integers(3, size=2)),
+                             rewards=tuple(rng.normal(size=2)),
+                             next_state=int(rng.integers(4)), done=bool(rng.random() < 0.5))
+        ring[p % capacity] = tr
+        buf.push(tr)
+    idx = np.random.default_rng(9).integers(0, len(buf), size=40)
+    batch = buf.sample(40, np.random.default_rng(9))
+    assert isinstance(batch, JointTransition)
+    for name, col in zip(JointTransition._fields, batch):
+        assert np.array_equal(col, np.array([getattr(ring[i], name) for i in idx]))
+
+
+@pytest.mark.parametrize("bad", [
+    JointTransition(state=0.5, actions=(0, 1), rewards=(1.0, 1.0), next_state=1, done=False),
+    JointTransition(state=3, actions=1, rewards=(1.0, 1.0), next_state=1, done=False),
+])
+def test_value_its_column_cannot_hold_raises(bad):
+    buf = ReplayBuffer(1)
+    buf.push(JointTransition(state=0, actions=(0, 1), rewards=(1.0, 1.0),
+                             next_state=1, done=False))
+    with pytest.raises(TypeError):
+        buf.push(bad)
+    assert len(buf) == 1 and buf.contents().state.tolist() == [0]
+    assert buf.contents().actions.tolist() == [[0, 1]]

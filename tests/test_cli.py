@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 
 from marlab import cli, ndiff
 from marlab.cli import (
-    ChecksumMismatch,
     IncompatibleAlgoEnv,
     InvalidConfig,
     build_config,
@@ -217,6 +215,16 @@ def test_eval_rejects_truncated_checkpoint(tmp_path):
     assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("blob", [
+    5, "algo env payload sha256",
+    {"algo": "vdn", "env": "coop_climb", "payload": 5, "sha256": cli._digest(5)}])
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, blob):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
+    assert "error: malformed checkpoint" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algo,env", [("vdn", "coop_climb"), ("dial", "signal_relay")])
 def test_eval_episodes_below_one_exits_2(tmp_path, capsys, algo, env):
     _, out = _train(tmp_path, "run", "--algo", algo, "--env", env, "--batch-size", "8",
@@ -318,6 +326,18 @@ def test_oracle_bad_fixture_exits_2():
 
 def test_oracle_argmax_needs_cooperative():
     assert cli.main(["oracle", "argmax", "matching_pennies"]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["argmax", "coop_climb", "--state", "5"], "--state must be in [0, 1), got 5"),
+    (["argmax", "coop_climb", "--state", "-1"], "--state must be in [0, 1), got -1"),
+    (["qiter", "two_step_coop", "--gamma", "-1"], "--gamma must be in [0, 1], got -1.0"),
+    (["qiter", "two_step_coop", "--gamma", "1.5"], "--gamma must be in [0, 1], got 1.5"),
+])
+def test_oracle_rejects_out_of_range_input(capsys, argv, message):
+    assert cli.main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}\n" == captured.err
 
 
 # -- gradcheck subcommand --------------------------------------------------------

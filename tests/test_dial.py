@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from marlab import envs
-from marlab.buffer import ReplayBuffer
 from marlab.dial import (
     DialError,
     DialSystem,
-    FactoredQHead,
     RialSystem,
     RialTransition,
     StaleTrace,
@@ -144,10 +142,10 @@ def test_env_outputs_are_pure_functions_of_state_and_actions():
     env = relay()
     sys_ = make_system(seed=6)
     u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1])
-    for trace, bit in zip(u.traces, u.bits):
-        expected = env.reward_vector(2 + bit, trace.actions[1])
-        assert np.array_equal(np.asarray(trace.rewards[1]), expected)
-        assert trace.rewards[0] == (0.0, 0.0)
+    for e, bit in enumerate(u.bits):
+        expected = env.reward_vector(2 + bit, u.actions[1, e])
+        assert np.array_equal(u.rewards[1, e], expected)
+        assert np.array_equal(u.rewards[0, e], (0.0, 0.0))
 
 
 def test_checkpoint_roundtrip():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from marlab import envs
 from marlab.envs import (
-    Box1D,
     Discrete,
     EnvError,
     InvalidAction,

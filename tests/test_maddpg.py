@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from marlab import envs, ndiff
+from marlab import envs
 from marlab.buffer import JointTransition
 from marlab.maddpg import Actor, ContinuousOpponent, MaddpgLearner
 from marlab.ndiff import AdamState, Graph, adam_step, backward, copy_params
+
+from batches import stacked
 
 
 def cts_learner(seed=0, **kw):
@@ -26,7 +28,7 @@ def cts_batch(env, rng, n, explore=lambda rng: rng.uniform(-1.0, 1.0, size=2)):
         a = tuple(float(x) for x in explore(rng))
         nxt, r, done = env.step(st, a, rng)
         out.append(JointTransition(st.index, a, tuple(r), nxt.index, bool(done)))
-    return out
+    return stacked(out)
 
 
 def test_box_actor_respects_bounds():
@@ -62,17 +64,16 @@ def test_terminal_targets_equal_rewards():
     learner, env = cts_learner(seed=1)
     rng = np.random.default_rng(0)
     batch = cts_batch(env, rng, 16)
-    assert all(tr.done for tr in batch)
+    assert batch.done.all()
     y = learner.target_ctde(batch, rng)
-    r = np.array([tr.rewards for tr in batch])
-    assert np.max(np.abs(y - r)) < 1e-12
+    assert np.max(np.abs(y - batch.rewards)) < 1e-12
 
 
 def test_gamma_zero_targets_equal_rewards():
     learner, env = disc_learner("two_step_coop", seed=2, gamma=0.0)
     rng = np.random.default_rng(1)
-    batch = [JointTransition(0, (0, 0), (0.0, 0.0), 1, False),
-             JointTransition(1, (1, 1), (10.0, 10.0), 1, True)]
+    batch = stacked([JointTransition(0, (0, 0), (0.0, 0.0), 1, False),
+                     JointTransition(1, (1, 1), (10.0, 10.0), 1, True)])
     y = learner.target_ctde(batch, rng)
     assert np.array_equal(y, np.array([[0.0, 0.0], [10.0, 10.0]]))
 
@@ -153,15 +154,15 @@ def test_score_function_ascent_prefers_dominant_action():
     q_vals = critic.forward_np(probe)[:, 0]
     assert q_vals[0] - q_vals[1] > 0.8
 
-    batch = [JointTransition(0, (0, 0), (0.0, 0.0), 0, True) for _ in range(32)]
+    batch = stacked([JointTransition(0, (0, 0), (0.0, 0.0), 0, True) for _ in range(32)])
     for _ in range(3000):
         learner.actor_update(batch, 0, rng)
     assert learner.actors[0].probs_np(np.ones((1, 1)))[0, 1] > 0.9
 
 
 def make_model_batches(a1_draw, rng, n=32):
-    return [JointTransition(0, (int(rng.integers(2)), int(a1_draw(rng))),
-                            (0.0, 0.0), 0, True) for _ in range(n)]
+    return stacked([JointTransition(0, (int(rng.integers(2)), int(a1_draw(rng))),
+                                    (0.0, 0.0), 0, True) for _ in range(n)])
 
 
 def test_opponent_model_fits_constant_opponent():
@@ -211,7 +212,7 @@ def test_decentralized_target_matches_ctde_with_true_models():
     copy_params(learner.target_actors[1].net.params,
                 learner.opponent_models[(0, 1)].params)
     rng = np.random.default_rng(9)
-    batch = [JointTransition(0, (0, 1), (0.0, 0.0), 1, False) for _ in range(10000)]
+    batch = stacked([JointTransition(0, (0, 1), (0.0, 0.0), 1, False) for _ in range(10000)])
     y_ctde = learner.target_ctde(batch, rng)[:, 0]
     y_dec = learner.target_decentralized(batch, 0, rng)
     assert abs(y_ctde.mean() - y_dec.mean()) < 0.02

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from marlab import envs, oracle
+from marlab import oracle
 from marlab.envs import Discrete, MarkovGame, NotZeroSum, fixture_by_name, induce_mdp
 from marlab.oracle import (
     NonFinite,

@@ -13,6 +13,8 @@ from marlab.qmix import (
     epsilon_at,
 )
 
+from batches import stacked
+
 
 def make(mode, env_name="two_step_coop", seed=0, **kw):
     env = envs.fixture_by_name(env_name)
@@ -135,13 +137,13 @@ def test_noncooperative_batch_rejected_in_joint_modes():
     learner, _ = make("vdn", env_name="matching_pennies")
     tr = JointTransition(state=0, actions=(0, 1), rewards=(1.0, -1.0), next_state=0, done=True)
     with pytest.raises(NonCooperative):
-        learner.td_update([tr])
+        learner.td_update(stacked([tr]))
 
 
 def test_independent_mode_accepts_opposed_rewards():
     learner, _ = make("independent", env_name="matching_pennies")
     tr = JointTransition(state=0, actions=(0, 1), rewards=(1.0, -1.0), next_state=0, done=True)
-    loss = learner.td_update([tr])
+    loss = learner.td_update(stacked([tr]))
     assert np.isfinite(loss)
 
 
@@ -149,14 +151,14 @@ def test_terminal_transition_loss_is_squared_reward():
     learner, _ = make("vdn")
     zero_all(learner)
     tr = JointTransition(state=1, actions=(1, 1), rewards=(10.0, 10.0), next_state=1, done=True)
-    assert learner.td_update([tr]) == 100.0
+    assert learner.td_update(stacked([tr])) == 100.0
 
 
 def test_gamma_zero_bootstraps_to_reward_only():
     learner, _ = make("independent", env_name="matching_pennies", gamma=0.0)
     zero_all(learner)
     tr = JointTransition(state=0, actions=(0, 0), rewards=(1.0, -1.0), next_state=0, done=False)
-    assert learner.td_update([tr]) == 1.0
+    assert learner.td_update(stacked([tr])) == 1.0
 
 
 def test_nonterminal_target_uses_target_net_max():
@@ -166,7 +168,7 @@ def test_nonterminal_target_uses_target_net_max():
         net.biases[-1].value[...] = np.array([[1.0 + i, 3.0 + i]])
     # target maxes are 3 and 4, y = 1 + 0.5 * 7 = 4.5, q_taken = 0
     tr = JointTransition(state=0, actions=(0, 0), rewards=(1.0, 1.0), next_state=1, done=False)
-    assert abs(learner.td_update([tr]) - 4.5 ** 2) < 1e-12
+    assert abs(learner.td_update(stacked([tr])) - 4.5 ** 2) < 1e-12
 
 
 def test_greedy_ties_break_to_lowest_index():
@@ -226,7 +228,7 @@ def test_td_update_moves_hypernet_parameters():
     learner, _ = make("qmix", seed=4)
     before = [p.value.copy() for p in learner.mixing.params]
     tr = JointTransition(state=0, actions=(0, 0), rewards=(5.0, 5.0), next_state=1, done=False)
-    learner.td_update([tr] * 8)
+    learner.td_update(stacked([tr] * 8))
     moved = any(np.max(np.abs(p.value - b)) > 0 for p, b in zip(learner.mixing.params, before))
     assert moved
 
@@ -240,21 +242,21 @@ def test_td_update_tape_length(monkeypatch, mode, records):
     monkeypatch.setattr(ndiff, "backward",
                         lambda g, root: (lengths.append(len(g.records)), real_backward(g, root)))
     tr = JointTransition(state=0, actions=(0, 1), rewards=(5.0, 5.0), next_state=1, done=False)
-    learner.td_update([tr] * 32)
+    learner.td_update(stacked([tr] * 32))
     assert lengths == [records]
 
 
 def test_target_nets_sync_on_interval():
     learner, _ = make("qmix", seed=5, target_interval=3)
     tr = JointTransition(state=0, actions=(0, 0), rewards=(5.0, 5.0), next_state=1, done=False)
-    learner.td_update([tr] * 4)
-    learner.td_update([tr] * 4)
+    learner.td_update(stacked([tr] * 4))
+    learner.td_update(stacked([tr] * 4))
     gap = max(
         np.max(np.abs(p.value - t.value))
         for p, t in zip(learner.agent_nets[0].params, learner.target_agent_nets[0].params)
     )
     assert gap > 0
-    learner.td_update([tr] * 4)
+    learner.td_update(stacked([tr] * 4))
     assert learner.learn_steps == 3
     for net, tgt in zip(learner.agent_nets, learner.target_agent_nets):
         for p, t in zip(net.params, tgt.params):
@@ -269,7 +271,7 @@ def test_shared_parameters_tie_agent_heads():
     psi, _ = learner.named_params()
     assert all(name.startswith("agents_shared/") for name, _ in psi)
     tr = JointTransition(state=0, actions=(0, 1), rewards=(-30.0, -30.0), next_state=0, done=True)
-    learner.td_update([tr] * 4)
+    learner.td_update(stacked([tr] * 4))
     u2 = learner.utilities(s)
     assert np.array_equal(u2[0], u2[1])
 
