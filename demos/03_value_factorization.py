@@ -23,7 +23,7 @@ def greedy_return(learner, episodes, rng):
         state = env.reset(rng)
         disc = 1.0
         while not state.done:
-            state, rewards, _ = env.step(state, learner.greedy_joint(state), rng)
+            state, rewards, _ = env.step(state, learner.greedy_joint([state.index])[0], rng)
             total += disc * rewards[0]
             disc *= learner.gamma
     return total / episodes
@@ -71,4 +71,4 @@ utils = learner.utilities(s)
 joint, _ = oracle.joint_argmax(
     lambda j: learner.mix([utils[i][a] for i, a in enumerate(j)], s), env)
 print("joint argmax of mixed value:", joint,
-      " decentralized greedy:", learner.greedy_joint(s))
+      " decentralized greedy:", tuple(learner.greedy_joint([s])[0].tolist()))

@@ -20,7 +20,7 @@ buf = ReplayBuffer(5000)
 print("step   a1      a2      |a1+a2-1|")
 state = env.reset(rng)
 for step in range(1, 3001):
-    joint = learner.act(state, rng, explore=True)     # tanh mean + noise
+    joint = learner.act([state.index], rng, explore=True)[0]     # tanh mean + noise
     nxt, rewards, done = env.step(state, joint, rng)
     buf.push(JointTransition(state=state.index, actions=joint,
                              rewards=tuple(float(r) for r in rewards),
@@ -29,7 +29,7 @@ for step in range(1, 3001):
     if len(buf) >= 64:
         learner.learner_step(buf.sample(64, rng), rng)
     if step % 500 == 0:
-        a = learner.act(env.reset(rng), rng, explore=False)
+        a = learner.act([env.reset(rng).index], rng, explore=False)[0]
         print(f"{step:5d}  {a[0]:+.3f}  {a[1]:+.3f}  {abs(a[0] + a[1] - 1.0):.4f}")
 
 # -- execution without the other agent's wires --------------------------------

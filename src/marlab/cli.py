@@ -101,17 +101,19 @@ def _eval_rng(seed, step):
     return np.random.default_rng([seed, step])
 
 
-def rollout_returns(env, policy_fn, episodes, gamma, rng):
-    """Discounted per-agent returns, one row per episode."""
+def rollout_returns(env, policy, episodes, gamma, rng):
+    """Discounted per-agent returns, one row per episode.  All episodes step
+    together, one env.step_batch call per timestep over those still running;
+    policy maps an (n,) state-index array to (n, n_agents) joint actions."""
     totals = np.zeros((episodes, env.n_agents))
-    for e in range(episodes):
-        state = env.reset(rng)
-        disc = 1.0
-        while not state.done:
-            joint = policy_fn(state, rng)
-            state, rewards, _ = env.step(state, tuple(joint), rng)
-            totals[e] += disc * np.asarray(rewards, dtype=np.float64)
-            disc *= gamma
+    live = np.arange(episodes)
+    index = env.reset_batch(episodes, rng)
+    disc = 1.0
+    for t in range(env.horizon):
+        index, rewards, done = env.step_batch(index, t, policy(index), rng)
+        totals[live] += disc * rewards
+        disc *= gamma
+        live, index = live[~done], index[~done]
     return totals
 
 
@@ -141,9 +143,13 @@ def _epsilon(cfg, t):
                            cfg.epsilon_decay_steps)
 
 
-def _rollout(env, gamma, policy_fn):
+def _rollout(env, gamma, policy):
     def evaluate(episodes, rng):
-        totals = rollout_returns(env, policy_fn, episodes, gamma, rng)
+        # a greedy policy depends only on the state, so one forward over the
+        # n_states rows tabulates it; on a one-state game that forward is a
+        # batch of one, whose float bits a larger batch need not reproduce
+        table = policy(np.arange(env.n_states))
+        totals = rollout_returns(env, lambda index: table[index], episodes, gamma, rng)
         return totals, totals.mean(axis=0), {}
     return evaluate
 
@@ -162,7 +168,7 @@ def _q_start(mode, cfg, env, rng):
         if len(buf) < cfg.batch_size:
             return int(tr.done), None, eps, {}
         return int(tr.done), learner.td_update(buf.sample(cfg.batch_size, rng)), eps, {}
-    return learner, step, _rollout(env, learner.gamma, lambda s, r: learner.greedy_joint(s))
+    return learner, step, _rollout(env, learner.gamma, learner.greedy_joint)
 
 
 def _maddpg_start(decentralized, cfg, env, rng):
@@ -173,7 +179,7 @@ def _maddpg_start(decentralized, cfg, env, rng):
 
     def step(t):
         nonlocal state
-        joint = learner.act(state, rng, explore=True)
+        joint = learner.act([state.index], rng, explore=True)[0]
         nxt, rewards, done = env.step(state, joint, rng)
         buf.push(JointTransition(state=state.index, actions=joint,
                                  rewards=tuple(float(r) for r in rewards),
@@ -184,7 +190,7 @@ def _maddpg_start(decentralized, cfg, env, rng):
         out = learner.learner_step(buf.sample(cfg.batch_size, rng), rng)
         return int(done), out["critic_loss"], None, out
     return learner, step, _rollout(env, learner.gamma,
-                                   lambda s, r: learner.act(s, r, explore=False))
+                                   lambda index: learner.act(index, None, explore=False))
 
 
 def _selfplay_start(cfg, env, rng):
@@ -537,8 +543,7 @@ def cmd_oracle(args):
                "greedy_joint_per_state": [[int(a) for a in tab.greedy(s)]
                                           for s in range(env.n_states)]}
     else:
-        mix = [float(x) for x in args.mix.split(",")]
-        br, value = oracle.best_response_value(env, args.me, mix)
+        br, value = oracle.best_response_value(env, args.me, args.mix)
         out = {"me": args.me, "best_response": [float(x) for x in br],
                "action": int(np.argmax(br)), "value": float(value)}
     print(json.dumps(out, sort_keys=True))
@@ -641,6 +646,13 @@ def _widths(text):
         raise argparse.ArgumentTypeError(f"not comma-separated widths: {text!r}")
 
 
+def _mix(text):
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated probabilities: {text!r}")
+
+
 _FLAG_TYPES = {int: int, float: float, str: str, list: _widths}
 
 
@@ -679,7 +691,7 @@ def build_parser():
     b = osub.add_parser("bestresp", help="best pure reply to a frozen mix")
     b.add_argument("game")
     b.add_argument("--me", type=int, required=True)
-    b.add_argument("--mix", required=True,
+    b.add_argument("--mix", required=True, type=_mix,
                    help="comma-separated opponent mix, e.g. 0.7,0.3")
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient suites")

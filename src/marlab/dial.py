@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ndiff
 from .buffer import ReplayBuffer
-from .envs import EpisodeState
 from .ndiff import AdamState, DenseNet, Graph, adam_step, backward, copy_params
 
 CHANNEL_MODES = ("on", "zeroed")
@@ -64,17 +63,12 @@ class CommAgentCell:
         hidden = g.tanh(g.slice(out, a + d, a + d + self.hidden_dim))
         return scores, message, hidden
 
-    def forward_np(self, obs, msg, h):
-        out = self.net.forward_np(np.concatenate([obs, msg, h], axis=1))
-        a, d = self.n_actions, self.msg_dim
-        return (out[:, :a], ndiff.apply_np("tanh", out[:, a:a + d]),
-                ndiff.apply_np("tanh", out[:, a + d:]))
-
 
 @dataclass
 class Unroll:
     """One batched on-policy rollout and its computation graph; `actions` and
-    `rewards` hold each step's joint actions and rewards, (horizon, batch, n_agents)."""
+    `rewards` hold each step's joint actions and rewards, (horizon, batch,
+    n_agents), as one env.step_batch call per timestep returned them."""
 
     graph: Graph
     actions: np.ndarray
@@ -114,9 +108,6 @@ class DialSystem:
     def params(self):
         return [p for cell in self.cells for p in cell.net.params]
 
-    def _obs_block(self, agent, state_indices):
-        return np.stack([self.env.obs(agent, int(s)) for s in state_indices])
-
     def _route_graph(self, g, messages_prev, agent, batch):
         """Incoming message tensor for one agent: others' previous messages
         concatenated in agent order, or zeros when the channel is closed."""
@@ -129,16 +120,15 @@ class DialSystem:
     def unroll(self, batch_size, rng, bits=None):
         """Play batch_size two-step episodes with greedy actions, building one
         graph across agents and timesteps; messages emitted at t=0 enter the
-        other agents' inputs at t=1."""
+        other agents' inputs at t=1.  All episodes step together, and every
+        signalling episode lasts the horizon."""
         env = self.env
         if bits is None:
-            states = [env.reset(rng) for _ in range(batch_size)]
+            index = env.reset_batch(batch_size, rng)
         else:
-            bits = np.asarray(bits, dtype=int)
-            batch_size = len(bits)
-            states = [EpisodeState(index=int(b), t=0, done=False) for b in bits]
-        bit_of_state = env.meta["bit_of_state"]
-        bits_arr = np.array([bit_of_state[s.index] for s in states], dtype=int)
+            index = np.asarray(bits, dtype=int)
+            batch_size = len(index)
+        bits_arr = np.asarray(env.meta["bit_of_state"])[index]
 
         g = Graph()
         h = [g.constant(np.zeros((batch_size, self.hidden_dim)))
@@ -146,34 +136,27 @@ class DialSystem:
         messages_prev = None
         shape = (env.horizon, batch_size, self.n_agents)
         actions_taken, rewards_got = np.empty(shape, dtype=int), np.empty(shape)
-        listener = env.meta["listener"]
-        listener_scores = None
         messages_out = {}
         incoming_by_agent = {}
 
         for t in range(env.horizon):
-            idx = [s.index for s in states]
             scores_t, msg_t, joint = [], [], []
             for i, cell in enumerate(self.cells):
-                obs = self._obs_block(i, idx)
+                obs = g.constant(env.obs_tables[i][index])
                 incoming = self._route_graph(g, messages_prev, i, batch_size)
-                scores, message, h_next = cell.forward(g, g.constant(obs), incoming, h[i])
+                scores, message, h_next = cell.forward(g, obs, incoming, h[i])
                 scores_t.append(scores)
                 msg_t.append(message)
                 h[i] = h_next
                 joint.append(scores.value.argmax(axis=1))
                 messages_out[(i, t)] = message
                 incoming_by_agent[(i, t)] = incoming
-            if t == env.horizon - 1:
-                listener_scores = scores_t[listener]
-
             actions_taken[t] = np.stack(joint, axis=1)
-            for e in range(batch_size):
-                states[e], rewards_got[t, e], _ = env.step(states[e], actions_taken[t, e], rng)
+            index, rewards_got[t], _ = env.step_batch(index, t, actions_taken[t], rng)
             messages_prev = msg_t
 
         return Unroll(graph=g, actions=actions_taken, rewards=rewards_got, bits=bits_arr,
-                      listener_scores=listener_scores, messages=messages_out,
+                      listener_scores=scores_t[env.meta["listener"]], messages=messages_out,
                       incoming=incoming_by_agent, version=self.version)
 
     def loss_tensor(self, unroll):
@@ -199,36 +182,10 @@ class DialSystem:
         return self.update(self.unroll(batch_size, rng))
 
     def evaluate(self, episodes, rng):
-        """Greedy accuracy over fresh environment episodes: the fraction in
+        """Greedy accuracy over one unroll of fresh episodes: the fraction in
         which the listener's final action equals the bit."""
-        env = self.env
-        hits = 0
-        for _ in range(episodes):
-            state = env.reset(rng)
-            bit = env.meta["bit_of_state"][state.index]
-            h = [np.zeros((1, self.hidden_dim)) for _ in range(self.n_agents)]
-            msgs = [np.zeros((1, self.msg_dim)) for _ in range(self.n_agents)]
-            first = True
-            while not state.done:
-                joint = []
-                new_msgs = []
-                for i, cell in enumerate(self.cells):
-                    if self.channel == "zeroed" or first:
-                        incoming = np.zeros((1, (self.n_agents - 1) * self.msg_dim))
-                    else:
-                        incoming = np.concatenate(
-                            [msgs[j] for j in range(self.n_agents) if j != i], axis=1)
-                    obs = self.env.obs(i, state.index)[np.newaxis, :]
-                    scores, message, h[i] = cell.forward_np(obs, incoming, h[i])
-                    joint.append(int(scores.argmax(axis=1)[0]))
-                    new_msgs.append(message)
-                state, rewards, _ = env.step(state, tuple(joint), rng)
-                msgs = new_msgs
-                first = False
-                final_actions = joint
-            listener = env.meta["listener"]
-            hits += int(final_actions[listener] == bit)
-        return hits / episodes
+        u = self.unroll(episodes, rng)
+        return float((u.actions[-1, :, self.env.meta["listener"]] == u.bits).mean())
 
     def to_checkpoint(self, config_echo=None):
         return {
@@ -277,9 +234,9 @@ class FactoredQHead:
 
 
 def greedy_factored(qa, qm):
-    """Independent argmax per head; equals the joint argmax of qa[a] + qm[m]
-    because the sum separates."""
-    return int(np.argmax(qa)), int(np.argmax(qm))
+    """Independent argmax per head, per row; equals the joint argmax of
+    qa[a] + qm[m] because the sum separates."""
+    return qa.argmax(axis=-1), qm.argmax(axis=-1)
 
 
 class RialSystem:
@@ -310,23 +267,20 @@ class RialSystem:
         self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(self.n_agents)]
         self.learn_steps = 0
 
-    def _input(self, agent, state_index, prev_msgs):
-        """prev_msgs: per-agent message ints from the previous step, or None
-        at t=0 (encoded as all-zero blocks)."""
+    def _input(self, agent, index, prev_msgs):
+        """Agent inputs at one state index or an (n,) array of them: the
+        observation, the other agents' previous messages one-hot in agent
+        order, then its own.  prev_msgs holds per-agent message ints, (...,
+        n_agents), or is None at t=0 (all-zero blocks)."""
         m = self.n_messages
-        parts = [self.env.obs(agent, state_index)]
-        for j in range(self.n_agents):
-            if j == agent:
-                continue
-            block = np.zeros(m)
-            if prev_msgs is not None:
-                block[prev_msgs[j]] = 1.0
-            parts.append(block)
-        own = np.zeros(m)
-        if prev_msgs is not None:
-            own[prev_msgs[agent]] = 1.0
-        parts.append(own)
-        return np.concatenate(parts)
+        obs = self.env.obs_tables[agent][index]
+        if prev_msgs is None:
+            blocks = np.zeros(obs.shape[:-1] + (self.n_agents * m,))
+        else:
+            order = [j for j in range(self.n_agents) if j != agent] + [agent]
+            blocks = np.eye(m)[np.asarray(prev_msgs)[..., order]]
+            blocks = blocks.reshape(obs.shape[:-1] + (self.n_agents * m,))
+        return np.concatenate([obs, blocks], axis=-1)
 
     def _choose(self, agent, x, epsilon, rng):
         qa, qm = self.heads[agent].values_np(x[np.newaxis, :])
@@ -393,26 +347,18 @@ class RialSystem:
         return None
 
     def evaluate(self, episodes, rng):
+        """Greedy accuracy over fresh episodes, all stepped together."""
         env = self.env
-        listener = env.meta["listener"]
-        hits = 0
-        for _ in range(episodes):
-            state = env.reset(rng)
-            bit = env.meta["bit_of_state"][state.index]
-            prev_msgs = None
-            last_actions = None
-            while not state.done:
-                xs = [self._input(i, state.index, prev_msgs) for i in range(self.n_agents)]
-                choices = []
-                for i in range(self.n_agents):
-                    qa, qm = self.heads[i].values_np(xs[i][np.newaxis, :])
-                    choices.append(greedy_factored(qa[0], qm[0]))
-                actions = tuple(c[0] for c in choices)
-                state, rewards, _ = env.step(state, actions, rng)
-                prev_msgs = [c[1] for c in choices]
-                last_actions = actions
-            hits += int(last_actions[listener] == bit)
-        return hits / episodes
+        index = env.reset_batch(episodes, rng)
+        bits = np.asarray(env.meta["bit_of_state"])[index]
+        msgs = None
+        for t in range(env.horizon):
+            choices = [greedy_factored(*self.heads[i].values_np(self._input(i, index, msgs)))
+                       for i in range(self.n_agents)]
+            actions = np.stack([a for a, _ in choices], axis=1)
+            msgs = np.stack([m for _, m in choices], axis=1)
+            index, _, _ = env.step_batch(index, t, actions, rng)
+        return float((actions[:, env.meta["listener"]] == bits).mean())
 
     def to_checkpoint(self, config_echo=None):
         return {

@@ -75,14 +75,34 @@ class EpisodeState:
 _FLAG_TOL = 1e-12
 
 
+def _cdf(p):
+    """Row-normalized cumulative sums over the last axis, as Generator.choice
+    forms them before its one uniform draw."""
+    c = p.cumsum(axis=-1)
+    return c / c[..., -1:]
+
+
+def _draw(cdf, rng):
+    """One uniform u per row of cdf and the first entry above it, which is
+    Generator.choice's searchsorted(cdf, u, side="right")."""
+    return (cdf > rng.random((len(cdf), 1))).argmax(axis=1)
+
+
 class MarkovGame:
     """N-agent Markov game over a finite state set.
 
     Discrete games carry dense tables:
       rewards[s, a1, ..., aN, agent], transition[s, a1, ..., aN, s'],
       terminal_after[s, a1, ..., aN] (episode ends after that step).
-    Continuous-action games provide reward_fn(actions) -> vector instead
-    and keep a single state.
+    Continuous-action games provide reward_fn(actions) instead and keep a
+    single state; actions[i] is agent i's action, a number or an (n,) column
+    of n episodes, and the result stacks the per-agent rewards on axis 0.
+
+    One transition path serves every caller: reset_batch/step_batch move
+    arrays of episodes by table lookups, over cumulative transition rows
+    and per-agent observation tables (obs_tables[agent][s], the one-hot
+    state when there are no obs_fns) built once here; reset/step are a
+    batch of one.
     """
 
     def __init__(self, name, action_space, horizon, gamma, cooperative, zero_sum,
@@ -105,8 +125,10 @@ class MarkovGame:
             init_dist = np.zeros(self.n_states)
             init_dist[0] = 1.0
         self.init_dist = np.asarray(init_dist, dtype=np.float64)
-        if self.init_dist.shape != (self.n_states,) or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL:
+        if (self.init_dist.shape != (self.n_states,) or (self.init_dist < 0).any()
+                or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL):
             raise EnvError("init_dist must be a distribution over states")
+        self._init_cdf = _cdf(self.init_dist)
 
         if self.all_discrete():
             shape = (self.n_states,) + tuple(sp.n for sp in self.action_space)
@@ -116,6 +138,8 @@ class MarkovGame:
                 raise EnvError(f"rewards shape {self.rewards.shape}, expected {shape + (self.n_agents,)}")
             if self.transition.shape != shape + (self.n_states,):
                 raise EnvError(f"transition shape {self.transition.shape}, expected {shape + (self.n_states,)}")
+            if (self.transition < 0).any():
+                raise EnvError("transition probabilities must be non-negative")
             rowsums = self.transition.sum(axis=-1)
             if np.abs(rowsums - 1.0).max() > _FLAG_TOL:
                 raise EnvError("transition rows must sum to 1")
@@ -124,6 +148,11 @@ class MarkovGame:
             self.terminal_after = np.asarray(terminal_after, dtype=bool)
             if self.terminal_after.shape != shape:
                 raise EnvError(f"terminal_after shape {self.terminal_after.shape}, expected {shape}")
+            # the tables with one row per (state, joint action), as step_batch reads them
+            self._joint_shape = shape
+            self._cdf_rows = _cdf(self.transition).reshape(-1, self.n_states)
+            self._reward_rows = self.rewards.reshape(-1, self.n_agents)
+            self._terminal_rows = self.terminal_after.reshape(-1)
             self.reward_fn = None
             self._check_flags_discrete()
         else:
@@ -135,6 +164,12 @@ class MarkovGame:
             self.rewards = self.transition = None
             self.terminal_after = None
             self._check_flags_grid()
+
+        self.obs_tables = ([np.eye(self.n_states)] * self.n_agents if obs_fns is None else
+                           [np.array([f(s) for s in range(self.n_states)], dtype=np.float64)
+                            for f in obs_fns])
+        for table in self.obs_tables:
+            table.setflags(write=False)
 
     # -- validation ---------------------------------------------------------
     def _check_flags_discrete(self):
@@ -148,58 +183,80 @@ class MarkovGame:
 
     def _check_flags_grid(self):
         grid = np.linspace(-1.0, 1.0, 5)
-        for actions in itertools.product(grid, repeat=self.n_agents):
-            clipped = [min(max(a, sp.lo), sp.hi) for a, sp in zip(actions, self.action_space)]
-            r = np.asarray(self.reward_fn(clipped), dtype=np.float64)
-            if r.shape != (self.n_agents,):
-                raise EnvError("reward_fn must return one value per agent")
-            if self.cooperative and np.abs(r - r[0]).max() > _FLAG_TOL:
-                raise EnvError("cooperative flag set but agent rewards differ")
-            if self.zero_sum and abs(r.sum()) > _FLAG_TOL:
-                raise EnvError("zero_sum flag set but rewards do not cancel")
+        joints = np.array(list(itertools.product(grid, repeat=self.n_agents)))
+        lo = [sp.lo for sp in self.action_space]
+        hi = [sp.hi for sp in self.action_space]
+        r = np.asarray(self.reward_fn(np.clip(joints, lo, hi).T), dtype=np.float64)
+        if r.shape != (self.n_agents, len(joints)):
+            raise EnvError("reward_fn must return one value per agent")
+        if self.cooperative and np.abs(r - r[0]).max() > _FLAG_TOL:
+            raise EnvError("cooperative flag set but agent rewards differ")
+        if self.zero_sum and np.abs(r.sum(axis=0)).max() > _FLAG_TOL:
+            raise EnvError("zero_sum flag set but rewards do not cancel")
 
     def all_discrete(self):
         return all(isinstance(sp, Discrete) for sp in self.action_space)
 
     # -- episode interface ---------------------------------------------------
+    def reset_batch(self, n, rng):
+        """Initial state indices of n episodes, one uniform draw each."""
+        return _draw(np.broadcast_to(self._init_cdf, (n, self.n_states)), rng)
+
+    def step_batch(self, index, t, actions, rng):
+        """Advance n live episodes, all at timestep t, from (n,) state indices
+        by (n, n_agents) joint actions; returns (next_index, rewards (n,
+        n_agents), done (n,)).  In a discrete game each episode draws one
+        uniform, by inverse CDF over its transition row as Generator.choice
+        does, so a batch draws what its episodes stepped one by one would."""
+        index = np.asarray(index)
+        try:
+            a = np.asarray(actions)
+        except ValueError:
+            raise InvalidAction(f"ragged actions {actions!r}")
+        if a.dtype.kind not in "iuf" or a.shape != (len(index), self.n_agents):
+            raise InvalidAction(f"actions must be numbers of shape ({len(index)}, "
+                                f"{self.n_agents}), got {a.dtype} of shape {a.shape}")
+        if self.reward_fn is not None:
+            a = a.astype(np.float64)
+            self._check_actions(a)
+            rewards = np.asarray(self.reward_fn(a.T), dtype=np.float64).T
+            return np.zeros_like(index), rewards, np.ones(len(index), dtype=bool)
+        row = self._joint_row(index, a)
+        nxt = _draw(self._cdf_rows[row], rng)
+        done = self._terminal_rows[row] | (t + 1 >= self.horizon)
+        return nxt, self._reward_rows[row], done
+
     def reset(self, rng):
-        index = int(rng.choice(self.n_states, p=self.init_dist))
-        return EpisodeState(index=index, t=0, done=False)
+        return EpisodeState(index=int(self.reset_batch(1, rng)[0]), t=0, done=False)
 
     def step(self, state, actions, rng):
-        """Advance one step; returns (next_state, reward_vector, done)."""
+        """Advance one episode, as a batch of one; returns (next_state,
+        reward_vector, done)."""
         if state.done:
             raise SteppedTerminal(f"episode already finished at t={state.t}")
-        actions = self._validate_actions(actions)
-        if self.all_discrete():
-            key = (state.index,) + actions
-            rewards = self.rewards[key].copy()
-            probs = self.transition[key]
-            nxt = int(rng.choice(self.n_states, p=probs))
-            done = bool(self.terminal_after[key]) or state.t + 1 >= self.horizon
-        else:
-            rewards = np.asarray(self.reward_fn(actions), dtype=np.float64).copy()
-            nxt = 0
-            done = True
-        return EpisodeState(index=nxt, t=state.t + 1, done=done), rewards, done
+        nxt, rewards, done = self.step_batch([state.index], state.t, [actions], rng)
+        done = bool(done[0])
+        return EpisodeState(index=int(nxt[0]), t=state.t + 1, done=done), rewards[0], done
 
-    def _validate_actions(self, actions):
-        actions = tuple(actions)
-        if len(actions) != self.n_agents:
-            raise InvalidAction(f"{len(actions)} actions for {self.n_agents} agents")
-        out = []
-        for a, sp in zip(actions, self.action_space):
-            if isinstance(sp, Discrete):
-                ai = int(a)
-                if ai != a or not 0 <= ai < sp.n:
-                    raise InvalidAction(f"action {a!r} outside Discrete({sp.n})")
-                out.append(ai)
-            else:
-                af = float(a)
-                if not sp.lo <= af <= sp.hi:
-                    raise InvalidAction(f"action {af} outside [{sp.lo}, {sp.hi}]")
-                out.append(af)
-        return tuple(out)
+    def _joint_row(self, index, a):
+        """Row of each episode's (state, joint action) in the flattened
+        tables; ravel_multi_index checks the range of integer actions."""
+        if a.dtype.kind == "f":
+            self._check_actions(a)
+        try:
+            return np.ravel_multi_index((index, *a.astype(np.intp, copy=False).T),
+                                        self._joint_shape)
+        except ValueError:
+            self._check_actions(a)
+            raise EnvError(f"state index outside [0, {self.n_states})")
+
+    def _check_actions(self, a):
+        for i, sp in enumerate(self.action_space):
+            col, box = a[:, i], isinstance(sp, Box1D)
+            lo, hi = (sp.lo, sp.hi) if box else (0, sp.n - 1)
+            ok = (lo <= col) & (col <= hi) & (box | (col == np.floor(col)))
+            if np.count_nonzero(ok) != len(col):
+                raise InvalidAction(f"action {col[~ok][0]!r} of agent {i} outside {sp!r}")
 
     # -- encodings -----------------------------------------------------------
     @property
@@ -213,13 +270,11 @@ class MarkovGame:
         return vec
 
     def obs(self, agent, state):
-        if self.obs_fns is None:
-            return self.encode_state(state)
         index = state.index if isinstance(state, EpisodeState) else int(state)
-        return np.asarray(self.obs_fns[agent](index), dtype=np.float64)
+        return self.obs_tables[agent][index]
 
     def obs_dim(self, agent):
-        return self.obs(agent, 0).shape[0]
+        return self.obs_tables[agent].shape[1]
 
     def reward_vector(self, state_index, joint):
         if not self.all_discrete():
@@ -370,7 +425,10 @@ def two_step_coop():
 
 def coop_cts():
     def shared_reward(actions):
-        v = -(actions[0] + actions[1] - 1.0) ** 2
+        # float_power calls C pow per element, as Python's float ** does; an
+        # array ** 2 multiplies instead and differs in the last bit on about
+        # 0.1% of inputs, which would change the rewards of recorded runs
+        v = -np.float_power(actions[0] + actions[1] - 1.0, 2)
         return np.array([v, v])
 
     return MarkovGame(
@@ -464,27 +522,41 @@ def game_to_dict(env):
 
 
 def game_from_dict(obj):
+    """A discrete game from its serialized description; malformed content
+    raises EnvError."""
+    if not isinstance(obj, dict):
+        raise EnvError("a game file must hold a JSON object")
     required = {"n_agents", "actions", "states", "rewards", "transition", "flags", "horizon"}
     missing = required - set(obj)
     if missing:
         raise EnvError(f"game file missing keys {sorted(missing)}")
-    actions = obj["actions"]
+    actions, flags = obj["actions"], obj["flags"]
+    if not isinstance(actions, list):
+        raise EnvError("actions must be a list of action counts")
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise EnvError("flags must be an object of true/false values")
+    counts = [(obj[k], k) for k in ("n_agents", "states", "horizon")]
+    for value, what in counts + [(k, "each action count") for k in actions]:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise EnvError(f"{what} must be a positive integer, got {value!r}")
     if len(actions) != obj["n_agents"]:
         raise EnvError("actions list length must equal n_agents")
-    flags = obj["flags"]
-    return MarkovGame(
-        name=obj.get("name", "game"),
-        action_space=[Discrete(k) for k in actions],
-        horizon=obj["horizon"],
-        gamma=obj.get("gamma", 0.99 if obj["horizon"] > 1 else 1.0),
-        cooperative=bool(flags.get("cooperative", False)),
-        zero_sum=bool(flags.get("zero_sum", False)),
-        n_states=obj["states"],
-        rewards=obj["rewards"],
-        transition=obj["transition"],
-        terminal_after=obj.get("terminal_after"),
-        init_dist=obj.get("init_dist"),
-    )
+    try:
+        return MarkovGame(
+            name=obj.get("name", "game"),
+            action_space=[Discrete(k) for k in actions],
+            horizon=obj["horizon"],
+            gamma=obj.get("gamma", 0.99 if obj["horizon"] > 1 else 1.0),
+            cooperative=flags.get("cooperative", False),
+            zero_sum=flags.get("zero_sum", False),
+            n_states=obj["states"],
+            rewards=obj["rewards"],
+            transition=obj["transition"],
+            terminal_after=obj.get("terminal_after"),
+            init_dist=obj.get("init_dist"),
+        )
+    except (TypeError, ValueError) as e:
+        raise EnvError(f"malformed game: {e}")
 
 
 def save_game(env, path):
@@ -492,7 +564,10 @@ def save_game(env, path):
 
 
 def load_game(path):
-    obj = json.loads(pathlib.Path(path).read_text())
+    try:
+        obj = json.loads(pathlib.Path(path).read_text())
+    except ValueError as e:
+        raise EnvError(f"{path} is not JSON: {e}")
     return game_from_dict(obj)
 
 

@@ -163,14 +163,13 @@ class MaddpgLearner:
         return out
 
     # -- acting ---------------------------------------------------------------
-    def act(self, state, rng, explore=True):
-        s = self._encode_states([state.index if hasattr(state, "index") else state])
-        joint = []
-        for i, actor in enumerate(self.actors):
-            a = actor.sample_np(s, rng) if explore else actor.greedy_np(s)
-            val = a[0]
-            joint.append(float(val) if actor.kind == "box" else int(val))
-        return tuple(joint)
+    def act(self, index, rng, explore=True):
+        """Joint actions at an (n,) array of state indices, (n, n_agents):
+        sampled behavior actions, or greedy ones when explore is False.
+        Each actor draws for all n rows at once, in agent order."""
+        s = self._encode_states(index)
+        return np.stack([actor.sample_np(s, rng) if explore else actor.greedy_np(s)
+                         for actor in self.actors], axis=1)
 
     def target_ctde(self, batch, rng):
         """Numpy per-agent targets y_i = r_i + gamma (1-done) Q'_i(s', a'),

@@ -152,8 +152,11 @@ class QmixLearner:
         x = self._encode(state)[np.newaxis, :]
         return [net.forward_np(x)[0] for net in self.agent_nets]
 
-    def greedy_joint(self, state):
-        return tuple(int(np.argmax(u)) for u in self.utilities(state))
+    def greedy_joint(self, index):
+        """Per-agent argmax of the current heads at an (n,) array of state
+        indices: (n, n_agents) joint actions."""
+        x = self._eye[np.asarray(index)]
+        return np.stack([net.forward_np(x).argmax(axis=1) for net in self.agent_nets], axis=1)
 
     def act_epsilon_greedy(self, state, epsilon, rng):
         joint = []

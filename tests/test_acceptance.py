@@ -30,7 +30,7 @@ def _qmix_greedy_return(learner, env, episodes, rng):
         state = env.reset(rng)
         disc = 1.0
         while not state.done:
-            state, rewards, _ = env.step(state, learner.greedy_joint(state), rng)
+            state, rewards, _ = env.step(state, learner.greedy_joint([state.index])[0], rng)
             total += disc * rewards[0]
             disc *= learner.gamma
     return total / episodes
@@ -133,7 +133,7 @@ def test_A3_decentralized_argmax_matches_joint_oracle():
         utils = learner.utilities(s)
         best, _ = oracle.joint_argmax(
             lambda j: learner.mix([utils[i][a] for i, a in enumerate(j)], s), env)
-        if learner.greedy_joint(s) != best:
+        if tuple(learner.greedy_joint([s])[0]) != best:
             mismatches += 1
     _report("A3", mismatches == 0,
             f"200 random vdn/qmix instances on pennies/climb/two-step, "
@@ -250,7 +250,7 @@ def _train_maddpg_gap(seed, max_steps=30000):
     state = env.reset(rng)
     gap = np.inf
     for step in range(1, max_steps + 1):
-        joint = learner.act(state, rng, explore=True)
+        joint = learner.act([state.index], rng, explore=True)[0]
         nxt, rewards, done = env.step(state, joint, rng)
         buf.push(JointTransition(state=state.index, actions=joint,
                                  rewards=tuple(float(r) for r in rewards),
@@ -259,7 +259,7 @@ def _train_maddpg_gap(seed, max_steps=30000):
         if len(buf) >= 64:
             learner.learner_step(buf.sample(64, rng), rng)
         if step % 500 == 0:
-            a = learner.act(env.reset(rng), rng, explore=False)
+            a = learner.act([env.reset(rng).index], rng, explore=False)[0]
             gap = abs(a[0] + a[1] - 1.0)
             if gap < 0.1:
                 return gap, step

@@ -4,14 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from marlab import cli, ndiff
+from marlab import cli, envs, ndiff
 from marlab.cli import (
     IncompatibleAlgoEnv,
     InvalidConfig,
     build_config,
     check_compat,
 )
-from marlab.envs import fixture_by_name
+from marlab.envs import fixture_by_name, game_to_dict, two_step_coop
+
+from calls import count_calls
 
 
 def _train(tmp_path, name, *flags):
@@ -286,6 +288,58 @@ def test_train_then_eval_every_algo(tmp_path, capsys, algo):
     assert (out / "dial_metrics.csv").exists() == (algo in ("dial", "rial"))
 
 
+@pytest.mark.parametrize("algo", ["qmix", "maddpg_ctde", "dial", "rial"])
+def test_eval_steps_all_episodes_together(tmp_path, capsys, monkeypatch, algo):
+    rc, out = _train(tmp_path, algo, "--algo", algo, "--env", HOME_ENVS[algo],
+                     "--batch-size", "8", "--total-steps", "20",
+                     "--eval-interval", "20", "--eval-episodes", "5")
+    assert rc == 0
+    capsys.readouterr()
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["step", "step_batch"])
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--episodes", "500"]) == 0
+    assert json.loads(capsys.readouterr().out)["episodes"] == 500
+    horizon = fixture_by_name(HOME_ENVS[algo]).horizon
+    assert calls["step"] == 0
+    assert 1 <= calls["step_batch"] <= horizon
+
+
+def _game_file(tmp_path, text):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _malformed(**changes):
+    obj = game_to_dict(two_step_coop())
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+_NEGATIVE_ROW = np.zeros((2, 2, 2, 2))
+_NEGATIVE_ROW[..., 0] = 1.0
+_NEGATIVE_ROW[1, 1, 1] = [1.5, -0.5]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    "5",
+    _malformed(flags=5),
+    _malformed(actions=[2, "x"]),
+    _malformed(horizon="2"),
+    _malformed(init_dist=[1.5, -0.5]),
+    _malformed(transition=_NEGATIVE_ROW.tolist()),
+], ids=["invalid-json", "list", "number", "flags", "actions", "horizon",
+        "negative-init", "negative-transition"])
+def test_train_rejects_malformed_game_file(tmp_path, capsys, text):
+    rc, _ = _train(tmp_path, "run", "--algo", "iql", "--env", _game_file(tmp_path, text),
+                   "--total-steps", "2")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- oracle subcommand ---------------------------------------------------------
 
 def _oracle_json(capsys, *argv):
@@ -338,6 +392,13 @@ def test_oracle_rejects_out_of_range_input(capsys, argv, message):
     assert cli.main(["oracle", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"error: {message}\n" == captured.err
+
+
+@pytest.mark.parametrize("mix", ["0.5,abc", "0.5,0.6"])
+def test_oracle_bestresp_bad_mix_exits_2(capsys, mix):
+    assert cli.main(["oracle", "bestresp", "matching_pennies", "--me", "1", "--mix", mix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
 
 
 # -- gradcheck subcommand --------------------------------------------------------

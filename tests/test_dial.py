@@ -12,6 +12,8 @@ from marlab.dial import (
 )
 from marlab.ndiff import grad_check
 
+from calls import count_calls
+
 
 def relay():
     return envs.fixture_by_name("signal_relay")
@@ -222,3 +224,10 @@ def test_rial_learns_to_signal():
             if acc >= 0.9:
                 break
     assert acc >= 0.9
+
+
+def test_unroll_steps_all_episodes_together(monkeypatch):
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["step", "step_batch"])
+    u = make_system(seed=4).unroll(32, np.random.default_rng(0))
+    assert u.actions.shape == (2, 32, 2)
+    assert calls == {"step": 0, "step_batch": 2}

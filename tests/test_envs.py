@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marlab import envs
+from marlab import cli, envs
 from marlab.envs import (
     Discrete,
     EnvError,
@@ -122,6 +122,18 @@ def test_transition_rows_must_be_distributions():
         MarkovGame("bad", [Discrete(2)], horizon=1, gamma=1.0,
                    cooperative=False, zero_sum=False, n_states=1,
                    rewards=np.zeros((1, 2, 1)), transition=np.full((1, 2, 1), 0.5))
+
+
+def test_negative_probabilities_rejected_at_construction():
+    base = dict(name="bad", action_space=[Discrete(1)], horizon=1, gamma=1.0,
+                cooperative=False, zero_sum=False, n_states=2,
+                rewards=np.zeros((2, 1, 1)), transition=np.full((2, 1, 2), 0.5))
+    with pytest.raises(EnvError, match="init_dist"):
+        MarkovGame(**base, init_dist=[1.5, -0.5])
+    transition = base.pop("transition").copy()
+    transition[1, 0] = [1.5, -0.5]
+    with pytest.raises(EnvError, match="non-negative"):
+        MarkovGame(**base, transition=transition)
 
 
 def test_induced_mdp_uniform_opponent_on_pennies():
@@ -278,3 +290,84 @@ def test_reset_ignores_done_state_reuse():
     assert done
     fresh = g.reset(r0)
     assert fresh.t == 0 and not fresh.done
+
+
+# -- the batched transition path ----------------------------------------------
+
+def _episodes(g, seed, n=6):
+    """n random live episodes of g: state indices, a shared timestep below the
+    horizon, and valid joint actions."""
+    r = np.random.default_rng(seed)
+    index = r.integers(g.n_states, size=n)
+    actions = np.stack([r.integers(sp.n, size=n) for sp in g.action_space], axis=1)
+    return index, int(r.integers(g.horizon)), actions
+
+
+@given(small_games(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_step_batch_equals_table_lookups_and_sequential_steps(g, seed):
+    index, t, actions = _episodes(g, seed)
+    rb = np.random.default_rng(seed)
+    nxt, rewards, done = g.step_batch(index, t, actions, rb)
+
+    # brute force: one table lookup and one Generator.choice per episode
+    rc = np.random.default_rng(seed)
+    for e, (s, joint) in enumerate(zip(index, actions)):
+        key = (s, *joint)
+        assert nxt[e] == rc.choice(g.n_states, p=g.transition[key])
+        assert np.array_equal(rewards[e], g.rewards[key])
+        assert done[e] == (g.terminal_after[key] or t + 1 >= g.horizon)
+    assert rb.bit_generator.state == rc.bit_generator.state
+
+    # the scalar path, one episode after the other
+    rs = np.random.default_rng(seed)
+    for e, (s, joint) in enumerate(zip(index, actions)):
+        state, r, d = g.step(envs.EpisodeState(index=int(s), t=t), tuple(joint), rs)
+        assert (state.index, state.t, state.done, d) == (nxt[e], t + 1, done[e], done[e])
+        assert np.array_equal(r, rewards[e])
+    assert rs.bit_generator.state == rb.bit_generator.state
+
+
+def _deterministic(g):
+    """g with every transition row and the initial distribution made one-hot
+    at their most likely state."""
+    transition = np.eye(g.n_states)[g.transition.argmax(axis=-1)]
+    return MarkovGame(
+        name=g.name, action_space=g.action_space, horizon=g.horizon, gamma=g.gamma,
+        cooperative=False, zero_sum=False, n_states=g.n_states, rewards=g.rewards,
+        transition=transition, terminal_after=g.terminal_after,
+        init_dist=np.eye(g.n_states)[g.init_dist.argmax()])
+
+
+@given(small_games(), st.integers(0, 2**32 - 1))
+@example(two_step_coop(), 0)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_batched_rollout_equals_episode_by_episode_loop(g, seed):
+    g = _deterministic(g)
+    r = np.random.default_rng(seed)
+    table = np.stack([r.integers(sp.n, size=g.n_states) for sp in g.action_space], axis=1)
+    episodes = 7
+
+    rb = np.random.default_rng(seed)
+    totals = cli.rollout_returns(g, lambda index: table[index], episodes, g.gamma, rb)
+
+    rs = np.random.default_rng(seed)
+    expect = np.zeros((episodes, g.n_agents))
+    for e in range(episodes):
+        state, disc = g.reset(rs), 1.0
+        while not state.done:
+            state, rewards, _ = g.step(state, tuple(table[state.index]), rs)
+            expect[e] += disc * rewards
+            disc *= g.gamma
+    assert np.array_equal(totals, expect)
+    assert rb.bit_generator.state == rs.bit_generator.state
+
+
+def test_step_batch_rejects_invalid_actions():
+    g = fixture_by_name("two_step_coop")
+    rng = np.random.default_rng(0)
+    for bad in ([[0, 2]], [[0, -1]], [[0.5, 0]], [[np.nan, 0]], [[0, 0, 0]], [["x", 0]]):
+        with pytest.raises(InvalidAction):
+            g.step_batch([0], 0, bad, rng)
+    with pytest.raises(InvalidAction):
+        fixture_by_name("coop_cts").step_batch([0, 0], 0, [[0.0, 0.0], [0.0, 1.5]], rng)

@@ -246,11 +246,11 @@ def test_act_explores_inside_box_and_greedy_is_deterministic():
     rng = np.random.default_rng(12)
     st = env.reset(rng)
     for _ in range(100):
-        a = learner.act(st, rng, explore=True)
+        a = learner.act([st.index], rng, explore=True)[0]
         assert all(-1.0 <= x <= 1.0 for x in a)
-    g1 = learner.act(st, rng, explore=False)
-    g2 = learner.act(st, rng, explore=False)
-    assert g1 == g2
+    g1 = learner.act([st.index], rng, explore=False)
+    g2 = learner.act([st.index], rng, explore=False)
+    assert np.array_equal(g1, g2)
 
 
 def test_checkpoint_roundtrip_restores_behavior():

@@ -174,7 +174,7 @@ def test_nonterminal_target_uses_target_net_max():
 def test_greedy_ties_break_to_lowest_index():
     learner, env = make("vdn")
     zero_all(learner)
-    assert learner.greedy_joint(env.reset(np.random.default_rng(0))) == (0, 0)
+    assert learner.greedy_joint([env.reset(np.random.default_rng(0)).index]).tolist() == [[0, 0]]
 
 
 def test_epsilon_extremes():
@@ -219,7 +219,7 @@ def test_decentralized_argmax_matches_exhaustive_joint_scan():
                 val = learner.mix([utils[i][a] for i, a in enumerate(joint)], s)
                 if val > best_val:
                     best_joint, best_val = joint, val
-            dec = learner.greedy_joint(s)
+            dec = tuple(learner.greedy_joint([s])[0])
             assert abs(learner.mix([utils[i][a] for i, a in enumerate(dec)], s) - best_val) < 1e-10
             assert dec == best_joint
 
