@@ -264,6 +264,7 @@ class RialSystem:
                       for i in range(self.n_agents)]
         self.targets = copy.deepcopy(self.heads)
         self.opts = [AdamState(h.net.params, lr=lr) for h in self.heads]
+        self.target_values = [ndiff.flatten(t.net.params)[0] for t in self.targets]
         self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(self.n_agents)]
         self.learn_steps = 0
 
@@ -335,8 +336,8 @@ class RialSystem:
             total += float(loss.value)
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
-            for head, tgt in zip(self.heads, self.targets):
-                copy_params(head.net.params, tgt.net.params)
+            for opt, target in zip(self.opts, self.target_values):
+                copy_params(opt.value, target)
         return total
 
     def step(self, rng, epsilon):

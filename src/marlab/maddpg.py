@@ -135,6 +135,11 @@ class MaddpgLearner:
         self.critic_opts = [AdamState(c.params, lr=lr) for c in self.critics]
         self.model_opts = {key: AdamState(net.params, lr=lr)
                            for key, net in self.opponent_models.items()}
+        self.opts = [*self.actor_opts, *self.critic_opts, *self.model_opts.values()]
+        # (live, target) value vectors, actors then critics, in agent order
+        targets = [ta.net for ta in self.target_actors] + self.target_critics
+        self.target_pairs = [(opt.value, ndiff.flatten(net.params)[0])
+                             for opt, net in zip(self.actor_opts + self.critic_opts, targets)]
 
     # -- plumbing -------------------------------------------------------------
     def _encode_states(self, indices):
@@ -151,16 +156,6 @@ class MaddpgLearner:
 
     def critic_input(self, s_enc, action_cols):
         return np.concatenate([s_enc] + list(action_cols), axis=1)
-
-    def all_params(self):
-        out = []
-        for a in self.actors:
-            out += a.net.params
-        for c in self.critics:
-            out += c.params
-        for net in self.opponent_models.values():
-            out += net.params
-        return out
 
     # -- acting ---------------------------------------------------------------
     def act(self, index, rng, explore=True):
@@ -235,7 +230,8 @@ class MaddpgLearner:
         backward(g, loss)
         for opt in opts:
             adam_step(opt.params, opt)
-        ndiff.zero_grads(self.all_params())
+        for opt in self.opts:    # backward also reached nets that did not step
+            opt.grad[...] = 0.0
 
     def actor_update(self, batch, i, rng):
         """One ascent step on agent i's objective; co-actions come from the
@@ -275,9 +271,7 @@ class MaddpgLearner:
             objective_value = float(q.mean())
             loss = g.neg(g.mean(g.mul(picked, g.constant(adv[:, None]))))
 
-        backward(g, loss)
-        adam_step(self.actor_opts[i].params, self.actor_opts[i])
-        ndiff.zero_grads(self.all_params())
+        self._descend(g, loss, [self.actor_opts[i]])
         return float(objective.value) if actor.kind == "box" else objective_value
 
     def opponent_model_update(self, batch, owner):
@@ -328,10 +322,8 @@ class MaddpgLearner:
         return out
 
     def sync_targets(self):
-        for a, ta in zip(self.actors, self.target_actors):
-            polyak_update(a.net.params, ta.net.params, self.tau)
-        for c, tc in zip(self.critics, self.target_critics):
-            polyak_update(c.params, tc.params, self.tau)
+        for live, target in self.target_pairs:
+            polyak_update(live, target, self.tau)
 
     # -- serialization ------------------------------------------------------
     def to_checkpoint(self, config_echo=None):

@@ -30,6 +30,10 @@ class StaleState(NdiffError):
     pass
 
 
+class NonFiniteGradient(NdiffError):
+    pass
+
+
 class Tensor:
     """A float64 array.  A leaf (made here, by param or by Graph.constant)
     carries a gradient buffer of the same shape; an op output carries
@@ -472,7 +476,7 @@ def backward(graph, root):
             acc[t] = gi if prev is None else prev + gi
     for t, g in acc.items():
         if t.grad is not None:
-            t.grad = t.grad + g
+            t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +513,7 @@ class DenseNet:
 
     @property
     def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, g, x):
         if x.value.ndim != 2:
@@ -538,78 +538,87 @@ class DenseNet:
 # optimization
 # ---------------------------------------------------------------------------
 
+def flatten(params):
+    """Copy params, in order, into one value and one grad vector and rebind
+    each tensor's .value and .grad as views into them; returns (value, grad)."""
+    params = list(params)
+    if len({id(p) for p in params}) != len(params):
+        raise NdiffError("flatten: a tensor appears twice")
+    value = np.concatenate([p.value.reshape(-1) for p in params])
+    grad = np.concatenate([p.grad.reshape(-1) for p in params])
+    offset = 0
+    for p in params:
+        n, shape = p.value.size, p.value.shape
+        p.value = value[offset:offset + n].reshape(shape)
+        p.grad = grad[offset:offset + n].reshape(shape)
+        offset += n
+    return value, grad
+
+
 class AdamState:
+    """Adam moments over one flat value vector and grad vector of its params."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.value, self.grad = flatten(self.params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
 
 
 def adam_step(params, state):
-    """One Adam update; consumes and zeroes .grad, increments step_count."""
+    """One Adam update; consumes and zeroes .grad, increments step_count.
+    A non-finite gradient raises before anything changes."""
     params = list(params)
-    if len(params) != len(state.params):
-        raise StaleState("parameter list length changed")
-    for p, q, m in zip(params, state.params, state.m):
-        if p is not q or p.value.shape != m.shape:
-            raise StaleState("parameters do not match optimizer state")
+    if len(params) != len(state.params) or any(
+            p is not q or p.value.base is not state.value or p.grad.base is not state.grad
+            for p, q in zip(params, state.params)):
+        raise StaleState("parameters do not match optimizer state")
+    if not np.isfinite(state.grad).all():
+        raise NonFiniteGradient(f"non-finite gradient at Adam step {state.step_count + 1}")
     state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for p, m, v in zip(state.params, state.m, state.v):
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.grad[...] = 0.0
+    c1 = 1.0 - state.beta1 ** state.step_count
+    c2 = 1.0 - state.beta2 ** state.step_count
+    m, v, g = state.m, state.v, state.grad
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    state.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    g[...] = 0.0
 
 
 def sgd_step(params, lr):
-    """Plain gradient step (ascent handled by the sign of the loss)."""
+    """Plain gradient step (ascent handled by the sign of the loss).  A
+    non-finite gradient raises before anything changes."""
+    if not all(np.isfinite(p.grad).all() for p in params):
+        raise NonFiniteGradient("non-finite gradient at an SGD step")
     for p in params:
         p.value -= lr * p.grad
         p.grad[...] = 0.0
 
 
-def clip_grad_norm(params, max_norm=10.0):
-    """Scale gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    total = np.sqrt(total)
+def clip_grad_norm(grad, max_norm=10.0):
+    """Scale the grad vector so its L2 norm is at most max_norm; returns the
+    norm before clipping."""
+    total = float(np.sqrt(grad @ grad))
     if total > max_norm:
-        scale = max_norm / total
-        for p in params:
-            p.grad *= scale
+        grad *= max_norm / total
     return total
 
 
-def zero_grads(params):
-    for p in params:
-        p.grad[...] = 0.0
-
-
 def polyak_update(src, dst, tau):
-    """dst <- (1 - tau) * dst + tau * src, elementwise over matched lists."""
-    src, dst = list(src), list(dst)
+    """dst <- (1 - tau) * dst + tau * src over two value vectors."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if len(src) != len(dst):
-        raise ShapeMismatch("polyak: list lengths differ")
-    for s, d in zip(src, dst):
-        if s.value.shape != d.value.shape:
-            raise ShapeMismatch(f"polyak: {s.value.shape} vs {d.value.shape}")
-    for s, d in zip(src, dst):
-        d.value *= 1.0 - tau
-        d.value += tau * s.value
+    if src.shape != dst.shape:
+        raise ShapeMismatch(f"polyak: {src.shape} vs {dst.shape}")
+    dst *= 1.0 - tau
+    dst += tau * src
 
 
 def copy_params(src, dst):
@@ -630,13 +639,16 @@ def grad_check(f, params, h=1e-5):
     every call.
     """
     params = [p for p in params if p.requires_grad]
-    zero_grads(params)
+    for p in params:
+        p.grad[...] = 0.0
     graph, root = f()
     if root.value.size != 1:
         raise NonScalarRoot(f"grad_check root has shape {root.shape}")
     backward(graph, root)
-    analytic = [p.grad.copy() for p in params]
-    zero_grads(params)
+    analytic = []
+    for p in params:
+        analytic.append(p.grad.copy())
+        p.grad[...] = 0.0
     worst = 0.0
     for p, a in zip(params, analytic):
         flat = p.value.reshape(-1)

@@ -123,19 +123,17 @@ class QmixLearner:
         self.mixing = None
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
-        # deepcopy's memo keeps a shared head shared in the target copy
-        self.target_agent_nets = copy.deepcopy(self.agent_nets)
-        self.target_mixing = copy.deepcopy(self.mixing)
-        self.opt = AdamState(self.current_params(), lr=lr)
+        psi, theta = self.named_params()
+        live = [p for _, p in psi + theta]
+        # one deepcopy memo: a shared head stays shared, and target_params are
+        # the target nets' own tensors, laid out like the live ones in self.opt
+        self.target_agent_nets, self.target_mixing, target_params = copy.deepcopy(
+            (self.agent_nets, self.mixing, live))
+        self.opt = AdamState(live, lr=lr)
+        self.target_value, _ = ndiff.flatten(target_params)
 
     def _unique_agent_nets(self, nets):
         return nets[:1] if self.share_params else nets
-
-    def current_params(self):
-        out = [p for net in self._unique_agent_nets(self.agent_nets) for p in net.params]
-        if self.mixing:
-            out += self.mixing.params
-        return out
 
     def named_params(self):
         psi = [(p.name, p) for net in self._unique_agent_nets(self.agent_nets) for p in net.params]
@@ -227,11 +225,10 @@ class QmixLearner:
             err = g.sub(self._mix_graph(g, q_taken, s_np), g.constant(y))
         loss = g.mean(g.square(err))
 
-        params = self.current_params()
-        ndiff.zero_grads(params)
+        self.opt.grad[...] = 0.0
         ndiff.backward(g, loss)
-        clip_grad_norm(params, self.max_grad_norm)
-        adam_step(params, self.opt)
+        clip_grad_norm(self.opt.grad, self.max_grad_norm)
+        adam_step(self.opt.params, self.opt)
 
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
@@ -239,11 +236,7 @@ class QmixLearner:
         return float(loss.value)
 
     def sync_targets(self):
-        for net, tgt in zip(self._unique_agent_nets(self.agent_nets),
-                            self._unique_agent_nets(self.target_agent_nets)):
-            copy_params(net.params, tgt.params)
-        if self.mixing:
-            copy_params(self.mixing.params, self.target_mixing.params)
+        copy_params(self.opt.value, self.target_value)
 
     # -- serialization --------------------------------------------------------
     def to_checkpoint(self, config_echo=None):

@@ -304,6 +304,84 @@ def test_eval_steps_all_episodes_together(tmp_path, capsys, monkeypatch, algo):
     assert 1 <= calls["step_batch"] <= horizon
 
 
+def _started(algo, seed=0):
+    cfg = build_config(flag_dict={"algo": algo, "env": HOME_ENVS[algo], "seed": seed,
+                                  "batch_size": 8})
+    env = envs.resolve_env(cfg.env)
+    learner, step, _ = cli.ALGO_SPECS[algo].start(cfg, env, np.random.default_rng(seed))
+    return learner, step
+
+
+def _optimizers(learner):
+    """Every AdamState a learner holds, directly or in a list or dict."""
+    found = {}
+    for v in vars(learner).values():
+        items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else [v]
+        found.update((id(x), x) for x in items if isinstance(x, ndiff.AdamState))
+    return list(found.values())
+
+
+def _checkpoint_bytes(learner):
+    return json.dumps(learner.to_checkpoint(), sort_keys=True)
+
+
+_ADAM_ALGOS = [a for a in cli.ALGOS if a != "selfplay"]
+
+
+@pytest.mark.parametrize("algo", _ADAM_ALGOS)
+def test_every_optimizer_keeps_its_params_in_one_vector(algo):
+    learner, _ = _started(algo)
+    opts = _optimizers(learner)
+    assert opts
+    for opt in opts:
+        assert opt.value.ndim == 1 and opt.value.size == sum(p.value.size for p in opt.params)
+        for moment in (opt.m, opt.v):
+            assert isinstance(moment, np.ndarray) and moment.shape == opt.value.shape
+        for p in opt.params:
+            assert p.value.base is opt.value and p.grad.base is opt.grad
+
+
+@pytest.mark.parametrize("algo", ["qmix", "maddpg_dec", "dial", "rial"])
+def test_checkpoint_load_into_fresh_learner_keeps_bytes(algo):
+    learner, step = _started(algo)
+    for t in range(1, 41):
+        step(t)
+    blob = _checkpoint_bytes(learner)
+    fresh, _ = _started(algo, seed=1)
+    assert _checkpoint_bytes(fresh) != blob
+    fresh.load_checkpoint(json.loads(blob))
+    assert _checkpoint_bytes(fresh) == blob
+    for opt in _optimizers(fresh):
+        assert all(p.value.base is opt.value for p in opt.params)
+
+
+def _huge_reward_game():
+    obj = game_to_dict(envs.coop_climb())
+    obj["rewards"][0][0][0] = [1e308, 1e308]
+    return json.dumps(obj)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_gradient_stops_the_run_with_checkpoint_untouched(tmp_path, capsys):
+    game = _game_file(tmp_path, _huge_reward_game())
+    argv = ["--algo", "vdn", "--env", game, "--total-steps", "300"]
+    rc, out = _train(tmp_path, "fresh", *argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite gradient" in err
+    assert not (out / "checkpoint.json").exists()
+
+    rc, out = _train(tmp_path, "kept", "--algo", "vdn", "--env", "coop_climb",
+                     "--total-steps", "40", "--batch-size", "8")
+    assert rc == 0
+    kept = _read(out / "checkpoint.json")
+    capsys.readouterr()
+    rc, _ = _train(tmp_path, "kept", *argv)
+    assert rc == 1 and capsys.readouterr().err.startswith("error: ")
+    assert _read(out / "checkpoint.json") == kept
+
+
 def _game_file(tmp_path, text):
     path = tmp_path / "game.json"
     path.write_text(text)

@@ -107,8 +107,8 @@ def test_actor_update_isolates_other_parameters():
         assert np.array_equal(b, c)
     assert any(np.max(np.abs(p.value - b)) > 0
                for p, b in zip(learner.actors[0].net.params, own_before))
-    for p in learner.all_params():
-        assert np.all(p.grad == 0.0)
+    for opt in learner.opts:
+        assert np.all(opt.grad == 0.0)
 
 
 def test_exact_critic_gradient_field_reaches_cooperation():
@@ -209,8 +209,8 @@ def test_continuous_opponents_cannot_be_modeled():
 
 def test_decentralized_target_matches_ctde_with_true_models():
     learner, env = disc_learner("two_step_coop", seed=14, model_opponents=True)
-    copy_params(learner.target_actors[1].net.params,
-                learner.opponent_models[(0, 1)].params)
+    # target_pairs lists the actors' (live, target) vectors first, in agent order
+    copy_params(learner.target_pairs[1][1], learner.model_opts[(0, 1)].value)
     rng = np.random.default_rng(9)
     batch = stacked([JointTransition(0, (0, 1), (0.0, 0.0), 1, False) for _ in range(10000)])
     y_ctde = learner.target_ctde(batch, rng)[:, 0]
@@ -241,6 +241,19 @@ def test_learner_step_moves_targets_by_polyak():
     assert np.max(np.abs(tgt - (0.5 * live + 0.5 * live_before))) < 1e-12
 
 
+def test_live_vector_moves_reach_targets_only_on_sync():
+    learner, _ = disc_learner("two_step_coop", seed=19, tau=0.25, decentralized=True)
+    before = [target.copy() for _, target in learner.target_pairs]
+    for opt in learner.opts:
+        opt.value += 1.0
+    for (_, target), kept in zip(learner.target_pairs, before):
+        assert np.array_equal(target, kept)
+    learner.sync_targets()
+    for (live, target), kept in zip(learner.target_pairs, before):
+        assert np.max(np.abs(target - (0.75 * kept + 0.25 * live))) < 1e-12
+    assert learner.target_critics[1].weights[0].value.base is learner.target_pairs[-1][1]
+
+
 def test_act_explores_inside_box_and_greedy_is_deterministic():
     learner, env = cts_learner(seed=17)
     rng = np.random.default_rng(12)
@@ -258,8 +271,8 @@ def test_checkpoint_roundtrip_restores_behavior():
     rng = np.random.default_rng(13)
     blob = learner.to_checkpoint({"algo": "maddpg_ctde"})
     p_before = learner.actors[0].probs_np(np.ones((1, 1))).copy()
-    for p in learner.all_params():
-        p.value[...] += 0.25
+    for opt in learner.opts:
+        opt.value += 0.25
     learner.load_checkpoint(blob)
     assert np.array_equal(learner.actors[0].probs_np(np.ones((1, 1))), p_before)
     assert blob["config"]["algo"] == "maddpg_ctde"

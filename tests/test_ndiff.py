@@ -13,6 +13,7 @@ from marlab.ndiff import (
     DenseNet,
     Graph,
     NdiffError,
+    NonFiniteGradient,
     NonScalarRoot,
     ShapeMismatch,
     StaleState,
@@ -22,12 +23,14 @@ from marlab.ndiff import (
     backward,
     clip_grad_norm,
     copy_params,
+    flatten,
     forward_op,
     grad_check,
     param,
     params_from_json,
     params_to_json,
     polyak_update,
+    sgd_step,
 )
 
 
@@ -394,32 +397,76 @@ def test_adam_stale_state():
         adam_step([other], AdamState([param(np.zeros((2,))), other], lr=0.1))
 
 
+def test_flatten_views_accumulate_across_backward_calls():
+    w = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = param(np.array([[0.5, -0.5]]))
+    value, grad = flatten([w, b])
+    assert np.array_equal(value, [1.0, 2.0, 3.0, 4.0, 0.5, -0.5])
+    x = np.array([[1.0, 1.0]])
+    for _ in range(2):
+        g = Graph()
+        backward(g, g.sum(g.add(g.matmul(g.constant(x), w), b)))
+    assert np.array_equal(grad, [2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+    for p in (w, b):
+        assert p.value.base is value and p.grad.base is grad
+    value[0] = 9.0
+    assert w.value[0, 0] == 9.0
+
+
+def test_flatten_rejects_a_duplicated_tensor():
+    w = param(np.zeros((2,)))
+    with pytest.raises(NdiffError):
+        flatten([w, param(np.ones((1,))), w])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_raises_before_any_update(bad):
+    w = param(np.array([1.0, 2.0]))
+    st = AdamState([w], lr=0.1)
+    w.grad[...] = 1.0
+    adam_step([w], st)
+    before = (w.value.copy(), st.m.copy(), st.v.copy())
+    w.grad[...] = [0.5, bad]
+    with pytest.raises(NonFiniteGradient, match="Adam step 2"):
+        adam_step([w], st)
+    assert st.step_count == 1
+    for kept, now in zip(before, (w.value, st.m, st.v)):
+        assert np.array_equal(kept, now)
+    s = param(np.array([1.0]))
+    s.grad[...] = bad
+    with pytest.raises(NonFiniteGradient):
+        sgd_step([s], 0.1)
+    assert s.value[0] == 1.0
+
+
 def test_polyak_endpoints_and_midpoint():
     src = [param(np.array([2.0, 4.0]))]
     dst = [param(np.array([0.0, 0.0]))]
-    polyak_update(src, dst, 0.0)
+    (src_vec, _), (dst_vec, _) = flatten(src), flatten(dst)
+    polyak_update(src_vec, dst_vec, 0.0)
     assert np.array_equal(dst[0].value, [0.0, 0.0])
-    polyak_update(src, dst, 0.5)
+    polyak_update(src_vec, dst_vec, 0.5)
     assert np.array_equal(dst[0].value, [1.0, 2.0])
-    copy_params(src, dst)
+    copy_params(src_vec, dst_vec)
     assert np.array_equal(dst[0].value, [2.0, 4.0])
     with pytest.raises(ShapeMismatch):
-        polyak_update(src, [param(np.zeros((3,)))], 0.5)
+        polyak_update(src_vec, flatten([param(np.zeros((3,)))])[0], 0.5)
     with pytest.raises(ValueError):
-        polyak_update(src, dst, 1.5)
+        polyak_update(src_vec, dst_vec, 1.5)
 
 
 def test_clip_grad_norm():
     a = param(np.array([3.0]))
     b = param(np.array([4.0]))
+    _, grad = flatten([a, b])
     a.grad[...] = 3.0
     b.grad[...] = 4.0
-    total = clip_grad_norm([a, b], max_norm=10.0)
+    total = clip_grad_norm(grad, max_norm=10.0)
     assert total == 5.0
     assert a.grad[0] == 3.0
     a.grad[...] = 30.0
     b.grad[...] = 40.0
-    clip_grad_norm([a, b], max_norm=10.0)
+    clip_grad_norm(grad, max_norm=10.0)
     assert np.allclose([a.grad[0], b.grad[0]], [6.0, 8.0])
 
 

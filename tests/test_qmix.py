@@ -22,7 +22,7 @@ def make(mode, env_name="two_step_coop", seed=0, **kw):
 
 
 def zero_all(learner):
-    for p in learner.current_params():
+    for p in learner.opt.params:
         p.value[...] = 0.0
     learner.sync_targets()
 
@@ -300,12 +300,33 @@ def test_independent_learner_recovers_value_against_scripted_coin():
     assert np.max(np.abs(expect - np.array([0.4, -0.4]))) < 1e-12
 
 
+def test_shared_head_appears_once_in_the_vectors():
+    learner, _ = make("qmix", share_params=True, hidden=(5,))
+    unique = [learner.agent_nets[0]] + learner.mixing.nets
+    floats = sum(p.value.size for net in unique for p in net.params)
+    assert learner.opt.value.size == learner.opt.m.size == floats
+    assert learner.target_value.size == floats
+    assert learner.target_agent_nets[0] is learner.target_agent_nets[1]
+    assert learner.target_agent_nets[0].weights[0].value.base is learner.target_value
+
+
+def test_live_vector_moves_reach_targets_only_on_sync():
+    learner, _ = make("qmix", seed=3)
+    before = learner.target_value.copy()
+    learner.opt.value += 0.5
+    assert np.array_equal(learner.target_value, before)
+    learner.sync_targets()
+    assert np.array_equal(learner.target_value, learner.opt.value)
+    assert np.array_equal(learner.target_mixing.hyper_b2.biases[-1].value,
+                          learner.mixing.hyper_b2.biases[-1].value)
+
+
 def test_checkpoint_roundtrip_restores_utilities():
     learner, env = make("qmix", seed=8)
     s = env.reset(np.random.default_rng(0))
     blob = learner.to_checkpoint(config_echo={"algo": "qmix"})
     before = [u.copy() for u in learner.utilities(s)]
-    for p in learner.current_params():
+    for p in learner.opt.params:
         p.value[...] += 1.0
     learner.load_checkpoint(blob)
     after = learner.utilities(s)
