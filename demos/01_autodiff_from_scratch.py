@@ -7,7 +7,7 @@ Run from the repo root:  python3 demos/01_autodiff_from_scratch.py
 
 import numpy as np
 
-from marlab.ndiff import (AdamState, DenseNet, Graph, adam_step, backward,
+from marlab.ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, backward,
                           grad_check, param)
 
 rng = np.random.default_rng(0)
@@ -60,5 +60,6 @@ for step in range(1, 2001):
     if step % 400 == 0:
         print(f"step {step:4d}  mse {float(loss.value):.6f}")
 
-resid = net.forward_np(t) - y
+# the same forward off the tape: on EVAL it records nothing and returns an array
+resid = net.forward(EVAL, t) - y
 print("final max |residual|:", float(np.abs(resid).max()))

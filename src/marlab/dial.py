@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ndiff
 from .buffer import ReplayBuffer
-from .ndiff import AdamState, DenseNet, Graph, adam_step, backward, copy_params
+from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, backward, copy_params
 
 CHANNEL_MODES = ("on", "zeroed")
 
@@ -223,12 +223,9 @@ class FactoredQHead:
         self.net = DenseNet([in_dim, *net_hidden, n_actions + n_messages],
                             ["relu"] * len(net_hidden) + ["identity"], rng, name)
 
-    def values_np(self, x):
-        out = self.net.forward_np(x)
-        return out[:, :self.n_actions], out[:, self.n_actions:]
-
-    def forward(self, g, x_t):
-        out = self.net.forward(g, x_t)
+    def forward(self, g, x):
+        """(action utilities, message utilities) per row of x."""
+        out = self.net.forward(g, x)
         return (g.slice(out, 0, self.n_actions),
                 g.slice(out, self.n_actions, self.n_actions + self.n_messages))
 
@@ -284,7 +281,7 @@ class RialSystem:
         return np.concatenate([obs, blocks], axis=-1)
 
     def _choose(self, agent, x, epsilon, rng):
-        qa, qm = self.heads[agent].values_np(x[np.newaxis, :])
+        qa, qm = self.heads[agent].forward(EVAL, x[np.newaxis, :])
         a = int(rng.integers(len(qa[0]))) if rng.random() < epsilon else int(np.argmax(qa[0]))
         msg = int(rng.integers(len(qm[0]))) if rng.random() < epsilon else int(np.argmax(qm[0]))
         return a, msg
@@ -324,7 +321,7 @@ class RialSystem:
         total = 0.0
         for i, head in enumerate(self.heads):
             b = self.buffers[i].sample(self.batch_size, rng)
-            qa2, qm2 = self.targets[i].values_np(b.x_next)
+            qa2, qm2 = self.targets[i].forward(EVAL, b.x_next)
             y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
 
             g = Graph()
@@ -354,7 +351,7 @@ class RialSystem:
         bits = np.asarray(env.meta["bit_of_state"])[index]
         msgs = None
         for t in range(env.horizon):
-            choices = [greedy_factored(*self.heads[i].values_np(self._input(i, index, msgs)))
+            choices = [greedy_factored(*self.heads[i].forward(EVAL, self._input(i, index, msgs)))
                        for i in range(self.n_agents)]
             actions = np.stack([a for a, _ in choices], axis=1)
             msgs = np.stack([m for _, m in choices], axis=1)

@@ -8,9 +8,9 @@ import copy
 
 import numpy as np
 
-from . import ndiff
+from . import envs, ndiff
 from .envs import Box1D, Discrete
-from .ndiff import AdamState, DenseNet, Graph, adam_step, backward, polyak_update
+from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, backward, polyak_update
 
 SIGMA_EXPLORE = 0.1
 
@@ -24,10 +24,8 @@ class ContinuousOpponent(MaddpgError):
 
 
 def _draw(logits, rng):
-    """One categorical draw per row of softmax(logits), by inverse CDF."""
-    p = ndiff.apply_np("softmax", logits)
-    u = rng.random((len(p), 1))
-    return (p.cumsum(axis=1) > u).argmax(axis=1)
+    """One categorical draw per row of softmax(logits), as Generator.choice picks."""
+    return envs._draw(envs._cdf(EVAL.softmax(logits)), rng)
 
 
 class Actor:
@@ -49,21 +47,26 @@ class Actor:
         else:
             raise MaddpgError(f"unsupported action space {space!r}")
 
+    def forward(self, g, s):
+        """Per row, the box action (tanh mean scaled into the space) as an
+        (n, 1) column, or the categorical logits."""
+        out = self.net.forward(g, s)
+        if self.kind == "box":
+            return g.add(g.mul(out, g.constant(self._half)), g.constant(self._mid))
+        return out
+
     def greedy_np(self, s):
         """Deterministic action per row: tanh mean for boxes, argmax for
         categorical policies."""
-        out = self.net.forward_np(s)
-        if self.kind == "box":
-            return self._mid + self._half * out[:, 0]
-        return out.argmax(axis=1)
+        out = self.forward(EVAL, s)
+        return out[:, 0] if self.kind == "box" else out.argmax(axis=1)
 
     def sample_np(self, s, rng):
         """Behavior action per row: clipped Gaussian around the mean, or a
         categorical draw."""
-        out = self.net.forward_np(s)
+        out = self.forward(EVAL, s)
         if self.kind == "box":
-            a = self._mid + self._half * out[:, 0]
-            a = a + rng.normal(0.0, SIGMA_EXPLORE, size=a.shape)
+            a = out[:, 0] + rng.normal(0.0, SIGMA_EXPLORE, size=len(out))
             return np.clip(a, self.space.lo, self.space.hi)
         return _draw(out, rng)
 
@@ -74,15 +77,7 @@ class Actor:
     def probs_np(self, s):
         if self.kind != "cat":
             raise MaddpgError("probabilities exist only for categorical actors")
-        return ndiff.apply_np("softmax", self.net.forward_np(s))
-
-    def scaled_graph(self, g, s_t):
-        """Graph forward for pathwise gradients (box actors only)."""
-        if self.kind != "box":
-            raise MaddpgError("pathwise actions exist only for box actors")
-        out = self.net.forward(g, s_t)
-        return g.add(g.mul(out, g.constant(np.asarray(self._half))),
-                     g.constant(np.asarray(self._mid)))
+        return EVAL.softmax(self.forward(EVAL, s))
 
 
 class MaddpgLearner:
@@ -175,7 +170,7 @@ class MaddpgLearner:
         x2 = self.critic_input(s2, cols)
         y = np.empty_like(batch.rewards)
         for i, tc in enumerate(self.target_critics):
-            q2 = tc.forward_np(x2)[:, 0]
+            q2 = tc.forward(EVAL, x2)[:, 0]
             y[:, i] = batch.rewards[:, i] + self.gamma * (1.0 - batch.done) * q2
         return y
 
@@ -190,10 +185,10 @@ class MaddpgLearner:
             else:
                 if (owner, j) not in self.opponent_models:
                     raise MaddpgError("decentralized target needs opponent models")
-                aj = _draw(self.opponent_models[(owner, j)].forward_np(s2), rng)
+                aj = _draw(self.opponent_models[(owner, j)].forward(EVAL, s2), rng)
             cols.append(self._encode_action_col(j, aj))
         x2 = self.critic_input(s2, cols)
-        q2 = self.target_critics[owner].forward_np(x2)[:, 0]
+        q2 = self.target_critics[owner].forward(EVAL, x2)[:, 0]
         return batch.rewards[:, owner] + self.gamma * (1.0 - batch.done) * q2
 
     # -- updates ----------------------------------------------------------
@@ -246,7 +241,7 @@ class MaddpgLearner:
             if self.decentralized:
                 if (i, j) not in self.opponent_models:
                     raise MaddpgError("decentralized actor update needs opponent models")
-                aj = _draw(self.opponent_models[(i, j)].forward_np(s), rng)
+                aj = _draw(self.opponent_models[(i, j)].forward(EVAL, s), rng)
             else:
                 aj = self.actors[j].co_action_np(s, rng)
             cols[j] = self._encode_action_col(j, aj)
@@ -254,7 +249,7 @@ class MaddpgLearner:
         if actor.kind == "box":
             g = Graph()
             s_t = g.constant(s)
-            a_i = actor.scaled_graph(g, s_t)
+            a_i = actor.forward(g, s_t)
             parts = [g.constant(cols[j]) if j != i else a_i for j in range(self.n_agents)]
             q = self.critics[i].forward(g, g.concat(s_t, *parts))
             objective = g.mean(q)
@@ -263,10 +258,10 @@ class MaddpgLearner:
             a_i = actor.sample_np(s, rng)
             parts = [cols[j] if j != i else self._encode_action_col(i, a_i)
                      for j in range(self.n_agents)]
-            q = self.critics[i].forward_np(self.critic_input(s, parts))[:, 0]
+            q = self.critics[i].forward(EVAL, self.critic_input(s, parts))[:, 0]
             adv = q - q.mean()
             g = Graph()
-            logp = g.log_softmax(actor.net.forward(g, g.constant(s)))
+            logp = g.log_softmax(actor.forward(g, g.constant(s)))
             picked = g.pick(logp, a_i)
             objective_value = float(q.mean())
             loss = g.neg(g.mean(g.mul(picked, g.constant(adv[:, None]))))
@@ -301,7 +296,7 @@ class MaddpgLearner:
 
     def model_probs(self, owner, j, state):
         s = self._encode_states([state.index if hasattr(state, "index") else state])
-        return ndiff.apply_np("softmax", self.opponent_models[(owner, j)].forward_np(s))[0]
+        return EVAL.softmax(self.opponent_models[(owner, j)].forward(EVAL, s))[0]
 
     # -- full step ----------------------------------------------------------
     def learner_step(self, batch, rng):

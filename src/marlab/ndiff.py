@@ -2,9 +2,11 @@
 
 A Graph records ops as they execute (define-by-run); backward replays the
 tape in reverse from a scalar root.  Graphs are meant to be rebuilt every
-training step and are single-threaded.  Tensors hold no reference to a
-graph: the tape points at its tensors, never the reverse, so a dropped tape
-is freed at once and a model is plain data that copy.deepcopy copies.
+training step and are single-threaded.  EVAL runs the same ops on plain
+arrays and records nothing, so one forward per model serves the tape and the
+numpy-only paths.  Tensors hold no reference to a graph: the tape points at
+its tensors, never the reverse, so a dropped tape is freed at once and a
+model is plain data that copy.deepcopy copies.
 """
 
 import numpy as np
@@ -35,9 +37,9 @@ class NonFiniteGradient(NdiffError):
 
 
 class Tensor:
-    """A float64 array.  A leaf (made here, by param or by Graph.constant)
-    carries a gradient buffer of the same shape; an op output carries
-    grad None, since backward keeps its adjoint only for the sweep."""
+    """A float64 array.  A leaf made here or by param carries a gradient
+    buffer of the same shape; a Graph.constant or an op output carries grad
+    None (backward keeps an op output's adjoint only for the sweep)."""
 
     __slots__ = ("value", "grad", "requires_grad", "name")
 
@@ -358,13 +360,6 @@ OPS = {
 _CTX_IS_OUTPUT = {"tanh", "sigmoid", "softmax", "log_softmax"}
 
 
-def apply_np(kind, x):
-    """The value of the one-input op `kind` (or "identity") on the numpy array
-    x, off the tape: the numpy-only paths share the op table's forward, so
-    each activation and softmax has one numpy definition."""
-    return x if kind == "identity" else OPS[kind][0]((x,), {})[0]
-
-
 class Graph:
     """Append-only tape of op records."""
 
@@ -372,65 +367,85 @@ class Graph:
         self.records = []
 
     def constant(self, value):
-        return Tensor(value, requires_grad=False)
+        return _wrap(np.array(value, dtype=np.float64, order="C"), False)
 
-    # convenience wrappers around forward_op -------------------------------
+    def op(self, kind, inputs, **attrs):
+        return forward_op(self, kind, inputs, **attrs)
+
+    # convenience wrappers around op ---------------------------------------
     def matmul(self, a, b):
-        return forward_op(self, "matmul", (a, b))
+        return self.op("matmul", (a, b))
 
     def add(self, a, b):
-        return forward_op(self, "add", (a, b))
+        return self.op("add", (a, b))
 
     def sub(self, a, b):
-        return forward_op(self, "add", (a, forward_op(self, "neg", (b,))))
+        return self.op("add", (a, self.op("neg", (b,))))
 
     def mul(self, a, b):
-        return forward_op(self, "mul", (a, b))
+        return self.op("mul", (a, b))
 
     def concat(self, *xs):
-        return forward_op(self, "concat", xs)
+        return self.op("concat", xs)
 
     def relu(self, x):
-        return forward_op(self, "relu", (x,))
+        return self.op("relu", (x,))
 
     def elu(self, x):
-        return forward_op(self, "elu", (x,))
+        return self.op("elu", (x,))
 
     def tanh(self, x):
-        return forward_op(self, "tanh", (x,))
+        return self.op("tanh", (x,))
 
     def sigmoid(self, x):
-        return forward_op(self, "sigmoid", (x,))
+        return self.op("sigmoid", (x,))
 
     def softmax(self, x):
-        return forward_op(self, "softmax", (x,))
+        return self.op("softmax", (x,))
 
     def log_softmax(self, x):
-        return forward_op(self, "log_softmax", (x,))
+        return self.op("log_softmax", (x,))
 
     def log(self, x):
-        return forward_op(self, "log", (x,))
+        return self.op("log", (x,))
 
     def sum(self, x, axis=None):
-        return forward_op(self, "sum", (x,), axis=axis)
+        return self.op("sum", (x,), axis=axis)
 
     def mean(self, x):
-        return forward_op(self, "mean", (x,))
+        return self.op("mean", (x,))
 
     def square(self, x):
-        return forward_op(self, "square", (x,))
+        return self.op("square", (x,))
 
     def abs(self, x):
-        return forward_op(self, "abs", (x,))
+        return self.op("abs", (x,))
 
     def neg(self, x):
-        return forward_op(self, "neg", (x,))
+        return self.op("neg", (x,))
 
     def slice(self, x, start, stop):
-        return forward_op(self, "slice", (x,), start=start, stop=stop)
+        return self.op("slice", (x,), start=start, stop=stop)
 
     def pick(self, x, index):
-        return forward_op(self, "pick", (x,), index=index)
+        return self.op("pick", (x,), index=index)
+
+
+class OffTape(Graph):
+    """The Graph ops on plain arrays: each runs the op table's forward on its
+    operands (a Tensor through .value) and returns an array, recording nothing."""
+
+    def constant(self, value):
+        return np.asarray(value, dtype=np.float64)
+
+    def op(self, kind, inputs, **attrs):
+        pair = OPS.get(kind)
+        if pair is None:
+            raise UnknownOp(kind)
+        return pair[0]([x.value if type(x) is Tensor else x for x in inputs], attrs)[0]
+
+
+EVAL = OffTape()
 
 
 def forward_op(graph, kind, inputs, **attrs):
@@ -438,11 +453,9 @@ def forward_op(graph, kind, inputs, **attrs):
     pair = OPS.get(kind)
     if pair is None:
         raise UnknownOp(kind)
-    fw, _ = pair
     inputs = tuple(inputs)
-    vals = tuple(t.value for t in inputs)
-    out_value, ctx = fw(vals, attrs)
-    out = _wrap(out_value, any(t.requires_grad for t in inputs))
+    out_value, ctx = pair[0]([t.value for t in inputs], attrs)
+    out = _wrap(out_value, any([t.requires_grad for t in inputs]))
     if kind in _CTX_IS_OUTPUT:
         ctx = out_value
     graph.records.append(_Record(kind, inputs, out, ctx))
@@ -516,21 +529,12 @@ class DenseNet:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, g, x):
-        if x.value.ndim != 2:
-            raise ShapeMismatch(f"DenseNet input must be 2-D, got {x.shape}")
+        """(n, out) output of a 2-D input: a Tensor on a Graph, an array on EVAL."""
         h = x
         for act, w, b in zip(self.activations, self.weights, self.biases):
             h = g.add(g.matmul(h, w), b)
             if act != "identity":
-                h = forward_op(g, act, (h,))
-        return h
-
-    def forward_np(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        if h.ndim != 2:
-            raise ShapeMismatch(f"DenseNet input must be 2-D, got {h.shape}")
-        for act, w, b in zip(self.activations, self.weights, self.biases):
-            h = apply_np(act, h @ w.value + b.value)
+                h = g.op(act, (h,))
         return h
 
 

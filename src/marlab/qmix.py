@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ndiff
 from .buffer import JointTransition
-from .ndiff import AdamState, DenseNet, Graph, adam_step, clip_grad_norm, copy_params
+from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, clip_grad_norm, copy_params
 
 MODES = ("independent", "vdn", "qmix")
 
@@ -70,15 +70,6 @@ class MixingNet:
         tiled = g.matmul(q, g.constant(self._tile))
         hidden = g.elu(g.add(g.matmul(g.mul(w1, tiled), g.constant(self._group)), b1))
         return g.add(g.sum(g.mul(w2, hidden), axis=1), b2)
-
-    def forward_np(self, q, s):
-        w1 = np.abs(self.hyper_w1.forward_np(s))
-        b1 = self.hyper_b1.forward_np(s)
-        w2 = np.abs(self.hyper_w2.forward_np(s))
-        b2 = self.hyper_b2.forward_np(s)
-        pre = (w1 * (q @ self._tile)) @ self._group + b1
-        hidden = ndiff.apply_np("elu", pre)
-        return (w2 * hidden).sum(axis=1, keepdims=True) + b2
 
 
 class QmixLearner:
@@ -148,13 +139,13 @@ class QmixLearner:
     def utilities(self, state):
         """Per-agent utility vectors at one state, from the current heads."""
         x = self._encode(state)[np.newaxis, :]
-        return [net.forward_np(x)[0] for net in self.agent_nets]
+        return [net.forward(EVAL, x)[0] for net in self.agent_nets]
 
     def greedy_joint(self, index):
         """Per-agent argmax of the current heads at an (n,) array of state
         indices: (n, n_agents) joint actions."""
         x = self._eye[np.asarray(index)]
-        return np.stack([net.forward_np(x).argmax(axis=1) for net in self.agent_nets], axis=1)
+        return np.stack([net.forward(EVAL, x).argmax(axis=1) for net in self.agent_nets], axis=1)
 
     def act_epsilon_greedy(self, state, epsilon, rng):
         joint = []
@@ -173,19 +164,15 @@ class QmixLearner:
         if q.shape[1] != self.n_agents:
             raise QmixError(f"need {self.n_agents} utilities, got {q.shape[1]}")
         s = self._encode(state)[np.newaxis, :]
-        return float(self._mix_np(q, s)[0, 0])
+        return float(self._mix(EVAL, q, s, self.mixing)[0, 0])
 
-    def _mix_np(self, q, s, mixing=None):
+    def _mix(self, g, q, s, mixing):
+        """(n, 1) q_tot of the utility columns q at encoded states s."""
         if self.mode == "independent":
             raise ModeMismatch("independent mode has no joint mixer")
         if self.mode == "vdn":
-            return q.sum(axis=1, keepdims=True)
-        return (mixing or self.mixing).forward_np(q, s)
-
-    def _mix_graph(self, g, q, s_np):
-        if self.mode == "vdn":
             return g.sum(q, axis=1)
-        return self.mixing.forward(g, q, g.constant(s_np))
+        return mixing.forward(g, q, s)
 
     # -- learning -------------------------------------------------------------
     def td_update(self, batch):
@@ -201,16 +188,16 @@ class QmixLearner:
             if spread > _COOP_TOL:
                 raise NonCooperative(f"joint modes need a shared reward (spread {spread:.3g})")
 
-        # targets are pure numpy: greedy per-agent argmax on target heads,
+        # targets are off the tape: greedy per-agent argmax on target heads,
         # then the target mixer on the next state
         target_q = np.empty((n, self.n_agents))
         for i, net in enumerate(self.target_agent_nets):
-            tu = net.forward_np(s2_np)
+            tu = net.forward(EVAL, s2_np)
             target_q[:, i] = tu[np.arange(n), tu.argmax(axis=1)]
         if self.mode == "independent":
             y = rewards + self.gamma * (1.0 - done)[:, None] * target_q
         else:
-            tot2 = self._mix_np(target_q, s2_np, mixing=self.target_mixing)[:, 0]
+            tot2 = self._mix(EVAL, target_q, s2_np, self.target_mixing)[:, 0]
             y = (rewards[:, 0] + self.gamma * (1.0 - done) * tot2)[:, None]
 
         g = Graph()
@@ -222,7 +209,7 @@ class QmixLearner:
         if self.mode == "independent":
             err = g.sub(q_taken, g.constant(y))
         else:
-            err = g.sub(self._mix_graph(g, q_taken, s_np), g.constant(y))
+            err = g.sub(self._mix(g, q_taken, s_t, self.mixing), g.constant(y))
         loss = g.mean(g.square(err))
 
         self.opt.grad[...] = 0.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ndiff
 from .envs import Discrete, NotSymmetric, NotZeroSum
-from .ndiff import Graph, backward, param, sgd_step
+from .ndiff import EVAL, Graph, backward, param, sgd_step
 
 
 def check_selfplay_env(env):
@@ -46,7 +46,7 @@ class SelfPlayRun:
         self.last_loss = None
 
     def policy(self):
-        return ndiff.apply_np("softmax", self.logits.value[0])
+        return EVAL.softmax(self.logits)[0]
 
     def to_checkpoint(self, config_echo=None):
         return {
@@ -106,7 +106,7 @@ class BestResponder:
         self.logits = param(np.zeros((1, k)), name="responder/logits")
 
     def policy(self):
-        return ndiff.apply_np("softmax", self.logits.value[0])
+        return EVAL.softmax(self.logits)[0]
 
 
 def exploit(frozen, env, train_steps, rng, lr=0.05, batch_episodes=256,

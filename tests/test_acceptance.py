@@ -11,7 +11,7 @@ import numpy as np
 
 from marlab import cli, dial, envs, maddpg, oracle, qmix, selfplay
 from marlab.buffer import JointTransition, ReplayBuffer
-from marlab.ndiff import Graph, backward, param
+from marlab.ndiff import EVAL, Graph, backward, param
 
 
 def _report(tag, ok, detail):
@@ -97,8 +97,8 @@ def _monotonicity_probes(learner, env, n_probes, rng, h=1e-6):
             lo, hi = q0.copy(), q0.copy()
             lo[0, i] -= h
             hi[0, i] += h
-            fd = (learner.mixing.forward_np(hi, s)
-                  - learner.mixing.forward_np(lo, s))[0, 0] / (2 * h)
+            fd = (learner.mixing.forward(EVAL, hi, s)
+                  - learner.mixing.forward(EVAL, lo, s))[0, 0] / (2 * h)
             ad = q.grad[0, i]
             worst = min(worst, fd, ad)
             if fd < -1e-8 or ad < -1e-8:

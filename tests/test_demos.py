@@ -11,7 +11,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_autodiff_from_scratch.py", "02_games_and_oracles.py",
-                                  "03_value_factorization.py", "04_selfplay_pennies.py"])
+                                  "03_value_factorization.py", "04_selfplay_pennies.py",
+                                  "05_maddpg_continuous.py", "06_learning_to_signal.py"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from marlab import envs
+from marlab import envs, maddpg
 from marlab.buffer import JointTransition
 from marlab.maddpg import Actor, ContinuousOpponent, MaddpgLearner
-from marlab.ndiff import AdamState, Graph, adam_step, backward, copy_params
+from marlab.ndiff import EVAL, AdamState, Graph, adam_step, backward, copy_params
 
 from batches import stacked
 
@@ -50,13 +50,23 @@ def test_categorical_actor_outputs_distributions():
     assert np.all(p > 0)
 
 
+def test_categorical_draw_reaches_the_last_action():
+    # ten equal logits: the unnormalized cumsum ends at 0.9999999999999999, so
+    # a uniform just below 1 once found no entry above it and drew action 0
+    class TopUniform:
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    assert maddpg._draw(np.zeros((1, 10)), TopUniform()).tolist() == [9]
+
+
 def test_critic_input_order_is_not_symmetric():
     learner, _ = disc_learner(seed=9)
     s = np.ones((1, 1))
     x01 = learner.critic_input(s, [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])])
     x10 = learner.critic_input(s, [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])])
-    q01 = learner.critics[0].forward_np(x01)[0, 0]
-    q10 = learner.critics[0].forward_np(x10)[0, 0]
+    q01 = learner.critics[0].forward(EVAL, x01)[0, 0]
+    q10 = learner.critics[0].forward(EVAL, x10)[0, 0]
     assert abs(q01 - q10) > 1e-6
 
 
@@ -122,7 +132,7 @@ def test_exact_critic_gradient_field_reaches_cooperation():
         others = [a.greedy_np(s)[0] for a in actors]
         for i in (0, 1):
             g = Graph()
-            a_i = actors[i].scaled_graph(g, g.constant(s))
+            a_i = actors[i].forward(g, g.constant(s))
             off = g.constant(np.asarray(others[1 - i] - 1.0))
             loss = g.mean(g.square(g.add(a_i, off)))
             backward(g, loss)
@@ -151,7 +161,7 @@ def test_score_function_ascent_prefers_dominant_action():
         adam_step(opt.params, opt)
     probe = learner.critic_input(np.ones((2, 1)),
                                  [np.eye(2)[::-1].copy(), np.ones((2, 2)) * 0.5])
-    q_vals = critic.forward_np(probe)[:, 0]
+    q_vals = critic.forward(EVAL, probe)[:, 0]
     assert q_vals[0] - q_vals[1] > 0.8
 
     batch = stacked([JointTransition(0, (0, 0), (0.0, 0.0), 0, True) for _ in range(32)])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab import envs, ndiff, oracle
 from marlab.buffer import JointTransition, ReplayBuffer
-from marlab.ndiff import Graph, backward, param
+from marlab.ndiff import EVAL, Graph, backward, param
 from marlab.qmix import (
+    MixingNet,
     ModeMismatch,
     NonCooperative,
     QmixError,
@@ -95,12 +98,12 @@ def test_batched_mixer_matches_per_sample_loop():
     q = rng.normal(size=(b, 2))
     s = np.eye(env.n_states)[rng.integers(env.n_states, size=b)]
 
-    batched = mixing.forward_np(q, s)
+    batched = mixing.forward(EVAL, q, s)
     for i in range(b):
-        w1 = np.abs(mixing.hyper_w1.forward_np(s[i : i + 1]))[0].reshape(mixing.embed_dim, 2)
-        b1 = mixing.hyper_b1.forward_np(s[i : i + 1])[0]
-        w2 = np.abs(mixing.hyper_w2.forward_np(s[i : i + 1]))[0]
-        b2 = mixing.hyper_b2.forward_np(s[i : i + 1])[0, 0]
+        w1 = np.abs(mixing.hyper_w1.forward(EVAL, s[i : i + 1]))[0].reshape(mixing.embed_dim, 2)
+        b1 = mixing.hyper_b1.forward(EVAL, s[i : i + 1])[0]
+        w2 = np.abs(mixing.hyper_w2.forward(EVAL, s[i : i + 1]))[0]
+        b2 = mixing.hyper_b2.forward(EVAL, s[i : i + 1])[0, 0]
         pre = w1 @ q[i] + b1
         hidden = np.where(pre >= 0.0, pre, np.expm1(pre))
         assert abs(batched[i, 0] - (w2 @ hidden + b2)) < 1e-12
@@ -108,6 +111,46 @@ def test_batched_mixer_matches_per_sample_loop():
     g = Graph()
     out = mixing.forward(g, g.constant(q), g.constant(s))
     assert np.max(np.abs(out.value - batched)) < 1e-12
+
+
+def random_mixer(seed, state_dim, n_agents, embed_dim, hyper_hidden):
+    """A MixingNet with every weight and bias drawn at random."""
+    rng = np.random.default_rng(seed)
+    mixing = MixingNet(state_dim, n_agents, embed_dim, hyper_hidden, rng)
+    for p in mixing.params:
+        p.value[...] = rng.normal(size=p.shape)
+    return mixing, rng
+
+
+_MIXER_SIZES = dict(state_dim=st.integers(1, 5), n_agents=st.integers(1, 4),
+                    embed_dim=st.integers(1, 6), hyper_hidden=st.integers(1, 6),
+                    batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(**_MIXER_SIZES)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_mixer_off_tape_forward_equals_the_tape(state_dim, n_agents, embed_dim, hyper_hidden,
+                                                batch, seed):
+    mixing, rng = random_mixer(seed, state_dim, n_agents, embed_dim, hyper_hidden)
+    q = rng.normal(scale=2.0, size=(batch, n_agents))
+    s = rng.normal(size=(batch, state_dim))
+    g = Graph()
+    taped = mixing.forward(g, g.constant(q), g.constant(s)).value
+    assert np.array_equal(mixing.forward(EVAL, q, s), taped)
+
+
+@given(**_MIXER_SIZES)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_mixer_is_monotone_in_every_utility(state_dim, n_agents, embed_dim, hyper_hidden,
+                                            batch, seed):
+    # each row's q_tot depends on its own utilities only, so the gradient of
+    # the summed q_tot holds d q_tot / d q_i for every row
+    mixing, rng = random_mixer(seed, state_dim, n_agents, embed_dim, hyper_hidden)
+    q = param(rng.normal(scale=2.0, size=(batch, n_agents)), name="q")
+    s = rng.normal(size=(batch, state_dim))
+    g = Graph()
+    backward(g, g.sum(mixing.forward(g, q, g.constant(s))))
+    assert (q.grad >= 0.0).all()
 
 
 def test_mixer_gradients_match_finite_differences_and_are_monotone():
@@ -127,7 +170,7 @@ def test_mixer_gradients_match_finite_differences_and_are_monotone():
             lo, hi = q0.copy(), q0.copy()
             lo[0, i] -= h
             hi[0, i] += h
-            fd = (learner.mixing.forward_np(hi, s) - learner.mixing.forward_np(lo, s))[0, 0] / (2 * h)
+            fd = (learner.mixing.forward(EVAL, hi, s) - learner.mixing.forward(EVAL, lo, s))[0, 0] / (2 * h)
             assert abs(fd - q.grad[0, i]) < 1e-6
             assert q.grad[0, i] >= -1e-8
             assert fd >= -1e-8
