@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -69,20 +70,24 @@ def _digest(payload):
 
 
 def _write_text(path, text):
+    """Write a sibling temporary file and move it over path, so path holds
+    either its old bytes or all of text; the temporary file never stays."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        path.write_text(text)
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows):
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}")
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _fmt(x):
@@ -411,7 +416,10 @@ def train(cfg, env):
     learner, step, evaluate = spec.start(cfg, env, np.random.default_rng(cfg.seed))
     episodes, loss, extra, rows, acc_rows = 0, None, {}, [], []
     for t in range(1, cfg.total_steps + 1):
-        done, step_loss, eps, step_extra = step(t)
+        try:
+            done, step_loss, eps, step_extra = step(t)
+        except ndiff.NonFiniteGradient as e:
+            raise ndiff.NonFiniteGradient(f"{cfg.algo} training step {t}: {e}") from e
         episodes += done
         if step_loss is not None:
             loss, extra = step_loss, step_extra

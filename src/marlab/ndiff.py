@@ -335,6 +335,24 @@ def _bw_pick(ctx, vals, g):
     return (out,)
 
 
+def _fw_dense(vals, attrs):
+    # one layer act(x @ W + b) through the matmul, add and activation kernels
+    x, w, b = vals
+    act = attrs["act"]
+    pre = _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0]
+    out = pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
+    return out, (act, pre, out)
+
+
+def _bw_dense(ctx, vals, g):
+    # the activation's own backward, looked up now, reads the output or the pre-activation
+    act, pre, out = ctx
+    x, w, b = vals
+    if act != "identity":
+        (g,) = OPS[act][1](out, (pre,), g)
+    return (*_bw_matmul(None, (x, w), g), _reduce_to(g, b.shape))
+
+
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
     "add": (_fw_add, _bw_add),
@@ -354,6 +372,7 @@ OPS = {
     "slice": (_fw_slice, _bw_slice),
     "pick": (_fw_pick, _bw_pick),
     "log_softmax": (_fw_log_softmax, _bw_log_softmax),
+    "dense": (_fw_dense, _bw_dense),
 }
 
 # ops whose backward reads the output value rather than the inputs
@@ -532,9 +551,7 @@ class DenseNet:
         """(n, out) output of a 2-D input: a Tensor on a Graph, an array on EVAL."""
         h = x
         for act, w, b in zip(self.activations, self.weights, self.biases):
-            h = g.add(g.matmul(h, w), b)
-            if act != "identity":
-                h = g.op(act, (h,))
+            h = g.op("dense", (h, w, b), act=act)
         return h
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,36 @@ def test_non_finite_gradient_stops_the_run_with_checkpoint_untouched(tmp_path, c
     rc, _ = _train(tmp_path, "kept", *argv)
     assert rc == 1 and capsys.readouterr().err.startswith("error: ")
     assert _read(out / "checkpoint.json") == kept
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_gradient_error_names_the_algorithm_and_training_step(tmp_path, capsys):
+    game = _game_file(tmp_path, _huge_reward_game())
+    rc, _ = _train(tmp_path, "fresh", "--algo", "vdn", "--env", game, "--total-steps", "300")
+    assert rc == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: vdn training step (\d+): non-finite gradient at Adam step (\d+)\n",
+                         err)
+    assert found and int(found[1]) > int(found[2])
+
+
+def test_a_failed_artifact_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "metrics.csv"
+    cli._write_csv(path, cli.METRICS_HEADER, [[1, 1, "", "", "0.0", "[0.0]", ""]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2, 2, "", "", "1.0", "[1.0]", ""]
+        raise RuntimeError("writer died midway")
+
+    with pytest.raises(RuntimeError):
+        cli._write_csv(path, cli.METRICS_HEADER, rows())
+    assert path.read_bytes() == before
+    (tmp_path / "eval.json").mkdir()
+    with pytest.raises(cli.IoError):
+        cli._write_text(tmp_path / "eval.json", "{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json", "metrics.csv"]
 
 
 def _game_file(tmp_path, text):

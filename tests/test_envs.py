@@ -259,6 +259,18 @@ def test_game_file_round_trip(g):
     assert back.cooperative == g.cooperative and back.zero_sum == g.zero_sum
 
 
+@given(small_games(), st.data())
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_induced_mdp_rows_sum_to_one_and_bound_the_continuation(g, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    me = data.draw(st.integers(0, g.n_agents - 1))
+    policies = {j: rng.dirichlet(np.full(sp.n, 0.5), size=g.n_states)
+                for j, sp in enumerate(g.action_space) if j != me}
+    mdp = induce_mdp(g, me, policies)
+    assert np.allclose(mdp.kernel.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(mdp.cont_kernel >= 0.0) and np.all(mdp.cont_kernel <= mdp.kernel)
+
+
 def test_shipped_fixture_files_resolve():
     path = pathlib.Path(envs.__file__).parent / "fixtures" / "two_step_coop.json"
     from_file, built = resolve_env(str(path)), two_step_coop()

@@ -37,6 +37,8 @@ from marlab.ndiff import (
     sgd_step,
 )
 
+from calls import count_calls
+
 
 def test_matmul_forward():
     g = Graph()
@@ -152,6 +154,8 @@ def _op_cases():
         cases += [(kind, [x, rng.normal(size=(3, 4))], {}),
                   (kind, [x, rng.normal(size=(1, 4))], {}),
                   (kind, [np.array(2.5), x], {})]
+    cases += [("dense", [x, rng.normal(size=(4, 2)), rng.normal(size=(1, 2))], {"act": act})
+              for act in ndiff._ACTIVATIONS]
     cases += [(kind, [x], {}) for kind in ndiff.OPS if kind not in {k for k, _, _ in cases}]
     return cases
 
@@ -159,7 +163,8 @@ def _op_cases():
 def _case_id(case):
     kind, arrays, attrs = case
     shapes = ",".join("x".join(map(str, a.shape)) or "scalar" for a in arrays)
-    return f"{kind}[{shapes}]" + ("-axis1" if attrs.get("axis") else "")
+    return f"{kind}[{shapes}]" + ("-axis1" if attrs.get("axis") else "") + (
+        f"-{attrs['act']}" if "act" in attrs else "")
 
 
 @pytest.mark.parametrize("kind, arrays, attrs", _op_cases(),
@@ -195,7 +200,7 @@ def test_no_model_keeps_a_second_forward():
 
 
 @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-       acts=st.lists(st.sampled_from(["relu", "elu", "tanh", "sigmoid", "identity"]),
+       acts=st.lists(st.sampled_from(ndiff._ACTIVATIONS),
                      min_size=3, max_size=3),
        batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -207,6 +212,49 @@ def test_dense_net_off_tape_forward_equals_the_tape(sizes, acts, batch, seed):
     x = rng.normal(size=(batch, sizes[0]))
     g = Graph()
     assert np.array_equal(net.forward(EVAL, x), net.forward(g, g.constant(x)).value)
+
+
+def _dense_chain(g, x, w, b, act, fused):
+    if fused:
+        return g.op("dense", (x, w, b), act=act)
+    h = g.add(g.matmul(x, w), b)
+    return h if act == "identity" else g.op(act, (h,))
+
+
+@pytest.mark.parametrize("act", ndiff._ACTIVATIONS)
+@pytest.mark.parametrize("batch", [1, 4])
+@given(n_in=st.integers(1, 4), n_out=st.integers(1, 4), x_on_path=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_dense_record_equals_the_unfused_chain_bit_for_bit(act, batch, n_in, n_out, x_on_path,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    arrays = (rng.normal(size=(batch, n_in)), rng.normal(size=(n_in, n_out)),
+              rng.normal(size=(1, n_out)))
+    weights = rng.normal(size=(batch, n_out))
+    results = []
+    for fused in (True, False):
+        g = Graph()
+        x, w, b = (param(a) for a in arrays)
+        xin = x if x_on_path else g.constant(arrays[0])
+        out = _dense_chain(g, xin, w, b, act, fused)
+        backward(g, g.sum(g.mul(out, g.constant(weights))))
+        results.append([out.value, x.grad, w.grad, b.grad])
+    for fused_value, chain_value in zip(*results):
+        assert np.array_equal(fused_value, chain_value)
+    assert x_on_path or not np.any(results[0][1])
+
+
+def test_dense_net_forward_is_one_record_or_off_tape_op_per_layer(monkeypatch):
+    rng = np.random.default_rng(5)
+    net = DenseNet([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
+    x = rng.normal(size=(2, 3))
+    g = Graph()
+    net.forward(g, g.constant(x))
+    assert [r.kind for r in g.records] == ["dense"] * (len(net.layer_sizes) - 1)
+    calls = count_calls(monkeypatch, ndiff.OffTape, ["op"])
+    net.forward(EVAL, x)
+    assert calls["op"] == len(net.layer_sizes) - 1
 
 
 def test_scalar_broadcast_add_and_mul():

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from marlab import oracle
 from marlab.envs import Discrete, MarkovGame, NotZeroSum, fixture_by_name, induce_mdp
@@ -17,13 +20,14 @@ from marlab.oracle import (
 )
 
 
-def zero_sum_2x2(r1):
+def zero_sum_game(r1):
     r1 = np.asarray(r1, dtype=np.float64)
+    k1, k2 = r1.shape
     payoffs = np.stack([r1, -r1], axis=-1)[np.newaxis]
-    return MarkovGame("zs", [Discrete(2), Discrete(2)], horizon=1, gamma=1.0,
+    return MarkovGame("zs", [Discrete(k1), Discrete(k2)], horizon=1, gamma=1.0,
                       cooperative=False, zero_sum=True, n_states=1,
-                      rewards=payoffs, transition=np.ones((1, 2, 2, 1)),
-                      terminal_after=np.ones((1, 2, 2), dtype=bool))
+                      rewards=payoffs, transition=np.ones((1, k1, k2, 1)),
+                      terminal_after=np.ones((1, k1, k2), dtype=bool))
 
 
 def test_nash_matching_pennies_is_uniform():
@@ -35,7 +39,7 @@ def test_nash_matching_pennies_is_uniform():
 
 def test_nash_dominant_strategy_game():
     # row 0 dominates for the maximizer; the minimizer then prefers column 1
-    g = zero_sum_2x2([[2.0, 1.0], [0.0, -1.0]])
+    g = zero_sum_game([[2.0, 1.0], [0.0, -1.0]])
     p1, p2, v = nash_2x2_zero_sum(g)
     assert np.array_equal(p1, [1.0, 0.0])
     assert np.array_equal(p2, [0.0, 1.0])
@@ -44,8 +48,8 @@ def test_nash_dominant_strategy_game():
 
 def test_nash_scale_invariance_of_mixes():
     base = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    p1a, p2a, va = nash_2x2_zero_sum(zero_sum_2x2(base))
-    p1b, p2b, vb = nash_2x2_zero_sum(zero_sum_2x2(3.0 * base))
+    p1a, p2a, va = nash_2x2_zero_sum(zero_sum_game(base))
+    p1b, p2b, vb = nash_2x2_zero_sum(zero_sum_game(3.0 * base))
     assert np.allclose(p1a, p1b) and np.allclose(p2a, p2b)
     assert vb == 3.0 * va
 
@@ -54,12 +58,25 @@ def test_nash_agrees_with_support_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(50):
         r1 = np.round(rng.normal(size=(2, 2)), 3)
-        g = zero_sum_2x2(r1)
+        g = zero_sum_game(r1)
         p1, p2, v = nash_2x2_zero_sum(g)
         q1, q2, w = nash_zero_sum_enumerate(g)
         assert abs(v - w) < 1e-9
         assert is_equilibrium(g, p1, p2, tol=1e-9)
         assert is_equilibrium(g, q1, q2, tol=1e-9)
+
+
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_support_enumeration_value_matches_a_linear_program(k, seed):
+    r1 = np.random.default_rng(seed).normal(size=(k, k))
+    _, _, v = nash_zero_sum_enumerate(zero_sum_game(r1))
+    # the row player's maxmin: maximize v with p @ r1 >= v in every column, p a distribution
+    lp = linprog(c=np.r_[np.zeros(k), -1.0], A_ub=np.c_[-r1.T, np.ones(k)], b_ub=np.zeros(k),
+                 A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+                 bounds=[(0.0, None)] * k + [(None, None)])
+    assert lp.status == 0
+    assert abs(v + lp.fun) < 1e-7
 
 
 def test_nash_requires_zero_sum_and_2x2():
