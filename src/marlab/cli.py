@@ -11,6 +11,12 @@ metrics.csv (fixed column schema), checkpoint.json (parameters plus a
 sha256 checksum over the payload), and config_echo.json (the fully resolved
 config, byte-stable under reload).  Communication runs additionally write
 dial_metrics.csv with step, loss and evaluation accuracy.
+
+The checksum is taken over the payload's compact sorted JSON, and
+checkpoint.json stores the payload as exactly that text, so `marlab eval`
+verifies a checkpoint by hashing those bytes of the file.  Older or
+re-formatted checkpoint files are verified by re-serializing their parsed
+payload.
 """
 
 import argparse
@@ -64,9 +70,29 @@ GRADCHECK_TOL = 1e-4
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
+# checkpoint.json is the canonical text of {algo, env, format, payload,
+# sha256}; sorted, the payload's key comes after the first three and before
+# the checksum, and neither marker can occur inside a JSON string
+_PAYLOAD_AT = ',"payload":'
+_SHA256_AT = ',"sha256":"'
+
+
+def _checkpoint_text(algo, env, payload):
+    """checkpoint.json's text, equal to _canonical of the whole checkpoint;
+    the payload is serialized once, and its sha256 is taken over the very
+    text the file holds."""
+    text = _canonical(payload)
+    head = _canonical({"algo": algo, "env": env, "format": "marlab-checkpoint-v1"})
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return f'{head[:-1]}{_PAYLOAD_AT}{text}{_SHA256_AT}{digest}"}}'
 
 
 def _write_text(path, text):
@@ -445,9 +471,7 @@ def cmd_train(cfg):
     _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
     for name in ALGO_SPECS[cfg.algo].extra_csv:
         _write_csv(out / name, ["step", "loss", "eval_accuracy"], acc_rows)
-    checkpoint = {"format": "marlab-checkpoint-v1", "algo": cfg.algo,
-                  "env": cfg.env, "payload": payload, "sha256": _digest(payload)}
-    _write_text(out / "checkpoint.json", json.dumps(checkpoint, sort_keys=True))
+    _write_text(out / "checkpoint.json", _checkpoint_text(cfg.algo, cfg.env, payload))
 
     final = dict(zip(METRICS_HEADER, rows[-1]))
     print(json.dumps({"out_dir": str(out), "final_step": final["step"],
@@ -460,13 +484,34 @@ def cmd_train(cfg):
 # eval subcommand
 # ---------------------------------------------------------------------------
 
+def _parse_checkpoint(data):
+    """The checkpoint parsed from the file's bytes, and whether its sha256 was
+    verified on the way: when the bytes between the payload and checksum
+    markers hash to the checksum the file ends with, as in every file
+    _checkpoint_text wrote, only they and the envelope are parsed.  Any other
+    file, such as one with other separators, is parsed whole, unverified."""
+    start, end = data.find(_PAYLOAD_AT.encode()), data.rfind(_SHA256_AT.encode())
+    if 0 <= start < end:
+        text = memoryview(data)[start + len(_PAYLOAD_AT):end]
+        digest = hashlib.sha256(text).hexdigest()
+        if data[end:] == f'{_SHA256_AT}{digest}"}}'.encode():
+            # the appended brace can only close an object; a non-empty one
+            # means the whole file is that object with the payload and
+            # checksum keys appended
+            head = json.loads(data[:start] + b"}")
+            if head:
+                return {**head, "payload": json.loads(str(text, "utf-8")),
+                        "sha256": digest}, True
+    return json.loads(data), False
+
+
 def _load_checkpoint_file(path):
     path = pathlib.Path(path)
     if not path.exists():
         raise IoError(f"no such checkpoint: {path}")
     try:
-        blob = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        blob, verified = _parse_checkpoint(path.read_bytes())
+    except (OSError, ValueError) as e:
         raise ChecksumMismatch(f"malformed checkpoint {path}: {e}")
     if not isinstance(blob, dict) or not isinstance(blob.get("payload", {}), dict):
         raise ChecksumMismatch(f"malformed checkpoint {path}: "
@@ -474,7 +519,7 @@ def _load_checkpoint_file(path):
     for key in ("algo", "env", "payload", "sha256"):
         if key not in blob:
             raise ChecksumMismatch(f"checkpoint {path} is missing {key!r}")
-    if _digest(blob["payload"]) != blob["sha256"]:
+    if not verified and _digest(blob["payload"]) != blob["sha256"]:
         raise ChecksumMismatch(f"checkpoint {path} failed its sha256 check")
     return blob
 
@@ -671,7 +716,10 @@ def _add_train_flags(p):
                        type=_FLAG_TYPES[f.type], **f.metadata["flag"])
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser, built on first use; parsing keeps no state
+    in it, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="marlab",
         description="desk-scale multi-agent reinforcement learning runs")

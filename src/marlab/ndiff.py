@@ -696,7 +696,7 @@ def params_to_json(named_params):
     for name, p in named_params:
         if name in out:
             raise NdiffError(f"duplicate parameter name {name!r}")
-        out[name] = [float(x) for x in p.value.reshape(-1)]
+        out[name] = p.value.reshape(-1).tolist()
     return out
 
 

@@ -2,6 +2,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab.buffer import Empty, JointTransition, ReplayBuffer
 
@@ -27,6 +29,16 @@ def test_fifo_overwrite():
 def test_contents_keep_push_order():
     buf = filled(3, range(7))
     assert buf.contents().value.tolist() == [4, 5, 6]
+
+
+@given(capacity=st.integers(1, 7), pushes=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_ring_keeps_the_last_records_in_push_order(capacity, pushes, seed):
+    values = np.random.default_rng(seed).normal(size=pushes).tolist()
+    buf = filled(capacity, values)
+    kept = values[-min(pushes, capacity):]
+    assert buf.contents().value.tolist() == kept
+    assert set(buf.sample(20, np.random.default_rng(seed)).value.tolist()) <= set(kept)
 
 
 def test_singleton_sample():

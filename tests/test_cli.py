@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab import cli, envs, ndiff
 from marlab.cli import (
@@ -226,6 +228,74 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, blob):
     bad.write_text(json.dumps(blob))
     assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
     assert "error: malformed checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checks_fresh_files_by_hashing_and_older_layouts_by_reserializing(
+        tmp_path, capsys, monkeypatch):
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb",
+                    "--total-steps", "40", "--eval-interval", "20", "--eval-episodes", "5")
+    fresh = out / "checkpoint.json"
+    blob = json.loads(fresh.read_text())
+    assert fresh.read_text() == json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    # the first layout is the one earlier versions wrote
+    layouts = [json.dumps(blob, sort_keys=True), json.dumps(blob, sort_keys=True, indent=1)]
+    capsys.readouterr()
+
+    def evaluated(path, digests):
+        calls = count_calls(monkeypatch, cli, ["_digest"])
+        assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "30",
+                         "--out", str(tmp_path / "eval.json")]) == 0
+        assert calls["_digest"] == digests
+        return capsys.readouterr().out
+
+    summary = evaluated(fresh, 0)
+    for i, text in enumerate(layouts):
+        older = tmp_path / f"layout{i}.json"
+        older.write_text(text)
+        assert evaluated(older, 1) == summary
+
+
+# strings that hold the envelope's markers, quotes, backslashes and non-ASCII text
+_TRICKY = st.lists(st.sampled_from(['"', "\\", ",", ":", "é", "☃", "\n", "x",
+                                    ',"payload":', ',"sha256":"', '"}']),
+                   max_size=6).map("".join)
+
+
+@given(payload=st.fixed_dictionaries(
+           {"config": st.fixed_dictionaries({"out_dir": _TRICKY, "seed": st.integers(0, 9)}),
+            "psi": st.dictionaries(_TRICKY, st.lists(st.floats(allow_nan=False), max_size=3),
+                                   max_size=3)}),
+       env=_TRICKY, where=st.floats(0.0, 1.0, exclude_max=True),
+       byte=st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_checkpoint_envelope_round_trips_and_rejects_any_changed_payload_byte(
+        tmp_path_factory, payload, env, where, byte):
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    text = cli._checkpoint_text("vdn", env, payload)
+    blob = {"algo": "vdn", "env": env, "format": "marlab-checkpoint-v1",
+            "payload": payload, "sha256": cli._digest(payload)}
+    assert text == json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, cli, ["_digest"])
+        assert cli._load_checkpoint_file(path) == blob
+        assert calls["_digest"] == 0
+
+    # change one byte of the payload as written
+    data = bytearray(path.read_bytes())
+    start = data.index(b',"payload":') + len(b',"payload":')
+    at = start + int(where * (data.rindex(b',"sha256":"') - start))
+    if data[at] == byte:
+        return
+    data[at] = byte
+    path.write_bytes(bytes(data))
+    try:
+        loaded = cli._load_checkpoint_file(path)
+    except cli.ChecksumMismatch as e:
+        assert re.search("malformed checkpoint|failed its sha256 check", str(e))
+    else:
+        # only a change that keeps the value, such as the case of a \u escape's hex digits
+        assert loaded["payload"] == payload
 
 
 @pytest.mark.parametrize("algo,env", [("vdn", "coop_climb"), ("dial", "signal_relay")])
@@ -455,6 +525,19 @@ def _oracle_json(capsys, *argv):
     rc = cli.main(["oracle", *argv])
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
+    assert cli.main(["eval"]) == 2
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--episodes", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["episodes"] == 3
+    rc, mix = _oracle_json(capsys, "nash", "matching_pennies")
+    assert rc == 0 and mix["value"] == 0.0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_oracle_nash_pennies(capsys):

@@ -79,6 +79,46 @@ def test_support_enumeration_value_matches_a_linear_program(k, seed):
     assert abs(v + lp.fun) < 1e-7
 
 
+def _acyclic_coop_game(actions, n_states, seed):
+    """A random cooperative game whose transitions only move to later states
+    and whose last state always ends the episode, so every episode ends
+    within n_states steps, the horizon."""
+    rng = np.random.default_rng(seed)
+    shape = (n_states, *actions)
+    transition = np.zeros(shape + (n_states,))
+    for s in range(n_states - 1):
+        w = rng.random(shape[1:] + (n_states - 1 - s,)) + 0.1
+        transition[s, ..., s + 1:] = w / w.sum(axis=-1, keepdims=True)
+    transition[-1, ..., -1] = 1.0
+    terminal = rng.random(shape) < 0.3
+    terminal[-1] = True
+    shared = rng.normal(size=shape + (1,))
+    return MarkovGame(
+        name="acyclic", action_space=[Discrete(k) for k in actions], horizon=n_states,
+        gamma=float(rng.uniform(0.0, 0.99)), cooperative=True, zero_sum=False,
+        n_states=n_states, rewards=np.repeat(shared, len(actions), axis=-1),
+        transition=transition, terminal_after=terminal)
+
+
+@given(actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n_states=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_q_iteration_matches_a_brute_force_backup(actions, n_states, seed):
+    g = _acyclic_coop_game(actions, n_states, seed)
+    joints = list(itertools.product(*(range(k) for k in actions)))
+
+    def value(s):
+        # the finite-horizon Bellman backup, recursing over every successor
+        return max(g.rewards[(s, *j)][0] + (0.0 if g.terminal_after[(s, *j)] else
+                   g.gamma * sum(p * value(n) for n, p in enumerate(g.transition[(s, *j)])
+                                 if p > 0.0))
+                   for j in joints)
+
+    tq = tabular_q_iteration(g)
+    for s in range(n_states):
+        assert abs(tq.value(s) - value(s)) < 1e-9
+
+
 def test_nash_requires_zero_sum_and_2x2():
     with pytest.raises(NotZeroSum):
         nash_2x2_zero_sum(fixture_by_name("coop_climb"))
