@@ -37,7 +37,7 @@ import numpy as np
 from . import dial as dialmod
 from . import envs, maddpg, ndiff, oracle, qmix, selfplay
 from .buffer import JointTransition, ReplayBuffer
-from .ndiff import DenseNet, Graph, grad_check
+from .ndiff import DenseNet, grad_check
 
 
 class CliError(Exception):
@@ -629,17 +629,16 @@ def ndiff_gradcheck_suite(instances=100, seed=1234):
         target = np.asarray(rng.normal(size=(3, sizes[-1])))
         style = trial % 3
 
-        def f():
-            g = Graph()
+        def f(g):
             out = net.forward(g, g.constant(x))
             if style == 0:
-                return g, g.mean(g.square(g.sub(out, g.constant(target))))
+                return g.mean(g.square(g.sub(out, g.constant(target))))
             if style == 1:
-                return g, g.sum(g.mul(g.softmax(out), g.constant(target)))
-            return g, g.mean(g.abs(g.tanh(out)))
+                return g.sum(g.mul(g.softmax(out), g.constant(target)))
+            return g.mean(g.abs(g.tanh(out)))
 
-        worst = max(worst, grad_check(f, net.params))
-    return worst
+        worst = np.maximum(worst, grad_check(f, net.params))
+    return float(worst)
 
 
 def dial_gradcheck_suite(instances=100, seed=1234):
@@ -661,12 +660,11 @@ def dial_gradcheck_suite(instances=100, seed=1234):
             p.value[...] = rng.normal(scale=0.7, size=p.value.shape)
         bits = rng.integers(2, size=3)
 
-        def f():
-            u = system.unroll(None, np.random.default_rng(0), bits=bits)
-            return u.graph, system.loss_tensor(u)
+        def f(g):
+            return system.loss_tensor(system.unroll(g, None, np.random.default_rng(0), bits=bits))
 
-        worst = max(worst, grad_check(f, system.params()))
-    return worst
+        worst = np.maximum(worst, grad_check(f, system.params()))
+    return float(worst)
 
 
 def cmd_gradcheck(args):

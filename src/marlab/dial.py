@@ -18,7 +18,8 @@ import numpy as np
 
 from . import ndiff
 from .buffer import ReplayBuffer
-from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, backward, copy_params
+from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, backward, copy_params,
+                    value_of)
 
 CHANNEL_MODES = ("on", "zeroed")
 
@@ -66,7 +67,7 @@ class CommAgentCell:
 
 @dataclass
 class Unroll:
-    """One batched on-policy rollout and its computation graph; `actions` and
+    """One batched on-policy rollout and the graph it ran on; `actions` and
     `rewards` hold each step's joint actions and rewards, (horizon, batch,
     n_agents), as one env.step_batch call per timestep returned them."""
 
@@ -117,11 +118,13 @@ class DialSystem:
         others = [messages_prev[j] for j in range(self.n_agents) if j != agent]
         return others[0] if len(others) == 1 else g.concat(*others)
 
-    def unroll(self, batch_size, rng, bits=None):
-        """Play batch_size two-step episodes with greedy actions, building one
-        graph across agents and timesteps; messages emitted at t=0 enter the
-        other agents' inputs at t=1.  All episodes step together, and every
-        signalling episode lasts the horizon."""
+    def unroll(self, g, batch_size, rng, bits=None):
+        """Play batch_size two-step episodes with greedy actions, running
+        every agent and timestep on graph g; messages emitted at t=0 enter
+        the other agents' inputs at t=1.  All episodes step together, and
+        every signalling episode lasts the horizon.  On a Stacked graph each
+        copy plays the episodes as episodes of its own, so actions and
+        rewards gain the copy axis after the horizon axis."""
         env = self.env
         if bits is None:
             index = env.reset_batch(batch_size, rng)
@@ -130,34 +133,35 @@ class DialSystem:
             batch_size = len(index)
         bits_arr = np.asarray(env.meta["bit_of_state"])[index]
 
-        g = Graph()
         h = [g.constant(np.zeros((batch_size, self.hidden_dim)))
              for _ in range(self.n_agents)]
         messages_prev = None
-        shape = (env.horizon, batch_size, self.n_agents)
-        actions_taken, rewards_got = np.empty(shape, dtype=int), np.empty(shape)
+        actions_taken, rewards_got = [], []
         messages_out = {}
         incoming_by_agent = {}
 
         for t in range(env.horizon):
-            scores_t, msg_t, joint = [], [], []
+            scores_t, msg_t = [], []
             for i, cell in enumerate(self.cells):
                 obs = g.constant(env.obs_tables[i][index])
                 incoming = self._route_graph(g, messages_prev, i, batch_size)
-                scores, message, h_next = cell.forward(g, obs, incoming, h[i])
+                scores, message, h[i] = cell.forward(g, obs, incoming, h[i])
                 scores_t.append(scores)
                 msg_t.append(message)
-                h[i] = h_next
-                joint.append(scores.value.argmax(axis=1))
                 messages_out[(i, t)] = message
                 incoming_by_agent[(i, t)] = incoming
-            actions_taken[t] = np.stack(joint, axis=1)
-            index, rewards_got[t], _ = env.step_batch(index, t, actions_taken[t], rng)
+            joint = np.stack([value_of(s).argmax(axis=-1) for s in scores_t], axis=-1)
+            episodes = joint.shape[:-1]
+            index, rewards, _ = env.step_batch(np.broadcast_to(index, episodes).reshape(-1), t,
+                                               joint.reshape(-1, self.n_agents), rng)
+            index = index.reshape(episodes)
+            actions_taken.append(joint)
+            rewards_got.append(rewards.reshape(joint.shape))
             messages_prev = msg_t
 
-        return Unroll(graph=g, actions=actions_taken, rewards=rewards_got, bits=bits_arr,
-                      listener_scores=scores_t[env.meta["listener"]], messages=messages_out,
-                      incoming=incoming_by_agent, version=self.version)
+        return Unroll(graph=g, actions=np.stack(actions_taken), rewards=np.stack(rewards_got),
+                      bits=bits_arr, listener_scores=scores_t[env.meta["listener"]],
+                      messages=messages_out, incoming=incoming_by_agent, version=self.version)
 
     def loss_tensor(self, unroll):
         """Cross-entropy of the listener's final-step action scores against
@@ -179,12 +183,12 @@ class DialSystem:
         return float(loss.value)
 
     def train_step(self, batch_size, rng):
-        return self.update(self.unroll(batch_size, rng))
+        return self.update(self.unroll(Graph(), batch_size, rng))
 
     def evaluate(self, episodes, rng):
         """Greedy accuracy over one unroll of fresh episodes: the fraction in
         which the listener's final action equals the bit."""
-        u = self.unroll(episodes, rng)
+        u = self.unroll(EVAL, episodes, rng)
         return float((u.actions[-1, :, self.env.meta["listener"]] == u.bits).mean())
 
     def to_checkpoint(self, config_echo=None):

@@ -4,9 +4,12 @@ A Graph records ops as they execute (define-by-run); backward replays the
 tape in reverse from a scalar root.  Graphs are meant to be rebuilt every
 training step and are single-threaded.  EVAL runs the same ops on plain
 arrays and records nothing, so one forward per model serves the tape and the
-numpy-only paths.  Tensors hold no reference to a graph: the tape points at
-its tensors, never the reverse, so a dropped tape is freed at once and a
-model is plain data that copy.deepcopy copies.
+numpy-only paths.  A Stacked graph runs that forward on S copies of some
+parameters at once, each op one numpy call with a leading copy axis;
+grad_check takes all its finite differences in one such pass.  Tensors hold
+no reference to a graph: the tape points at its tensors, never the reverse,
+so a dropped tape is freed at once and a model is plain data that
+copy.deepcopy copies.
 """
 
 import numpy as np
@@ -65,6 +68,12 @@ def param(value, name=None):
     return Tensor(value, requires_grad=True, name=name)
 
 
+def value_of(x):
+    """The array of an op's result or operand: a Tensor's value on a tape,
+    x itself off it."""
+    return x.value if type(x) is Tensor else x
+
+
 def _wrap(value, requires_grad):
     t = Tensor.__new__(Tensor)
     t.value = value
@@ -111,10 +120,14 @@ def _reduce_to(g, shape):
     return np.full(shape, g.sum(), dtype=np.float64)
 
 
-def _fw_matmul(vals, attrs):
-    a, b = vals
+def _matmul_shapes(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+
+
+def _fw_matmul(vals, attrs):
+    a, b = vals
+    _matmul_shapes(a, b)
     return a @ b, None
 
 
@@ -467,6 +480,143 @@ class OffTape(Graph):
 EVAL = OffTape()
 
 
+# ---------------------------------------------------------------------------
+# stacked copies: forward kernels with a leading copy axis
+#
+# A stacked operand holds S copies of one value along axis 0; any other
+# operand is shared by every copy.  Each kernel checks the shapes of one copy
+# as the op table's forward does, and slice c of its result is, bit for bit,
+# what that forward computes from copy c's operands.  The ops that act
+# elementwise or along the last axis (activations, log, square, abs, neg,
+# slice) have no kernel here: the op table's forward already is one.
+# ---------------------------------------------------------------------------
+
+def _one_copy(vals, stacked):
+    return [v[0] if s else v for v, s in zip(vals, stacked)]
+
+
+def _align(vals, stacked):
+    # give each stacked operand the largest per-copy rank, so that numpy
+    # broadcasting pairs the copy axis with the copy axis
+    rank = max(v.ndim - s for v, s in zip(vals, stacked))
+    return [v.reshape(v.shape[:1] + (1,) * (rank + 1 - v.ndim) + v.shape[1:])
+            if s and v.ndim <= rank else v for v, s in zip(vals, stacked)]
+
+
+def _stk_matmul(vals, stacked, attrs):
+    _matmul_shapes(*_one_copy(vals, stacked))
+    return np.matmul(*vals)
+
+
+def _stk_add(vals, stacked, attrs):
+    _binary_shapes(*_one_copy(vals, stacked), "add")
+    a, b = _align(vals, stacked)
+    return a + b
+
+
+def _stk_mul(vals, stacked, attrs):
+    _binary_shapes(*_one_copy(vals, stacked), "mul")
+    a, b = _align(vals, stacked)
+    return a * b
+
+
+def _stk_dense(vals, stacked, attrs):
+    x, w, b = vals
+    sx, sw, sb = stacked
+    pre = _stk_add((_stk_matmul((x, w), (sx, sw), attrs), b), (sx or sw, sb), attrs)
+    act = attrs["act"]
+    return pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
+
+
+def _stk_concat(vals, stacked, attrs):
+    # a shared operand is broadcast to the copies; one that already carries
+    # the copy axis in front holds one value per copy (such as the states of
+    # the copies' own episodes)
+    lead = next(v.shape[:-1] for v, s in zip(vals, stacked) if s)
+    for v, s in zip(vals, stacked):
+        if not lead or v.ndim == 0 or (v.shape[:-1] != lead and (s or v.shape[:-1] != lead[1:])):
+            raise ShapeMismatch(f"concat: {[x.shape for x in vals]} on {lead[:1]} copies")
+    return np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in vals], axis=-1)
+
+
+def _stk_pick(vals, stacked, attrs):
+    (x,) = vals
+    index = np.asarray(attrs["index"], dtype=np.intp)
+    if x.ndim != 3 or index.shape != (x.shape[1],):
+        raise ShapeMismatch(f"pick: index of shape {index.shape} on {x.shape[1:]}")
+    return x[:, np.arange(x.shape[1]), index][..., None]
+
+
+def _stk_sum(vals, stacked, attrs):
+    (x,) = vals
+    axis = attrs.get("axis")
+    if axis is None:
+        return x.reshape(len(x), -1).sum(axis=1)
+    return x.sum(axis=range(1, x.ndim)[axis], keepdims=True)
+
+
+def _stk_mean(vals, stacked, attrs):
+    (x,) = vals
+    return x.reshape(len(x), -1).mean(axis=1)
+
+
+_STACKED_FW = {
+    "matmul": _stk_matmul,
+    "add": _stk_add,
+    "mul": _stk_mul,
+    "dense": _stk_dense,
+    "concat": _stk_concat,
+    "pick": _stk_pick,
+    "sum": _stk_sum,
+    "mean": _stk_mean,
+}
+
+# op table forwards that act along the last axis, so need one in each copy
+_LAST_AXIS = {"softmax", "log_softmax", "slice"}
+
+
+class Stacked(OffTape):
+    """The Graph ops on S copies of some parameters at once, off the tape.
+
+    stacks maps a Tensor to the (S, *shape) array of its values in the S
+    copies.  An op result that depends on a stacked operand carries the copy
+    axis in front, and its slice c is, bit for bit, what EVAL computes from
+    copy c's values.  Any other operand (a constant, a Tensor outside stacks,
+    a result of such operands only) is shared by every copy; concat also
+    takes a constant with the copy axis in front, one value per copy.  A
+    stacked result must reach the next op as the very array returned here.
+    """
+
+    def __init__(self, stacks):
+        self.stacks = stacks
+        self._results = {}   # id -> each stacked result, held so that no id is reused
+
+    def op(self, kind, inputs, **attrs):
+        pair = OPS.get(kind)
+        if pair is None:
+            raise UnknownOp(kind)
+        vals, stacked = [], []
+        for x in inputs:
+            if type(x) is Tensor:
+                v = self.stacks.get(x)
+                vals.append(x.value if v is None else v)
+                stacked.append(v is not None)
+            else:
+                vals.append(x)
+                stacked.append(id(x) in self._results)
+        if not any(stacked):
+            return pair[0](vals, attrs)[0]
+        kernel = _STACKED_FW.get(kind)
+        if kernel is not None:
+            out = kernel(vals, stacked, attrs)
+        elif kind in _LAST_AXIS and vals[0].ndim < 2:
+            raise ShapeMismatch(f"{kind}: rank >= 1 required")
+        else:
+            out = pair[0](vals, attrs)[0]
+        self._results[id(out)] = out
+        return out
+
+
 def forward_op(graph, kind, inputs, **attrs):
     """Execute one op eagerly, appending its record to the graph."""
     pair = OPS.get(kind)
@@ -653,38 +803,48 @@ def copy_params(src, dst):
 def grad_check(f, params, h=1e-5):
     """Compare tape gradients of a scalar root against central differences.
 
-    f() returns (graph, root): a fresh graph and the scalar it computed.
+    f(g) runs the computation on graph g, from g's ops, params and
+    constants, and returns its scalar root; it must be deterministic.  It is
+    called twice.  On a Graph, backward gives the analytic gradient.  On one
+    Stacked graph of 2P copies of params, P being their number of
+    coordinates, copy k has coordinate k moved up by h and copy P + k has it
+    moved down, so the roots hold every central difference at once.
     Returns the maximum relative error |analytic - numeric| /
     max(|analytic|, |numeric|, 1e-8) over all coordinates of params that
-    require gradients.  f must be deterministic and rebuild its graph on
-    every call.
+    require gradients, or NaN if either gradient has a NaN.  Tensors that
+    require none are skipped and keep their .grad.
     """
     params = [p for p in params if p.requires_grad]
+    if len({id(p) for p in params}) != len(params):
+        raise NdiffError("grad_check: a tensor appears twice")
     for p in params:
         p.grad[...] = 0.0
-    graph, root = f()
+    graph = Graph()
+    root = f(graph)
     if root.value.size != 1:
         raise NonScalarRoot(f"grad_check root has shape {root.shape}")
     backward(graph, root)
-    analytic = []
+    n = sum(p.value.size for p in params)
+    if n == 0:
+        return 0.0
+    analytic = np.concatenate([p.grad.reshape(-1) for p in params])
+    stacks, offset = {}, 0
     for p in params:
-        analytic.append(p.grad.copy())
+        stack = np.repeat(p.value[None], 2 * n, axis=0)
         p.grad[...] = 0.0
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        aflat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f()[1].item()
-            flat[i] = orig - h
-            down = f()[1].item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst
+        flat = stack.reshape(2 * n, -1)
+        i = np.arange(flat.shape[1])
+        flat[offset + i, i] += h
+        flat[n + offset + i, i] -= h
+        stacks[p] = stack
+        offset += flat.shape[1]
+    roots = np.asarray(f(Stacked(stacks)))
+    if roots.size not in (1, 2 * n):
+        raise NonScalarRoot(f"grad_check root has shape {roots.shape[1:]} per copy")
+    roots = np.broadcast_to(roots.reshape(-1), (2 * n,))
+    numeric = (roots[:n] - roots[n:]) / (2.0 * h)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------

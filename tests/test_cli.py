@@ -613,6 +613,15 @@ def test_gradcheck_instances_below_one_exits_2(capsys):
         assert captured.out == ""
 
 
+def test_gradcheck_fails_a_backward_that_returns_nan(capsys, monkeypatch):
+    fw, _ = ndiff.OPS["elu"]
+    monkeypatch.setitem(ndiff.OPS, "elu", (fw, lambda ctx, vals, g: (g * np.nan,)))
+    rc = cli.main(["gradcheck", "--instances", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert not report["suites"]["ndiff"]["pass"]
+
+
 def test_gradcheck_catches_broken_activation_backward(capsys, monkeypatch):
     fw, _ = ndiff.OPS["elu"]
 

@@ -3,6 +3,7 @@ import pytest
 
 from marlab import envs
 from marlab.dial import (
+    CHANNEL_MODES,
     DialError,
     DialSystem,
     RialSystem,
@@ -10,7 +11,7 @@ from marlab.dial import (
     StaleTrace,
     greedy_factored,
 )
-from marlab.ndiff import grad_check
+from marlab.ndiff import EVAL, Graph, Stacked, grad_check
 
 from calls import count_calls
 
@@ -35,7 +36,7 @@ def test_non_signalling_env_rejected():
 
 def test_listener_receives_speaker_message_verbatim():
     sys_ = make_system(seed=1)
-    u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1, 1, 0])
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 1, 0])
     speaker, listener = relay().meta["speaker"], relay().meta["listener"]
     assert np.array_equal(u.incoming[(listener, 1)].value, u.messages[(speaker, 0)].value)
     assert np.array_equal(u.incoming[(speaker, 1)].value, u.messages[(listener, 0)].value)
@@ -48,14 +49,14 @@ def test_zeroed_message_weights_silence_the_channel():
     a, d = cell.n_actions, cell.msg_dim
     cell.net.weights[-1].value[:, a:a + d] = 0.0
     cell.net.biases[-1].value[:, a:a + d] = 0.0
-    u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1])
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1])
     assert np.all(u.messages[(0, 0)].value == 0.0)
     assert np.all(u.incoming[(1, 1)].value == 0.0)
 
 
 def test_loss_gradient_crosses_the_channel():
     sys_ = make_system(seed=3)
-    u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1, 0, 1])
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 0, 1])
     loss = sys_.loss_tensor(u)
     from marlab.ndiff import backward
 
@@ -69,7 +70,7 @@ def test_loss_gradient_crosses_the_channel():
 
 def test_zeroed_channel_blocks_the_gradient():
     sys_ = make_system(seed=3, channel="zeroed")
-    u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1, 0, 1])
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 0, 1])
     loss = sys_.loss_tensor(u)
     from marlab.ndiff import backward
 
@@ -94,12 +95,65 @@ def test_unrolled_graph_gradients_match_finite_differences():
             p.value[...] = rng.normal(scale=0.7, size=p.value.shape)
         bits = rng.integers(2, size=3)
 
-        def f():
-            u = sys_.unroll(None, np.random.default_rng(0), bits=bits)
-            return u.graph, sys_.loss_tensor(u)
+        def f(g):
+            return sys_.loss_tensor(sys_.unroll(g, None, np.random.default_rng(0), bits=bits))
 
         worst = max(worst, grad_check(f, sys_.params()))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("channel", CHANNEL_MODES)
+@pytest.mark.parametrize("net_hidden", [(), (4,)])
+def test_stacked_unroll_losses_equal_separate_tape_unrolls(channel, net_hidden):
+    """Copy c's loss from one unroll on a Stacked graph of every +-h
+    perturbation equals, by ==, the loss of a tape unroll at copy c's
+    parameters.  This holds because signal_relay's transitions ignore actions
+    and are deterministic: on a stochastic game the copies, stepped as extra
+    episodes, draw other uniforms than separate unrolls would."""
+    rng = np.random.default_rng(21)
+    h = 1e-5
+    for _ in range(2):
+        sys_ = DialSystem(relay(), rng, msg_dim=int(rng.integers(1, 3)),
+                          hidden_dim=int(rng.integers(1, 4)), net_hidden=net_hidden,
+                          channel=channel)
+        params = sys_.params()
+        for p in params:
+            p.value[...] = rng.normal(scale=0.7, size=p.value.shape)
+        bits = rng.integers(2, size=3)
+        n = sum(p.value.size for p in params)
+        stacks, offset = {}, 0
+        for p in params:
+            stack = np.repeat(p.value[None], 2 * n, axis=0)
+            flat = stack.reshape(2 * n, -1)
+            for i in range(flat.shape[1]):
+                flat[offset + i, i] += h
+                flat[n + offset + i, i] -= h
+            stacks[p] = stack
+            offset += flat.shape[1]
+        u = sys_.unroll(Stacked(stacks), None, np.random.default_rng(0), bits=bits)
+        losses = sys_.loss_tensor(u)
+        assert losses.shape == (2 * n,)
+        assert u.actions.shape == (2, 2 * n, 3, 2)
+        saved = [p.value.copy() for p in params]
+        for c in range(2 * n):
+            for p in params:
+                p.value[...] = stacks[p][c]
+            one = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=bits)
+            assert sys_.loss_tensor(one).value == losses[c]
+            assert np.array_equal(one.actions, u.actions[:, c])
+        for p, v in zip(params, saved):
+            p.value[...] = v
+
+
+def test_evaluate_runs_off_the_tape_on_the_tape_unrolls_actions(monkeypatch):
+    sys_ = make_system(seed=6)
+    u = sys_.unroll(Graph(), 64, np.random.default_rng(3))
+    listener = relay().meta["listener"]
+    tape_acc = float((u.actions[-1, :, listener] == u.bits).mean())
+    calls = count_calls(monkeypatch, Graph, ["op"])
+    assert sys_.evaluate(64, np.random.default_rng(3)) == tape_acc
+    assert calls["op"] == 0
+    assert np.array_equal(sys_.unroll(EVAL, 64, np.random.default_rng(3)).actions, u.actions)
 
 
 def test_memorizes_a_constant_bit_batch():
@@ -107,16 +161,16 @@ def test_memorizes_a_constant_bit_batch():
     rng = np.random.default_rng(0)
     bits = [1] * 8
     for _ in range(500):
-        u = sys_.unroll(None, rng, bits=bits)
+        u = sys_.unroll(Graph(), None, rng, bits=bits)
         sys_.update(u)
-    u = sys_.unroll(None, rng, bits=bits)
+    u = sys_.unroll(Graph(), None, rng, bits=bits)
     assert np.all(u.listener_scores.value.argmax(axis=1) == 1)
 
 
 def test_stale_unroll_rejected_after_update():
     sys_ = make_system(seed=5)
     rng = np.random.default_rng(0)
-    u = sys_.unroll(8, rng)
+    u = sys_.unroll(Graph(), 8, rng)
     sys_.update(u)
     with pytest.raises(StaleTrace):
         sys_.update(u)
@@ -143,7 +197,7 @@ def test_zeroed_channel_plateaus_at_chance():
 def test_env_outputs_are_pure_functions_of_state_and_actions():
     env = relay()
     sys_ = make_system(seed=6)
-    u = sys_.unroll(None, np.random.default_rng(0), bits=[0, 1])
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1])
     for e, bit in enumerate(u.bits):
         expected = env.reward_vector(2 + bit, u.actions[1, e])
         assert np.array_equal(u.rewards[1, e], expected)
@@ -228,6 +282,6 @@ def test_rial_learns_to_signal():
 
 def test_unroll_steps_all_episodes_together(monkeypatch):
     calls = count_calls(monkeypatch, envs.MarkovGame, ["step", "step_batch"])
-    u = make_system(seed=4).unroll(32, np.random.default_rng(0))
+    u = make_system(seed=4).unroll(Graph(), 32, np.random.default_rng(0))
     assert u.actions.shape == (2, 32, 2)
     assert calls == {"step": 0, "step_batch": 2}

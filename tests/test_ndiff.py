@@ -20,6 +20,7 @@ from marlab.ndiff import (
     NonFiniteGradient,
     NonScalarRoot,
     ShapeMismatch,
+    Stacked,
     StaleState,
     Tensor,
     UnknownOp,
@@ -116,9 +117,8 @@ def test_pick_log_softmax_and_broadcasts_match_numpy_and_finite_differences(kind
         assert np.array_equal(out.value, expect)
     weights = rng.uniform(0.5, 1.5, size=expect.shape)
 
-    def f():
-        g = Graph()
-        return g, g.sum(g.mul(tape_fw(g, x, row, idx), g.constant(weights)))
+    def f(g):
+        return g.sum(g.mul(tape_fw(g, x, row, idx), g.constant(weights)))
 
     assert grad_check(f, [x, row]) < 1e-6
 
@@ -403,9 +403,8 @@ def test_concat_backward_splits():
 def test_grad_check_linear_is_exact():
     x = param(np.array([1.0, -2.0, 0.5]))
 
-    def f():
-        g = Graph()
-        return g, g.sum(x)
+    def f(g):
+        return g.sum(x)
 
     assert grad_check(f, [x]) < 1e-10
 
@@ -414,9 +413,8 @@ def test_grad_check_skips_frozen_params():
     x = param(np.array([1.0]))
     frozen = Tensor(np.array([2.0]), requires_grad=False)
 
-    def f():
-        g = Graph()
-        return g, g.sum(g.mul(x, frozen))
+    def f(g):
+        return g.sum(g.mul(x, frozen))
 
     err = grad_check(f, [x, frozen])
     assert err < 1e-8
@@ -429,10 +427,9 @@ def test_grad_check_dense_net_mse():
     x = np.asarray(rng.normal(size=(4, 3)))
     target = np.asarray(rng.normal(size=(4, 2)))
 
-    def f():
-        g = Graph()
+    def f(g):
         pred = net.forward(g, g.constant(x))
-        return g, g.mean(g.square(g.sub(pred, g.constant(target))))
+        return g.mean(g.square(g.sub(pred, g.constant(target))))
 
     assert grad_check(f, net.params) < 1e-4
 
@@ -452,17 +449,119 @@ def test_grad_check_random_net_suite():
         target = np.asarray(rng.normal(size=(3, sizes[-1])))
         style = trial % 3
 
-        def f():
-            g = Graph()
+        def f(g):
             out = net.forward(g, g.constant(x))
             if style == 0:
-                return g, g.mean(g.square(g.sub(out, g.constant(target))))
+                return g.mean(g.square(g.sub(out, g.constant(target))))
             if style == 1:
-                return g, g.sum(g.mul(g.softmax(out), g.constant(target)))
-            return g, g.mean(g.abs(g.tanh(out)))
+                return g.sum(g.mul(g.softmax(out), g.constant(target)))
+            return g.mean(g.abs(g.tanh(out)))
 
         worst = max(worst, grad_check(f, net.params))
     assert worst < 1e-4
+
+
+def test_grad_check_rejects_a_tensor_listed_twice():
+    # the stacks would give the tensor one set of copies and the gradient
+    # vector two, so the coordinates would pair up wrongly
+    x = param(np.array([1.0, 2.0]))
+    with pytest.raises(NdiffError):
+        grad_check(lambda g: g.sum(g.square(x)), [x, x])
+
+
+def test_grad_check_rejects_a_root_that_is_not_scalar_per_copy():
+    x = param(np.array([1.0, 2.0]))
+    with pytest.raises(NonScalarRoot):
+        grad_check(lambda g: g.square(x), [x])
+    with pytest.raises(NonScalarRoot):
+        grad_check(lambda g: g.square(x) if isinstance(g, Stacked) else g.sum(x), [x])
+
+
+def _stacked_case(kind, rng, n, k):
+    """Per-copy operands and attributes of one valid op of this kind."""
+    def draw(*shape):
+        if kind == "log":
+            return rng.uniform(0.5, 1.5, size=shape)
+        return np.asarray(rng.normal(size=shape))
+
+    m = int(rng.integers(1, 4))
+    if kind == "matmul":
+        return [draw(n, k), draw(k, m)], {}
+    if kind in ("add", "mul"):
+        # equal shapes, a (1, k) bias row in either order, a scalar
+        pairs = [((n, k), (n, k)), ((n, k), (1, k)), ((1, k), (n, k)), ((n, k), ()), ((), (1, k))]
+        return [draw(*shape) for shape in pairs[int(rng.integers(len(pairs)))]], {}
+    if kind == "concat":
+        return [draw(n, int(rng.integers(1, 4))) for _ in range(3)], {}
+    if kind == "dense":
+        act = ndiff._ACTIVATIONS[int(rng.integers(len(ndiff._ACTIVATIONS)))]
+        return [draw(n, k), draw(k, m), draw(1, m)], {"act": act}
+    if kind == "sum":
+        return [draw(n, k)], {"axis": [None, 0, 1, -1][int(rng.integers(4))]}
+    if kind == "slice":
+        start = int(rng.integers(k))
+        return [draw(n, k)], {"start": start, "stop": int(rng.integers(start + 1, k + 1))}
+    if kind == "pick":
+        return [draw(n, k)], {"index": rng.integers(k, size=n)}
+    return [draw(n, k)], {}
+
+
+@pytest.mark.parametrize("kind", sorted(ndiff.OPS))
+@given(copies=st.integers(1, 4), n=st.integers(1, 4), k=st.integers(1, 5),
+       mask=st.integers(1, 7), shared_as_tensor=st.booleans(), through_result=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_stacked_op_slices_equal_eval_on_each_copy(kind, copies, n, k, mask, shared_as_tensor,
+                                                   through_result, seed):
+    rng = np.random.default_rng(seed)
+    operands, attrs = _stacked_case(kind, rng, n, k)
+    stacked = [bool(mask >> j & 1) for j in range(len(operands))]
+    stacked[0] = stacked[0] or not any(stacked)
+    g = Stacked({})
+    inputs, per_copy = [], []
+    for value, is_stacked in zip(operands, stacked):
+        if is_stacked:
+            stack = value + rng.normal(size=(copies,) + value.shape)
+            if kind == "log":
+                stack = np.abs(stack)
+            t = param(stack[0])
+            g.stacks[t] = stack
+            # neg(neg(x)) == x exactly, and reaches the op as a stacked result
+            inputs.append(g.neg(g.neg(t)) if through_result else t)
+            per_copy.append(stack)
+        else:
+            inputs.append(Tensor(value) if shared_as_tensor else g.constant(value))
+            per_copy.append(np.broadcast_to(value, (copies,) + value.shape))
+    out = g.op(kind, inputs, **attrs)
+    for c in range(copies):
+        expect = EVAL.op(kind, [v[c] for v in per_copy], **attrs)
+        assert out[c].shape == expect.shape
+        assert np.array_equal(out[c], expect)
+
+
+def test_stacked_unknown_op_raises_like_off_tape():
+    x = param(np.zeros((2, 2)))
+    g = Stacked({x: np.zeros((3, 2, 2))})
+    with pytest.raises(UnknownOp):
+        g.op("conv2d", (x,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, x: g.softmax(g.sum(x)),
+    lambda g, x: g.slice(g.mean(x), 0, 1),
+    lambda g, x: g.concat(g.sum(x), g.sum(x)),
+    lambda g, x: g.matmul(x, g.constant(np.ones((3, 1)))),
+    lambda g, x: g.add(x, g.constant(np.ones((3, 2)))),
+    lambda g, x: g.pick(x, [0, 1, 0]),
+])
+def test_stacked_rejects_each_copy_that_eval_rejects(build):
+    # a stacked (S,) per-copy scalar or an (S, 2, 2) stack has shapes that
+    # numpy would broadcast; each op must check the shapes of one copy
+    x = param(np.ones((2, 2)))
+    with pytest.raises(ShapeMismatch):
+        build(EVAL, x)
+    with pytest.raises(ShapeMismatch):
+        build(Stacked({x: np.ones((3, 2, 2))}), x)
 
 
 def test_adam_first_step_is_bias_corrected():
