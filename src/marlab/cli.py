@@ -453,7 +453,8 @@ def train(cfg, env):
             _, returns, info = evaluate(cfg.eval_episodes, _eval_rng(cfg.seed, t))
             rows.append(_row(t, episodes, loss, eps, returns, {**info, **extra}))
             acc_rows.append([t, _fmt(loss), _fmt(info.get("accuracy"))])
-    return rows, learner.to_checkpoint(config_echo=dataclasses.asdict(cfg)), acc_rows
+    payload = {**ndiff.tree_to_json(learner.checkpoint_tree()), "config": dataclasses.asdict(cfg)}
+    return rows, payload, acc_rows
 
 
 def cmd_train(cfg):
@@ -525,14 +526,15 @@ def _load_checkpoint_file(path):
 
 
 def evaluate_checkpoint(blob, env, episodes, seed):
-    cfg = build_config(blob["payload"].get("config") or {})
+    payload = dict(blob["payload"])
+    cfg = build_config(payload.pop("config", None) or {})
     spec = ALGO_SPECS[cfg.algo]
     try:
         # an untrained learner shaped like the one that wrote the checkpoint
         learner, _, evaluate = spec.start(cfg, env, np.random.default_rng(seed))
-        learner.load_checkpoint(blob["payload"])
+        ndiff.tree_from_json(payload, learner.checkpoint_tree())
     except (envs.EnvError, qmix.QmixError, maddpg.MaddpgError,
-            dialmod.DialError) as e:
+            dialmod.DialError, ndiff.NdiffError) as e:
         raise IncompatibleAlgoEnv(f"checkpoint does not fit {env.name}: {e}")
     totals, _, info = evaluate(episodes, _eval_rng(seed, 0))
 

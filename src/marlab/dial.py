@@ -191,17 +191,8 @@ class DialSystem:
         u = self.unroll(EVAL, episodes, rng)
         return float((u.actions[-1, :, self.env.meta["listener"]] == u.bits).mean())
 
-    def to_checkpoint(self, config_echo=None):
-        return {
-            "cells": [ndiff.params_to_json([(p.name, p) for p in c.net.params])
-                      for c in self.cells],
-            "channel": self.channel,
-            "config": dict(config_echo or {}),
-        }
-
-    def load_checkpoint(self, blob):
-        for cell, obj in zip(self.cells, blob["cells"]):
-            ndiff.params_from_json(obj, [(p.name, p) for p in cell.net.params])
+    def checkpoint_tree(self):
+        return {"cells": [c.net.params for c in self.cells], "channel": self.channel}
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +353,5 @@ class RialSystem:
             index, _, _ = env.step_batch(index, t, actions, rng)
         return float((actions[:, env.meta["listener"]] == bits).mean())
 
-    def to_checkpoint(self, config_echo=None):
-        return {
-            "heads": [ndiff.params_to_json([(p.name, p) for p in h.net.params])
-                      for h in self.heads],
-            "config": dict(config_echo or {}),
-        }
-
-    def load_checkpoint(self, blob):
-        for head, tgt, obj in zip(self.heads, self.targets, blob["heads"]):
-            ndiff.params_from_json(obj, [(p.name, p) for p in head.net.params])
-            ndiff.params_from_json(obj, [(p.name, p) for p in tgt.net.params])
+    def checkpoint_tree(self):
+        return {"heads": [h.net.params for h in self.heads]}

@@ -559,10 +559,6 @@ def game_from_dict(obj):
         raise EnvError(f"malformed game: {e}")
 
 
-def save_game(env, path):
-    pathlib.Path(path).write_text(json.dumps(game_to_dict(env), indent=1))
-
-
 def load_game(path):
     try:
         obj = json.loads(pathlib.Path(path).read_text())

@@ -320,31 +320,13 @@ class MaddpgLearner:
         for live, target in self.target_pairs:
             polyak_update(live, target, self.tau)
 
-    # -- serialization ------------------------------------------------------
-    def to_checkpoint(self, config_echo=None):
-        def dump(net):
-            return ndiff.params_to_json([(p.name, p) for p in net.params])
-
-        return {
-            "actors": [dump(a.net) for a in self.actors],
-            "critics": [dump(c) for c in self.critics],
-            "opponent_models": {f"{i}_{j}": dump(net)
-                                for (i, j), net in sorted(self.opponent_models.items())},
-            "targets": {
-                "actors": [dump(a.net) for a in self.target_actors],
-                "critics": [dump(c) for c in self.target_critics],
-            },
-            "config": dict(config_echo or {}),
-        }
-
-    def load_checkpoint(self, blob):
-        def load(net, obj):
-            ndiff.params_from_json(obj, [(p.name, p) for p in net.params])
-
-        for a, obj in zip(self.actors, blob["actors"]):
-            load(a.net, obj)
-        for c, obj in zip(self.critics, blob["critics"]):
-            load(c, obj)
+    def checkpoint_tree(self):
+        return {"actors": [a.net.params for a in self.actors],
+                "critics": [c.params for c in self.critics],
+                "opponent_models": {f"{i}_{j}": net.params
+                                    for (i, j), net in self.opponent_models.items()},
+                "targets": {"actors": [a.net.params for a in self.target_actors],
+                            "critics": [c.params for c in self.target_critics]}}
         for (i, j), net in self.opponent_models.items():
             load(net, blob["opponent_models"][f"{i}_{j}"])
         for a, obj in zip(self.target_actors, blob["targets"]["actors"]):

@@ -848,23 +848,48 @@ def grad_check(f, params, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# parameter serialization: {name: [floats...]}
+# checkpoint trees: nested dicts and lists of strings and tensor lists
 # ---------------------------------------------------------------------------
 
-def params_to_json(named_params):
-    out = {}
-    for name, p in named_params:
-        if name in out:
-            raise NdiffError(f"duplicate parameter name {name!r}")
-        out[name] = p.value.reshape(-1).tolist()
-    return out
+def _named(tree, path):
+    if not isinstance(tree, list) or not all(isinstance(p, Tensor) for p in tree):
+        return tree
+    named = {p.name: p for p in tree}
+    if len(named) < len(tree):
+        raise NdiffError(f"{path}: two tensors share a name")
+    return named
 
 
-def params_from_json(obj, named_params):
-    for name, p in named_params:
-        if name not in obj:
-            raise NdiffError(f"missing parameter {name!r}")
-        flat = np.asarray(obj[name], dtype=np.float64)
-        if flat.size != p.value.size:
-            raise ShapeMismatch(f"{name}: {flat.size} values for shape {p.value.shape}")
-        p.value[...] = flat.reshape(p.value.shape)
+def tree_to_json(tree, path="payload"):
+    """The tree's JSON form: a tensor list, an empty one too, becomes {name: [floats...]}."""
+    tree = _named(tree, path)
+    if isinstance(tree, Tensor):
+        return tree.value.reshape(-1).tolist()
+    if isinstance(tree, list):
+        return [tree_to_json(v, f"{path}/{i}") for i, v in enumerate(tree)]
+    if isinstance(tree, dict):
+        return {k: tree_to_json(v, f"{path}/{k}") for k, v in tree.items()}
+    return tree
+
+
+def tree_from_json(obj, tree, path="payload"):
+    """Load obj, a checkpoint tree's JSON form, into the tree's tensors. obj must hold exactly
+    the tree's keys, list lengths, strings and tensor sizes; an error names where it differs."""
+    tree = _named(tree, path)
+    if isinstance(tree, Tensor):
+        try:
+            tree.value[...] = np.asarray(obj, dtype=np.float64).reshape(tree.value.shape)
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"{path}: does not fill shape {tree.value.shape}")
+    elif isinstance(tree, str):
+        if obj != tree:
+            raise NdiffError(f"{path}: {obj!r:.40}, expected {tree!r}")
+    elif type(obj) is not type(tree):
+        raise NdiffError(f"{path}: a {type(obj).__name__}, expected a {type(tree).__name__}")
+    else:
+        want, got = (dict(enumerate(t)) if isinstance(t, list) else t for t in (tree, obj))
+        odd = sorted(want.keys() ^ got.keys())
+        if odd:
+            raise NdiffError(f"{path}/{odd[0]}: {'missing' if odd[0] in want else 'unexpected'}")
+        for k, sub in want.items():
+            tree_from_json(got[k], sub, f"{path}/{k}")

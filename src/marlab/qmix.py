@@ -114,8 +114,8 @@ class QmixLearner:
         self.mixing = None
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
-        psi, theta = self.named_params()
-        live = [p for _, p in psi + theta]
+        tree = self.checkpoint_tree()
+        live = tree["psi"] + tree["theta"]
         # one deepcopy memo: a shared head stays shared, and target_params are
         # the target nets' own tensors, laid out like the live ones in self.opt
         self.target_agent_nets, self.target_mixing, target_params = copy.deepcopy(
@@ -123,13 +123,11 @@ class QmixLearner:
         self.opt = AdamState(live, lr=lr)
         self.target_value, _ = ndiff.flatten(target_params)
 
-    def _unique_agent_nets(self, nets):
-        return nets[:1] if self.share_params else nets
-
-    def named_params(self):
-        psi = [(p.name, p) for net in self._unique_agent_nets(self.agent_nets) for p in net.params]
-        theta = [(p.name, p) for p in (self.mixing.params if self.mixing else [])]
-        return psi, theta
+    def checkpoint_tree(self):
+        heads = self.agent_nets[:1] if self.share_params else self.agent_nets
+        return {"mode": self.mode,
+                "psi": [p for net in heads for p in net.params],
+                "theta": self.mixing.params if self.mixing else []}
 
     # -- acting ---------------------------------------------------------------
     def _encode(self, state):
@@ -224,24 +222,6 @@ class QmixLearner:
 
     def sync_targets(self):
         copy_params(self.opt.value, self.target_value)
-
-    # -- serialization --------------------------------------------------------
-    def to_checkpoint(self, config_echo=None):
-        psi, theta = self.named_params()
-        return {
-            "mode": self.mode,
-            "psi": ndiff.params_to_json(psi),
-            "theta": ndiff.params_to_json(theta),
-            "config": dict(config_echo or {}),
-        }
-
-    def load_checkpoint(self, blob):
-        if blob.get("mode") != self.mode:
-            raise ModeMismatch(f"checkpoint is {blob.get('mode')!r}, learner is {self.mode!r}")
-        psi, theta = self.named_params()
-        ndiff.params_from_json(blob["psi"], psi)
-        ndiff.params_from_json(blob["theta"], theta)
-        self.sync_targets()
 
 
 def epsilon_at(step, start, end, decay_steps):

@@ -11,7 +11,6 @@ rather than policy quality.
 
 import numpy as np
 
-from . import ndiff
 from .envs import Discrete, NotSymmetric, NotZeroSum
 from .ndiff import EVAL, Graph, backward, param, sgd_step
 
@@ -48,14 +47,8 @@ class SelfPlayRun:
     def policy(self):
         return EVAL.softmax(self.logits)[0]
 
-    def to_checkpoint(self, config_echo=None):
-        return {
-            "policy": ndiff.params_to_json([(self.logits.name, self.logits)]),
-            "config": dict(config_echo or {}),
-        }
-
-    def load_checkpoint(self, blob):
-        ndiff.params_from_json(blob["policy"], [(self.logits.name, self.logits)])
+    def checkpoint_tree(self):
+        return {"policy": [self.logits]}
 
 
 def play_batch(env, probs_a, probs_b, n, rng):

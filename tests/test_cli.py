@@ -17,6 +17,7 @@ from marlab.cli import (
 from marlab.envs import fixture_by_name, game_to_dict, two_step_coop
 
 from calls import count_calls
+from golden import HOME_ENVS
 
 
 def _train(tmp_path, name, *flags):
@@ -336,10 +337,61 @@ def test_eval_fresh_selfplay_policy_is_balanced(tmp_path, capsys):
     assert "win_rate_per_agent" in summary and "draw_rate" in summary
 
 
-HOME_ENVS = {"iql": "two_step_coop", "vdn": "coop_climb", "qmix": "two_step_coop",
-             "maddpg_ctde": "coop_cts", "maddpg_dec": "two_step_coop",
-             "selfplay": "rock_paper_scissors", "dial": "signal_relay",
-             "rial": "signal_relay"}
+@pytest.mark.parametrize("algo,home,other", [("qmix", "two_step_coop", "coop_climb"),
+                                              ("maddpg_ctde", "coop_cts", "two_step_coop"),
+                                              ("selfplay", "rock_paper_scissors",
+                                               "matching_pennies")])
+def test_eval_on_a_game_the_checkpoint_does_not_fit_exits_2(tmp_path, capsys, algo, home,
+                                                           other):
+    rc, out = _train(tmp_path, algo, "--algo", algo, "--env", home, "--batch-size", "8",
+                     "--total-steps", "20", "--eval-interval", "20", "--eval-episodes", "5")
+    assert rc == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--env", other])
+    assert rc == 2
+    assert f"checkpoint does not fit {other}" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """algo -> (home game, checkpoint payload, the run's config echo)."""
+    runs = {}
+    for algo, env in (("qmix", "two_step_coop"), ("maddpg_ctde", "coop_cts"),
+                      ("dial", "signal_relay")):
+        rc, out = _train(tmp_path_factory.mktemp(algo), "run", "--algo", algo, "--env", env,
+                         "--batch-size", "8", "--total-steps", "20", "--eval-interval", "20",
+                         "--eval-episodes", "5")
+        assert rc == 0
+        runs[algo] = (env, json.loads((out / "checkpoint.json").read_text())["payload"],
+                      json.loads((out / "config_echo.json").read_text()))
+    return runs
+
+
+@pytest.mark.parametrize("algo,edit,path", [
+    ("qmix", lambda p: p.pop("psi"), "payload/psi: missing"),
+    ("qmix", lambda p: p.update(mode="vdn"), "payload/mode: 'vdn', expected 'qmix'"),
+    ("qmix", lambda p: p["psi"].pop("agent1/b0"), "payload/psi/agent1/b0: missing"),
+    ("maddpg_ctde", lambda p: p.pop("critics"), "payload/critics: missing"),
+    ("maddpg_ctde", lambda p: p.update(actors=p["actors"][:1]), "payload/actors/1: missing"),
+    ("maddpg_ctde", lambda p: p["targets"]["critics"].append({}),
+     "payload/targets/critics/2: unexpected"),
+    ("dial", lambda p: p.update(cells=p["cells"][:1]), "payload/cells/1: missing"),
+    ("dial", lambda p: p.update(cells=[]), "payload/cells/0: missing"),
+    ("dial", lambda p: p["cells"].append(p["cells"][0]), "payload/cells/2: unexpected"),
+    ("dial", lambda p: p.update(channel="zeroed"), "payload/channel: 'zeroed', expected 'on'"),
+])
+def test_eval_rejects_a_checksummed_payload_that_does_not_fit_its_learner(
+        tmp_path, capsys, trained, algo, edit, path):
+    env, payload, config = trained[algo]
+    assert payload["config"] == config
+    payload = json.loads(json.dumps(payload))
+    edit(payload)
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(cli._checkpoint_text(algo, env, payload))
+    assert cli.main(["eval", "--checkpoint", str(bad), "--episodes", "5"]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
 
 
 @pytest.mark.parametrize("algo", cli.ALGOS)
@@ -393,7 +445,7 @@ def _optimizers(learner):
 
 
 def _checkpoint_bytes(learner):
-    return json.dumps(learner.to_checkpoint(), sort_keys=True)
+    return json.dumps(ndiff.tree_to_json(learner.checkpoint_tree()), sort_keys=True)
 
 
 _ADAM_ALGOS = [a for a in cli.ALGOS if a != "selfplay"]
@@ -420,7 +472,7 @@ def test_checkpoint_load_into_fresh_learner_keeps_bytes(algo):
     blob = _checkpoint_bytes(learner)
     fresh, _ = _started(algo, seed=1)
     assert _checkpoint_bytes(fresh) != blob
-    fresh.load_checkpoint(json.loads(blob))
+    ndiff.tree_from_json(json.loads(blob), fresh.checkpoint_tree())
     assert _checkpoint_bytes(fresh) == blob
     for opt in _optimizers(fresh):
         assert all(p.value.base is opt.value for p in opt.params)

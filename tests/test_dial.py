@@ -11,7 +11,7 @@ from marlab.dial import (
     StaleTrace,
     greedy_factored,
 )
-from marlab.ndiff import EVAL, Graph, Stacked, grad_check
+from marlab.ndiff import EVAL, Graph, Stacked, grad_check, tree_from_json, tree_to_json
 
 from calls import count_calls
 
@@ -209,11 +209,11 @@ def test_checkpoint_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(20):
         sys_.train_step(8, rng)
-    blob = sys_.to_checkpoint({"algo": "dial"})
+    blob = tree_to_json(sys_.checkpoint_tree())
     acc_before = sys_.evaluate(200, np.random.default_rng(1))
     for p in sys_.params():
         p.value[...] = 0.0
-    sys_.load_checkpoint(blob)
+    tree_from_json(blob, sys_.checkpoint_tree())
     assert sys_.evaluate(200, np.random.default_rng(1)) == acc_before
     assert blob["channel"] == "on"
 

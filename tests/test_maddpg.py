@@ -4,7 +4,8 @@ import pytest
 from marlab import envs, maddpg
 from marlab.buffer import JointTransition
 from marlab.maddpg import Actor, ContinuousOpponent, MaddpgLearner
-from marlab.ndiff import EVAL, AdamState, Graph, adam_step, backward, copy_params
+from marlab.ndiff import (EVAL, AdamState, Graph, adam_step, backward, copy_params,
+                          tree_from_json, tree_to_json)
 
 from batches import stacked
 
@@ -279,10 +280,10 @@ def test_act_explores_inside_box_and_greedy_is_deterministic():
 def test_checkpoint_roundtrip_restores_behavior():
     learner, env = disc_learner(seed=18, model_opponents=True)
     rng = np.random.default_rng(13)
-    blob = learner.to_checkpoint({"algo": "maddpg_ctde"})
+    blob = tree_to_json(learner.checkpoint_tree())
     p_before = learner.actors[0].probs_np(np.ones((1, 1))).copy()
     for opt in learner.opts:
         opt.value += 0.25
-    learner.load_checkpoint(blob)
+    tree_from_json(blob, learner.checkpoint_tree())
     assert np.array_equal(learner.actors[0].probs_np(np.ones((1, 1))), p_before)
-    assert blob["config"]["algo"] == "maddpg_ctde"
+    assert set(blob["opponent_models"]) == {"0_1", "1_0"}

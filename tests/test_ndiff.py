@@ -1,6 +1,7 @@
 import copy
 import gc
 import importlib
+import json
 import pkgutil
 import weakref
 
@@ -32,10 +33,10 @@ from marlab.ndiff import (
     forward_op,
     grad_check,
     param,
-    params_from_json,
-    params_to_json,
     polyak_update,
     sgd_step,
+    tree_from_json,
+    tree_to_json,
 )
 
 from calls import count_calls
@@ -728,17 +729,66 @@ def test_determinism_over_100_adam_steps():
         assert np.array_equal(a, b)
 
 
-def test_param_json_round_trip():
-    rng = np.random.default_rng(5)
-    net = DenseNet([2, 3], ["identity"], rng, name="net")
-    named = [(p.name, p) for p in net.params]
-    blob = params_to_json(named)
-    assert set(blob) == {"net/W0", "net/b0"}
-    twin = DenseNet([2, 3], ["identity"], np.random.default_rng(99), name="net")
-    params_from_json(blob, [(p.name, p) for p in twin.params])
-    assert np.array_equal(twin.weights[0].value, net.weights[0].value)
-    with pytest.raises(ndiff.NdiffError):
-        params_from_json({}, named)
+def _tree(seed):
+    """A checkpoint tree with every kind of node: a dict, a list, a string, a
+    tensor list and an empty tensor list."""
+    nets = [DenseNet([2, 3], ["identity"], np.random.default_rng(seed + i), name=f"net{i}")
+            for i in range(2)]
+    return {"mode": "vdn", "nets": [n.params for n in nets],
+            "inner": {"scalar": [param(np.full((1, 1), float(seed)), name="s")], "none": []}}
+
+
+def test_tree_json_round_trip():
+    tree, twin = _tree(5), _tree(99)
+    blob = tree_to_json(tree)
+    assert blob["mode"] == "vdn" and blob["inner"] == {"scalar": {"s": [5.0]}, "none": {}}
+    assert [set(x) for x in blob["nets"]] == [{"net0/W0", "net0/b0"}, {"net1/W0", "net1/b0"}]
+    assert tree_to_json(twin) != blob
+    tree_from_json(json.loads(json.dumps(blob)), twin)
+    assert tree_to_json(twin) == blob
+    assert np.array_equal(twin["nets"][1][0].value, tree["nets"][1][0].value)
+
+
+def test_tree_rejects_a_duplicate_tensor_name():
+    a, b = param(np.zeros((1, 1)), name="w"), param(np.ones((1, 1)), name="w")
+    with pytest.raises(NdiffError, match="payload/x: two tensors share a name"):
+        tree_to_json({"x": [a, b]})
+    with pytest.raises(NdiffError, match="payload/x: two tensors share a name"):
+        tree_from_json({"x": {"w": [0.0]}}, {"x": [a, b]})
+    # a shared head is one set of tensors, listed once
+    learner = qmix.QmixLearner(envs.coop_climb(), "vdn", np.random.default_rng(0),
+                               share_params=True)
+    tree = learner.checkpoint_tree()
+    assert len(tree["psi"]) == len(learner.agent_nets[0].params)
+    tree_from_json(tree_to_json(tree), tree)
+
+
+def _edited(blob, edit):
+    blob = json.loads(json.dumps(blob))
+    edit(blob)
+    return blob
+
+
+@pytest.mark.parametrize("edit,path,error", [
+    (lambda b: b.pop("mode"), "payload/mode: missing", NdiffError),
+    (lambda b: b["inner"].pop("none"), "payload/inner/none: missing", NdiffError),
+    (lambda b: b.update(extra=1), "payload/extra: unexpected", NdiffError),
+    (lambda b: b["nets"][0].update({"net0/W1": [0.0]}), "payload/nets/0/net0/W1: unexpected",
+     NdiffError),
+    (lambda b: b["nets"].pop(), "payload/nets/1: missing", NdiffError),
+    (lambda b: b["nets"].append({}), "payload/nets/2: unexpected", NdiffError),
+    (lambda b: b.update(mode="qmix"), "payload/mode: 'qmix', expected 'vdn'", NdiffError),
+    (lambda b: b.update(nets={}), "payload/nets: a dict, expected a list", NdiffError),
+    (lambda b: b["inner"]["scalar"].update(s=[1.0, 2.0]),
+     r"payload/inner/scalar/s: does not fill shape \(1, 1\)", ShapeMismatch),
+    (lambda b: b["nets"][1].update({"net1/b0": "abc"}),
+     r"payload/nets/1/net1/b0: does not fill shape \(1, 3\)", ShapeMismatch),
+])
+def test_tree_from_json_names_the_path_that_does_not_fit(edit, path, error):
+    tree = _tree(5)
+    blob = tree_to_json(tree)
+    with pytest.raises(error, match=path):
+        tree_from_json(_edited(blob, edit), _tree(5))
 
 
 

@@ -311,8 +311,8 @@ def test_shared_parameters_tie_agent_heads():
     s = env.reset(np.random.default_rng(0))
     u = learner.utilities(s)
     assert np.array_equal(u[0], u[1])
-    psi, _ = learner.named_params()
-    assert all(name.startswith("agents_shared/") for name, _ in psi)
+    psi = learner.checkpoint_tree()["psi"]
+    assert psi and all(p.name.startswith("agents_shared/") for p in psi)
     tr = JointTransition(state=0, actions=(0, 1), rewards=(-30.0, -30.0), next_state=0, done=True)
     learner.td_update(stacked([tr] * 4))
     u2 = learner.utilities(s)
@@ -367,16 +367,16 @@ def test_live_vector_moves_reach_targets_only_on_sync():
 def test_checkpoint_roundtrip_restores_utilities():
     learner, env = make("qmix", seed=8)
     s = env.reset(np.random.default_rng(0))
-    blob = learner.to_checkpoint(config_echo={"algo": "qmix"})
+    blob = ndiff.tree_to_json(learner.checkpoint_tree())
     before = [u.copy() for u in learner.utilities(s)]
     for p in learner.opt.params:
         p.value[...] += 1.0
-    learner.load_checkpoint(blob)
+    ndiff.tree_from_json(blob, learner.checkpoint_tree())
     after = learner.utilities(s)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
-    assert blob["config"] == {"algo": "qmix"}
+    assert blob["mode"] == "qmix"
 
     other, _ = make("vdn", seed=8)
-    with pytest.raises(ModeMismatch):
-        other.load_checkpoint(blob)
+    with pytest.raises(ndiff.NdiffError, match="payload/mode"):
+        ndiff.tree_from_json(blob, other.checkpoint_tree())

@@ -3,6 +3,7 @@ import pytest
 
 from marlab import envs, oracle
 from marlab.envs import NotSymmetric, NotZeroSum
+from marlab.ndiff import tree_from_json, tree_to_json
 from marlab.selfplay import (
     SelfPlayRun,
     check_selfplay_env,
@@ -167,8 +168,8 @@ def test_checkpoint_roundtrip():
     run = SelfPlayRun(env, rng)
     for _ in range(30):
         selfplay_step(run, env, 128, rng)
-    blob = run.to_checkpoint({"algo": "selfplay"})
+    blob = tree_to_json(run.checkpoint_tree())
     saved = run.policy().copy()
     run.logits.value[...] = 9.0
-    run.load_checkpoint(blob)
+    tree_from_json(blob, run.checkpoint_tree())
     assert np.array_equal(run.policy(), saved)
