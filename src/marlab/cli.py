@@ -16,7 +16,11 @@ The checksum is taken over the payload's compact sorted JSON, and
 checkpoint.json stores the payload as exactly that text, so `marlab eval`
 verifies a checkpoint by hashing those bytes of the file.  Older or
 re-formatted checkpoint files are verified by re-serializing their parsed
-payload.
+payload.  The payload is the learner's checkpoint tree plus the run's config;
+format marlab-checkpoint-v2 stores each tensor as the base64 text of its
+little-endian float64 bytes, so its bits round-trip without float parsing.
+v1 files, whose tensors are lists of floats, load by the same reader, which
+takes a tensor's form from its JSON type.  Any other format is refused.
 """
 
 import argparse
@@ -83,6 +87,8 @@ def _digest(payload):
 # the checksum, and neither marker can occur inside a JSON string
 _PAYLOAD_AT = ',"payload":'
 _SHA256_AT = ',"sha256":"'
+# the formats eval reads; train writes the last
+CHECKPOINT_FORMATS = ("marlab-checkpoint-v1", "marlab-checkpoint-v2")
 
 
 def _checkpoint_text(algo, env, payload):
@@ -90,7 +96,7 @@ def _checkpoint_text(algo, env, payload):
     the payload is serialized once, and its sha256 is taken over the very
     text the file holds."""
     text = _canonical(payload)
-    head = _canonical({"algo": algo, "env": env, "format": "marlab-checkpoint-v1"})
+    head = _canonical({"algo": algo, "env": env, "format": CHECKPOINT_FORMATS[-1]})
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f'{head[:-1]}{_PAYLOAD_AT}{text}{_SHA256_AT}{digest}"}}'
 
@@ -517,9 +523,11 @@ def _load_checkpoint_file(path):
     if not isinstance(blob, dict) or not isinstance(blob.get("payload", {}), dict):
         raise ChecksumMismatch(f"malformed checkpoint {path}: "
                                "the file and its payload must be JSON objects")
-    for key in ("algo", "env", "payload", "sha256"):
+    for key in ("algo", "env", "format", "payload", "sha256"):
         if key not in blob:
             raise ChecksumMismatch(f"checkpoint {path} is missing {key!r}")
+    if blob["format"] not in CHECKPOINT_FORMATS:
+        raise CliError(f"{path}: unsupported checkpoint format {blob['format']!r}")
     if not verified and _digest(blob["payload"]) != blob["sha256"]:
         raise ChecksumMismatch(f"checkpoint {path} failed its sha256 check")
     return blob
@@ -527,7 +535,13 @@ def _load_checkpoint_file(path):
 
 def evaluate_checkpoint(blob, env, episodes, seed):
     payload = dict(blob["payload"])
-    cfg = build_config(payload.pop("config", None) or {})
+    config = payload.pop("config", {})
+    if not isinstance(config, dict):
+        raise IncompatibleAlgoEnv(f"payload/config: a {type(config).__name__}, expected a dict")
+    cfg = build_config({"algo": blob["algo"], **config})
+    if cfg.algo != blob["algo"]:
+        raise IncompatibleAlgoEnv(f"checkpoint algo {blob['algo']!r} differs from "
+                                  f"its payload's config algo {cfg.algo!r}")
     spec = ALGO_SPECS[cfg.algo]
     try:
         # an untrained learner shaped like the one that wrote the checkpoint

@@ -327,9 +327,3 @@ class MaddpgLearner:
                                     for (i, j), net in self.opponent_models.items()},
                 "targets": {"actors": [a.net.params for a in self.target_actors],
                             "critics": [c.params for c in self.target_critics]}}
-        for (i, j), net in self.opponent_models.items():
-            load(net, blob["opponent_models"][f"{i}_{j}"])
-        for a, obj in zip(self.target_actors, blob["targets"]["actors"]):
-            load(a.net, obj)
-        for c, obj in zip(self.target_critics, blob["targets"]["critics"]):
-            load(c, obj)

@@ -12,6 +12,8 @@ so a dropped tape is freed at once and a model is plain data that
 copy.deepcopy copies.
 """
 
+import base64
+
 import numpy as np
 
 
@@ -861,10 +863,11 @@ def _named(tree, path):
 
 
 def tree_to_json(tree, path="payload"):
-    """The tree's JSON form: a tensor list, an empty one too, becomes {name: [floats...]}."""
+    """The tree's JSON form: a tensor list, an empty one too, becomes {name: base64}, each
+    tensor stored as the base64 text of its values' little-endian float64 bytes."""
     tree = _named(tree, path)
     if isinstance(tree, Tensor):
-        return tree.value.reshape(-1).tolist()
+        return base64.b64encode(tree.value.astype("<f8").tobytes()).decode("ascii")
     if isinstance(tree, list):
         return [tree_to_json(v, f"{path}/{i}") for i, v in enumerate(tree)]
     if isinstance(tree, dict):
@@ -874,10 +877,13 @@ def tree_to_json(tree, path="payload"):
 
 def tree_from_json(obj, tree, path="payload"):
     """Load obj, a checkpoint tree's JSON form, into the tree's tensors. obj must hold exactly
-    the tree's keys, list lengths, strings and tensor sizes; an error names where it differs."""
+    the tree's keys, list lengths, strings and tensor sizes; an error names where it differs.
+    A tensor is read from base64 float64 bytes, or from a list of floats as v1 files hold."""
     tree = _named(tree, path)
     if isinstance(tree, Tensor):
         try:
+            if isinstance(obj, str):    # binascii.Error is a ValueError, as is a ragged buffer
+                obj = np.frombuffer(base64.b64decode(obj, validate=True), "<f8")
             tree.value[...] = np.asarray(obj, dtype=np.float64).reshape(tree.value.shape)
         except (TypeError, ValueError):
             raise ShapeMismatch(f"{path}: does not fill shape {tree.value.shape}")

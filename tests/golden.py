@@ -8,6 +8,8 @@ BLAS it calls, so golden.json records both beside the digests.
 Regenerate golden.json from the repository root with
 
     PYTHONPATH=src python tests/golden.py
+
+which also prints each key whose digest differs from the file it replaces.
 """
 
 import contextlib
@@ -68,6 +70,11 @@ def digests():
     return out
 
 
+def changed(want, got):
+    """The keys of two digest maps whose digests differ, or that only one holds."""
+    return [k for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)]
+
+
 if __name__ == "__main__":
     os.environ.pop("MARLAB_SEED", None)
     home = os.getcwd()
@@ -77,6 +84,8 @@ if __name__ == "__main__":
             found = digests()
         finally:
             os.chdir(home)
+    moved = changed(json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {},
+                    found)
     GOLDEN.write_text(json.dumps({"build": build(), "digests": found},
                                  indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(found)} digests to {GOLDEN}")
+    print(f"wrote {len(found)} digests to {GOLDEN}; {len(moved)} moved:", *moved, sep="\n")

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -273,7 +274,7 @@ def test_checkpoint_envelope_round_trips_and_rejects_any_changed_payload_byte(
         tmp_path_factory, payload, env, where, byte):
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     text = cli._checkpoint_text("vdn", env, payload)
-    blob = {"algo": "vdn", "env": env, "format": "marlab-checkpoint-v1",
+    blob = {"algo": "vdn", "env": env, "format": "marlab-checkpoint-v2",
             "payload": payload, "sha256": cli._digest(payload)}
     assert text == json.dumps(blob, sort_keys=True, separators=(",", ":"))
     path.write_text(text)
@@ -309,6 +310,45 @@ def test_eval_episodes_below_one_exits_2(tmp_path, capsys, algo, env):
         assert rc == 2
         assert "--episodes must be at least 1" in capsys.readouterr().err
         assert not (out / "eval.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["marlab-checkpoint-v3", "", None])
+def test_eval_refuses_an_unknown_checkpoint_format(tmp_path, capsys, fmt):
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
+    blob = json.loads((out / "checkpoint.json").read_text())
+    blob["format"] = fmt
+    (out / "checkpoint.json").write_text(cli._canonical(blob))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.json")]) == 1
+    assert f"unsupported checkpoint format {fmt!r}" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
+def test_eval_refuses_a_checkpoint_whose_algo_differs_from_its_config(tmp_path, capsys):
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
+    payload = json.loads((out / "checkpoint.json").read_text())["payload"]
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(cli._checkpoint_text("qmix", "coop_climb", payload))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(bad)]) == 2
+    assert "checkpoint algo 'qmix' differs from its payload's config algo 'vdn'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_eval_of_a_payload_without_config_builds_the_envelopes_algo(tmp_path, capsys):
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
+    payload = json.loads((out / "checkpoint.json").read_text())["payload"]
+    del payload["config"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(cli._checkpoint_text("vdn", "coop_climb", payload))
+    capsys.readouterr()
+    for path in (out / "checkpoint.json", bare):
+        assert cli.main(["eval", "--checkpoint", str(path), "--out",
+                         str(path.with_suffix(".eval"))]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["algo"] == "vdn"
+    assert (bare.with_suffix(".eval")).read_bytes() == (out / "checkpoint.eval").read_bytes()
 
 
 def test_eval_greedy_policy_is_constant_on_deterministic_game(tmp_path, capsys):
@@ -368,10 +408,18 @@ def trained(tmp_path_factory):
     return runs
 
 
+def _resize_leaf(tensors, extra):
+    """Add extra zero bytes to, or cut -extra bytes from, the first tensor's base64 bytes."""
+    name = sorted(tensors)[0]
+    raw = base64.b64decode(tensors[name])
+    tensors[name] = base64.b64encode(raw + bytes(extra) if extra > 0 else raw[:extra]).decode()
+
+
 @pytest.mark.parametrize("algo,edit,path", [
     ("qmix", lambda p: p.pop("psi"), "payload/psi: missing"),
     ("qmix", lambda p: p.update(mode="vdn"), "payload/mode: 'vdn', expected 'qmix'"),
     ("qmix", lambda p: p["psi"].pop("agent1/b0"), "payload/psi/agent1/b0: missing"),
+    ("qmix", lambda p: p.update(config=5), "payload/config: a int, expected a dict"),
     ("maddpg_ctde", lambda p: p.pop("critics"), "payload/critics: missing"),
     ("maddpg_ctde", lambda p: p.update(actors=p["actors"][:1]), "payload/actors/1: missing"),
     ("maddpg_ctde", lambda p: p["targets"]["critics"].append({}),
@@ -380,6 +428,12 @@ def trained(tmp_path_factory):
     ("dial", lambda p: p.update(cells=[]), "payload/cells/0: missing"),
     ("dial", lambda p: p["cells"].append(p["cells"][0]), "payload/cells/2: unexpected"),
     ("dial", lambda p: p.update(channel="zeroed"), "payload/channel: 'zeroed', expected 'on'"),
+    ("qmix", lambda p: p["psi"].update({"agent1/b0": "*" + p["psi"]["agent1/b0"]}),
+     "payload/psi/agent1/b0: does not fill shape (1, 32)"),
+    ("maddpg_ctde", lambda p: _resize_leaf(p["critics"][1], 8),
+     "payload/critics/1/critic1/W0: does not fill shape (3, 64)"),
+    ("maddpg_ctde", lambda p: _resize_leaf(p["targets"]["actors"][0], -8),
+     "payload/targets/actors/0/actor0/W0: does not fill shape (1, 64)"),
 ])
 def test_eval_rejects_a_checksummed_payload_that_does_not_fit_its_learner(
         tmp_path, capsys, trained, algo, edit, path):
@@ -476,6 +530,45 @@ def test_checkpoint_load_into_fresh_learner_keeps_bytes(algo):
     assert _checkpoint_bytes(fresh) == blob
     for opt in _optimizers(fresh):
         assert all(p.value.base is opt.value for p in opt.params)
+
+
+def _v1_json(tree):
+    """The tree as v1 checkpoints held it: each tensor a flat list of floats."""
+    if isinstance(tree, list) and all(isinstance(p, ndiff.Tensor) for p in tree):
+        return {p.name: p.value.reshape(-1).tolist() for p in tree}
+    if isinstance(tree, list):
+        return [_v1_json(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: _v1_json(v) for k, v in tree.items()}
+    return tree
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_v1_and_v2_files_of_one_tree_load_alike_and_evaluate_alike(tmp_path, algo):
+    learner, step = _started(algo)
+    for t in range(1, 41):
+        step(t)
+    config = dataclasses.asdict(build_config(flag_dict={"algo": algo, "env": HOME_ENVS[algo],
+                                                        "batch_size": 8}))
+    tree = learner.checkpoint_tree()
+    v1 = {**_v1_json(tree), "config": config}
+    v2 = {**ndiff.tree_to_json(tree), "config": config}
+    files = {"v1": cli._canonical({"algo": algo, "env": HOME_ENVS[algo],
+                                   "format": "marlab-checkpoint-v1", "payload": v1,
+                                   "sha256": cli._digest(v1)}),
+             "v2": cli._checkpoint_text(algo, HOME_ENVS[algo], v2)}
+    assert json.loads(files["v2"])["format"] == "marlab-checkpoint-v2"
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        payload = dict(cli._load_checkpoint_file(path)["payload"])
+        del payload["config"]
+        fresh, _ = _started(algo, seed=1)
+        ndiff.tree_from_json(payload, fresh.checkpoint_tree())
+        assert _checkpoint_bytes(fresh) == _checkpoint_bytes(learner)
+        assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "20",
+                         "--out", str(tmp_path / f"{name}.eval.json")]) == 0
+    assert (tmp_path / "v1.eval.json").read_bytes() == (tmp_path / "v2.eval.json").read_bytes()
 
 
 def _huge_reward_game():

@@ -13,20 +13,16 @@ def _digests_in(folder, monkeypatch):
     return golden.digests()
 
 
-def _changed(want, got):
-    return [k for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)]
-
-
 def test_golden_runs_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("MARLAB_SEED", raising=False)
     recorded = json.loads(golden.GOLDEN.read_text())
     got = _digests_in(tmp_path / "first", monkeypatch)
     assert len(got) == 68
     if recorded["build"] == golden.build():
-        changed = _changed(recorded["digests"], got)
+        changed = golden.changed(recorded["digests"], got)
         assert not changed, "artifacts whose bytes changed: " + ", ".join(changed)
         return
     warnings.warn(f"golden.json was made with {recorded['build']}, not "
                   f"{golden.build()}; only two runs of this tree are compared")
-    changed = _changed(got, _digests_in(tmp_path / "second", monkeypatch))
+    changed = golden.changed(got, _digests_in(tmp_path / "second", monkeypatch))
     assert not changed, "artifacts that differ between two runs: " + ", ".join(changed)

@@ -741,12 +741,33 @@ def _tree(seed):
 def test_tree_json_round_trip():
     tree, twin = _tree(5), _tree(99)
     blob = tree_to_json(tree)
-    assert blob["mode"] == "vdn" and blob["inner"] == {"scalar": {"s": [5.0]}, "none": {}}
+    # 5.0's little-endian float64 bytes, 00 00 00 00 00 00 14 40, in base64
+    assert blob["mode"] == "vdn" and blob["inner"] == {"scalar": {"s": "AAAAAAAAFEA="},
+                                                       "none": {}}
     assert [set(x) for x in blob["nets"]] == [{"net0/W0", "net0/b0"}, {"net1/W0", "net1/b0"}]
     assert tree_to_json(twin) != blob
     tree_from_json(json.loads(json.dumps(blob)), twin)
     assert tree_to_json(twin) == blob
     assert np.array_equal(twin["nets"][1][0].value, tree["nets"][1][0].value)
+
+
+# float64 values a decimal round trip or a float parser could change: signed zeros,
+# the smallest subnormals and normal, the largest finite values, infinities and NaNs
+_EDGE_BITS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072004e-308, 2.2250738585072014e-308,
+                       np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                       np.inf, -np.inf, np.nan]).view(np.uint64).tolist() + [0x7FF0000000000001,
+                                                                              0xFFF8DEADBEEF0000]
+
+
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=11), rows=st.integers(1, 3))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_tree_json_keeps_every_float64_bit(bits, rows):
+    bits = np.array((_EDGE_BITS + bits) * rows, dtype=np.uint64)
+    value = bits.view(np.float64).reshape(rows, -1)
+    tree = {"t": [param(value, name="t")]}
+    twin = {"t": [param(np.zeros_like(value), name="t")]}
+    tree_from_json(json.loads(json.dumps(tree_to_json(tree))), twin)
+    assert np.array_equal(twin["t"][0].value.view(np.uint64).reshape(-1), bits)
 
 
 def test_tree_rejects_a_duplicate_tensor_name():
