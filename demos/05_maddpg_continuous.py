@@ -10,6 +10,7 @@ import numpy as np
 
 from marlab import envs, maddpg
 from marlab.buffer import JointTransition, ReplayBuffer
+from marlab.ndiff import EVAL
 
 # -- continuous cooperation ---------------------------------------------------
 env = envs.coop_cts()
@@ -41,13 +42,13 @@ dec = maddpg.MaddpgLearner(env2, rng2, hidden=(32,), lr=1e-2, beta=0.0,
                            decentralized=True)
 
 eye = np.eye(env2.n_states)
-script = np.stack([dec.target_actors[1].probs_np(eye[[s]])[0]
+script = np.stack([dec.actors[1].probs_np(dec.target, eye[[s]])[0]
                    for s in range(env2.n_states)])
 
 buf2 = ReplayBuffer(4000)
 state = env2.reset(rng2)
 for _ in range(4000):
-    a0 = int(dec.actors[0].sample_np(eye[[state.index]], rng2)[0])
+    a0 = int(dec.actors[0].sample_np(EVAL, eye[[state.index]], rng2)[0])
     a1 = int(rng2.choice(2, p=script[state.index]))
     nxt, rewards, done = env2.step(state, (a0, a1), rng2)
     buf2.push(JointTransition(state=state.index, actions=(a0, a1),

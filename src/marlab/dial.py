@@ -10,16 +10,14 @@ Messages are pure communication: they are routed between agent inputs and
 never enter the environment's transition or reward computations.
 """
 
-import copy
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ndiff
 from .buffer import ReplayBuffer
 from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, backward, copy_params,
-                    value_of)
+                    target_graph, value_of)
 
 CHANNEL_MODES = ("on", "zeroed")
 
@@ -254,9 +252,8 @@ class RialSystem:
         self.heads = [FactoredQHead(self.in_dims[i], env.action_space[i].n, m,
                                     net_hidden, rng, f"rial{i}")
                       for i in range(self.n_agents)]
-        self.targets = copy.deepcopy(self.heads)
         self.opts = [AdamState(h.net.params, lr=lr) for h in self.heads]
-        self.target_values = [ndiff.flatten(t.net.params)[0] for t in self.targets]
+        self.target_values, self.target = target_graph(self.opts)
         self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(self.n_agents)]
         self.learn_steps = 0
 
@@ -316,7 +313,7 @@ class RialSystem:
         total = 0.0
         for i, head in enumerate(self.heads):
             b = self.buffers[i].sample(self.batch_size, rng)
-            qa2, qm2 = self.targets[i].forward(EVAL, b.x_next)
+            qa2, qm2 = head.forward(self.target, b.x_next)
             y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
 
             g = Graph()
@@ -328,9 +325,12 @@ class RialSystem:
             total += float(loss.value)
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
-            for opt, target in zip(self.opts, self.target_values):
-                copy_params(opt.value, target)
+            self.sync_targets()
         return total
+
+    def sync_targets(self):
+        for opt, target in zip(self.opts, self.target_values):
+            copy_params(opt.value, target)
 
     def step(self, rng, epsilon):
         """Collect one episode, then learn if the replays have a batch."""

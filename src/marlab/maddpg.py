@@ -4,13 +4,12 @@ and optionally categorical models of the other agents' policies so that the
 critic target can be formed without seeing the co-actors at training time.
 """
 
-import copy
-
 import numpy as np
 
-from . import envs, ndiff
+from . import envs
 from .envs import Box1D, Discrete
-from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, backward, polyak_update
+from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, backward, polyak_update,
+                    target_graph)
 
 SIGMA_EXPLORE = 0.1
 
@@ -55,34 +54,34 @@ class Actor:
             return g.add(g.mul(out, g.constant(self._half)), g.constant(self._mid))
         return out
 
-    def greedy_np(self, s):
+    def greedy_np(self, g, s):
         """Deterministic action per row: tanh mean for boxes, argmax for
         categorical policies."""
-        out = self.forward(EVAL, s)
+        out = self.forward(g, s)
         return out[:, 0] if self.kind == "box" else out.argmax(axis=1)
 
-    def sample_np(self, s, rng):
+    def sample_np(self, g, s, rng):
         """Behavior action per row: clipped Gaussian around the mean, or a
         categorical draw."""
-        out = self.forward(EVAL, s)
+        out = self.forward(g, s)
         if self.kind == "box":
             a = out[:, 0] + rng.normal(0.0, SIGMA_EXPLORE, size=len(out))
             return np.clip(a, self.space.lo, self.space.hi)
         return _draw(out, rng)
 
-    def co_action_np(self, s, rng):
+    def co_action_np(self, g, s, rng):
         """Action per row as co-actors see it: a categorical draw, or the noiseless box action."""
-        return self.sample_np(s, rng) if self.kind == "cat" else self.greedy_np(s)
+        return self.sample_np(g, s, rng) if self.kind == "cat" else self.greedy_np(g, s)
 
-    def probs_np(self, s):
+    def probs_np(self, g, s):
         if self.kind != "cat":
             raise MaddpgError("probabilities exist only for categorical actors")
-        return EVAL.softmax(self.forward(EVAL, s))
+        return g.softmax(self.forward(g, s))
 
 
 class MaddpgLearner:
-    """Per-agent critics Q_i(s, a_1..a_N) with target copies, per-agent
-    actors, and categorical opponent models mu_ij(a_j | s) for discrete
+    """Per-agent critics Q_i(s, a_1..a_N) and actors, both run as targets on
+    self.target, and categorical opponent models mu_ij(a_j | s) for discrete
     co-actors.
 
     Critic inputs are laid out as (state, a_1, ..., a_N) in agent order; box
@@ -108,11 +107,11 @@ class MaddpgLearner:
         self.critics = [DenseNet([critic_in, *hidden, 1],
                                  ["relu"] * len(hidden) + ["identity"], rng, f"critic{i}")
                         for i in range(self.n_agents)]
-        self.target_actors = copy.deepcopy(self.actors)
-        self.target_critics = copy.deepcopy(self.critics)
 
         if model_opponents is None:
             model_opponents = decentralized
+        if decentralized and not model_opponents:
+            raise MaddpgError("decentralized targets and actor updates need opponent models")
         self.opponent_models = {}
         if model_opponents:
             for i in range(self.n_agents):
@@ -131,10 +130,8 @@ class MaddpgLearner:
         self.model_opts = {key: AdamState(net.params, lr=lr)
                            for key, net in self.opponent_models.items()}
         self.opts = [*self.actor_opts, *self.critic_opts, *self.model_opts.values()]
-        # (live, target) value vectors, actors then critics, in agent order
-        targets = [ta.net for ta in self.target_actors] + self.target_critics
-        self.target_pairs = [(opt.value, ndiff.flatten(net.params)[0])
-                             for opt, net in zip(self.actor_opts + self.critic_opts, targets)]
+        # target value vectors of the actors then the critics, in agent order
+        self.target_values, self.target = target_graph(self.actor_opts + self.critic_opts)
 
     # -- plumbing -------------------------------------------------------------
     def _encode_states(self, indices):
@@ -158,38 +155,32 @@ class MaddpgLearner:
         sampled behavior actions, or greedy ones when explore is False.
         Each actor draws for all n rows at once, in agent order."""
         s = self._encode_states(index)
-        return np.stack([actor.sample_np(s, rng) if explore else actor.greedy_np(s)
+        return np.stack([actor.sample_np(EVAL, s, rng) if explore else actor.greedy_np(EVAL, s)
                          for actor in self.actors], axis=1)
 
+    def _modelled_action(self, owner, j, s, rng):
+        """Agent j's action per row, drawn from owner's model of it."""
+        return _draw(self.opponent_models[(owner, j)].forward(EVAL, s), rng)
+
+    def _bootstrap(self, batch, i, s2, a2):
+        """Agent i's y = r_i + gamma (1-done) Q'_i(s', a') per row, a' being a2 in agent order."""
+        x2 = self.critic_input(s2, [self._encode_action_col(j, a) for j, a in enumerate(a2)])
+        q2 = self.critics[i].forward(self.target, x2)[:, 0]
+        return batch.rewards[:, i] + self.gamma * (1.0 - batch.done) * q2
+
     def target_ctde(self, batch, rng):
-        """Numpy per-agent targets y_i = r_i + gamma (1-done) Q'_i(s', a'),
-        with a' from the target actors."""
+        """Numpy per-agent targets y_i, (n, n_agents), with a' from the target actors."""
         s2 = self._encode_states(batch.next_state)
-        cols = [self._encode_action_col(i, ta.co_action_np(s2, rng))
-                for i, ta in enumerate(self.target_actors)]
-        x2 = self.critic_input(s2, cols)
-        y = np.empty_like(batch.rewards)
-        for i, tc in enumerate(self.target_critics):
-            q2 = tc.forward(EVAL, x2)[:, 0]
-            y[:, i] = batch.rewards[:, i] + self.gamma * (1.0 - batch.done) * q2
-        return y
+        a2 = [actor.co_action_np(self.target, s2, rng) for actor in self.actors]
+        return np.stack([self._bootstrap(batch, i, s2, a2) for i in range(self.n_agents)], axis=1)
 
     def target_decentralized(self, batch, owner, rng):
         """Numpy target for one agent with co-actions drawn from its own
         opponent models instead of the live target actors."""
         s2 = self._encode_states(batch.next_state)
-        cols = []
-        for j in range(self.n_agents):
-            if j == owner:
-                aj = self.target_actors[j].co_action_np(s2, rng)
-            else:
-                if (owner, j) not in self.opponent_models:
-                    raise MaddpgError("decentralized target needs opponent models")
-                aj = _draw(self.opponent_models[(owner, j)].forward(EVAL, s2), rng)
-            cols.append(self._encode_action_col(j, aj))
-        x2 = self.critic_input(s2, cols)
-        q2 = self.target_critics[owner].forward(EVAL, x2)[:, 0]
-        return batch.rewards[:, owner] + self.gamma * (1.0 - batch.done) * q2
+        a2 = [self.actors[j].co_action_np(self.target, s2, rng) if j == owner
+              else self._modelled_action(owner, j, s2, rng) for j in range(self.n_agents)]
+        return self._bootstrap(batch, owner, s2, a2)
 
     # -- updates ----------------------------------------------------------
     def _critic_loss_graph(self, g, batch, owners, y_cols):
@@ -207,8 +198,7 @@ class MaddpgLearner:
         bootstraps; returns the pre-step summed loss."""
         y = self.target_ctde(batch, rng)
         g = Graph()
-        loss = self._critic_loss_graph(g, batch, range(self.n_agents),
-                                       [y[:, i] for i in range(self.n_agents)])
+        loss = self._critic_loss_graph(g, batch, range(self.n_agents), y.T)
         self._descend(g, loss, [self.critic_opts[i] for i in range(self.n_agents)])
         return float(loss.value)
 
@@ -234,17 +224,10 @@ class MaddpgLearner:
         Only theta_i moves. Returns the pre-step objective estimate."""
         s = self._encode_states(batch.state)
         actor = self.actors[i]
-        cols = {}
-        for j in range(self.n_agents):
-            if j == i:
-                continue
-            if self.decentralized:
-                if (i, j) not in self.opponent_models:
-                    raise MaddpgError("decentralized actor update needs opponent models")
-                aj = _draw(self.opponent_models[(i, j)].forward(EVAL, s), rng)
-            else:
-                aj = self.actors[j].co_action_np(s, rng)
-            cols[j] = self._encode_action_col(j, aj)
+        cols = {j: self._encode_action_col(j, self._modelled_action(i, j, s, rng)
+                                           if self.decentralized
+                                           else self.actors[j].co_action_np(EVAL, s, rng))
+                for j in range(self.n_agents) if j != i}
 
         if actor.kind == "box":
             g = Graph()
@@ -255,7 +238,7 @@ class MaddpgLearner:
             objective = g.mean(q)
             loss = g.neg(objective)
         else:
-            a_i = actor.sample_np(s, rng)
+            a_i = actor.sample_np(EVAL, s, rng)
             parts = [cols[j] if j != i else self._encode_action_col(i, a_i)
                      for j in range(self.n_agents)]
             q = self.critics[i].forward(EVAL, self.critic_input(s, parts))[:, 0]
@@ -317,13 +300,13 @@ class MaddpgLearner:
         return out
 
     def sync_targets(self):
-        for live, target in self.target_pairs:
-            polyak_update(live, target, self.tau)
+        for opt, target in zip(self.actor_opts + self.critic_opts, self.target_values):
+            polyak_update(opt.value, target, self.tau)
 
     def checkpoint_tree(self):
         return {"actors": [a.net.params for a in self.actors],
                 "critics": [c.params for c in self.critics],
                 "opponent_models": {f"{i}_{j}": net.params
                                     for (i, j), net in self.opponent_models.items()},
-                "targets": {"actors": [a.net.params for a in self.target_actors],
-                            "critics": [c.params for c in self.target_critics]}}
+                "targets": {"actors": [self.target.tensors(a.net.params) for a in self.actors],
+                            "critics": [self.target.tensors(c.params) for c in self.critics]}}

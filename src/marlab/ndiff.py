@@ -4,12 +4,12 @@ A Graph records ops as they execute (define-by-run); backward replays the
 tape in reverse from a scalar root.  Graphs are meant to be rebuilt every
 training step and are single-threaded.  EVAL runs the same ops on plain
 arrays and records nothing, so one forward per model serves the tape and the
-numpy-only paths.  A Stacked graph runs that forward on S copies of some
-parameters at once, each op one numpy call with a leading copy axis;
-grad_check takes all its finite differences in one such pass.  Tensors hold
-no reference to a graph: the tape points at its tensors, never the reverse,
-so a dropped tape is freed at once and a model is plain data that
-copy.deepcopy copies.
+numpy-only paths.  An off-tape graph may read a parameter from its own array:
+a target graph from a lagged copy of its optimizer's value vector, so a
+target net is the live net's forward run there; a Stacked graph from S copies
+at once, each op one numpy call with a leading copy axis, which is how
+grad_check takes all its finite differences in one pass.  Tensors hold no
+reference to a graph, so a dropped tape is freed at once.
 """
 
 import base64
@@ -76,12 +76,12 @@ def value_of(x):
     return x.value if type(x) is Tensor else x
 
 
-def _wrap(value, requires_grad):
+def _wrap(value, requires_grad, name=None):
     t = Tensor.__new__(Tensor)
     t.value = value
     t.grad = None
     t.requires_grad = requires_grad
-    t.name = None
+    t.name = name
     return t
 
 
@@ -467,7 +467,12 @@ class Graph:
 
 class OffTape(Graph):
     """The Graph ops on plain arrays: each runs the op table's forward on its
-    operands (a Tensor through .value) and returns an array, recording nothing."""
+    operands and returns an array, recording nothing.  reads maps a Tensor to
+    the array read in its place; any other Tensor is read through .value."""
+
+    def __init__(self, reads=None):
+        super().__init__()
+        self.reads = {} if reads is None else reads
 
     def constant(self, value):
         return np.asarray(value, dtype=np.float64)
@@ -476,7 +481,13 @@ class OffTape(Graph):
         pair = OPS.get(kind)
         if pair is None:
             raise UnknownOp(kind)
-        return pair[0]([x.value if type(x) is Tensor else x for x in inputs], attrs)[0]
+        return pair[0]([self.reads.get(x, x.value) if type(x) is Tensor else x for x in inputs],
+                       attrs)[0]
+
+    def tensors(self, params):
+        """Tensors named as params over the arrays read in their place: a
+        checkpoint tree's handle on those arrays."""
+        return [_wrap(self.reads[p], False, p.name) for p in params]
 
 
 EVAL = OffTape()
@@ -580,17 +591,18 @@ _LAST_AXIS = {"softmax", "log_softmax", "slice"}
 class Stacked(OffTape):
     """The Graph ops on S copies of some parameters at once, off the tape.
 
-    stacks maps a Tensor to the (S, *shape) array of its values in the S
-    copies.  An op result that depends on a stacked operand carries the copy
-    axis in front, and its slice c is, bit for bit, what EVAL computes from
-    copy c's values.  Any other operand (a constant, a Tensor outside stacks,
-    a result of such operands only) is shared by every copy; concat also
-    takes a constant with the copy axis in front, one value per copy.  A
-    stacked result must reach the next op as the very array returned here.
+    stacks, kept as the graph's reads, maps a Tensor to the (S, *shape) array
+    of its values in the S copies.  An op result that depends on a stacked
+    operand carries the copy axis in front, and its slice c is, bit for bit,
+    what EVAL computes from copy c's values.  Any other operand (a constant,
+    a Tensor outside stacks, a result of such operands only) is shared by
+    every copy; concat also takes a constant with the copy axis in front, one
+    value per copy.  A stacked result must reach the next op as the very
+    array returned here.
     """
 
     def __init__(self, stacks):
-        self.stacks = stacks
+        super().__init__(stacks)
         self._results = {}   # id -> each stacked result, held so that no id is reused
 
     def op(self, kind, inputs, **attrs):
@@ -600,7 +612,7 @@ class Stacked(OffTape):
         vals, stacked = [], []
         for x in inputs:
             if type(x) is Tensor:
-                v = self.stacks.get(x)
+                v = self.reads.get(x)
                 vals.append(x.value if v is None else v)
                 stacked.append(v is not None)
             else:
@@ -711,6 +723,12 @@ class DenseNet:
 # optimization
 # ---------------------------------------------------------------------------
 
+def _views(vector, params):
+    """Views into vector shaped as params, laid end to end in order."""
+    ends = np.cumsum([0] + [p.value.size for p in params])
+    return [vector[a:b].reshape(p.value.shape) for p, a, b in zip(params, ends, ends[1:])]
+
+
 def flatten(params):
     """Copy params, in order, into one value and one grad vector and rebind
     each tensor's .value and .grad as views into them; returns (value, grad)."""
@@ -719,12 +737,8 @@ def flatten(params):
         raise NdiffError("flatten: a tensor appears twice")
     value = np.concatenate([p.value.reshape(-1) for p in params])
     grad = np.concatenate([p.grad.reshape(-1) for p in params])
-    offset = 0
-    for p in params:
-        n, shape = p.value.size, p.value.shape
-        p.value = value[offset:offset + n].reshape(shape)
-        p.grad = grad[offset:offset + n].reshape(shape)
-        offset += n
+    for p, v, g in zip(params, _views(value, params), _views(grad, params)):
+        p.value, p.grad = v, g
     return value, grad
 
 
@@ -796,6 +810,15 @@ def polyak_update(src, dst, tau):
 
 def copy_params(src, dst):
     polyak_update(src, dst, 1.0)
+
+
+def target_graph(opts):
+    """Lagged targets of some AdamStates: (vectors, graph), a copy of each
+    one's value vector and the off-tape graph that reads each of their params
+    from its view into that copy.  A model's forward on graph is its target."""
+    vectors = [opt.value.copy() for opt in opts]
+    return vectors, OffTape({p: view for opt, vector in zip(opts, vectors)
+                             for p, view in zip(opt.params, _views(vector, opt.params))})
 
 
 # ---------------------------------------------------------------------------

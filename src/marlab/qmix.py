@@ -7,15 +7,15 @@ network exists so that this decentralized argmax coincides with the argmax
 of the mixed joint value.
 """
 
-import copy
-
 import numpy as np
 
 from . import ndiff
 from .buffer import JointTransition
-from .ndiff import EVAL, AdamState, DenseNet, Graph, adam_step, clip_grad_norm, copy_params
+from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, clip_grad_norm, copy_params,
+                    target_graph)
 
 MODES = ("independent", "vdn", "qmix")
+MAX_GRAD_NORM = 10.0
 
 
 class QmixError(Exception):
@@ -81,8 +81,7 @@ class QmixLearner:
     """
 
     def __init__(self, env, mode, rng, hidden=(32,), embed_dim=8, hyper_hidden=16,
-                 gamma=None, lr=5e-3, share_params=False, target_interval=200,
-                 max_grad_norm=10.0):
+                 gamma=None, lr=5e-3, share_params=False, target_interval=200):
         if mode not in MODES:
             raise ModeMismatch(f"mode must be one of {MODES}, got {mode!r}")
         if not env.all_discrete():
@@ -91,7 +90,6 @@ class QmixLearner:
         self.mode = mode
         self.gamma = env.gamma if gamma is None else float(gamma)
         self.target_interval = int(target_interval)
-        self.max_grad_norm = float(max_grad_norm)
         self.share_params = bool(share_params)
         self.learn_steps = 0
         self.n_agents = env.n_agents
@@ -115,13 +113,8 @@ class QmixLearner:
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
         tree = self.checkpoint_tree()
-        live = tree["psi"] + tree["theta"]
-        # one deepcopy memo: a shared head stays shared, and target_params are
-        # the target nets' own tensors, laid out like the live ones in self.opt
-        self.target_agent_nets, self.target_mixing, target_params = copy.deepcopy(
-            (self.agent_nets, self.mixing, live))
-        self.opt = AdamState(live, lr=lr)
-        self.target_value, _ = ndiff.flatten(target_params)
+        self.opt = AdamState(tree["psi"] + tree["theta"], lr=lr)
+        (self.target_value,), self.target = target_graph([self.opt])
 
     def checkpoint_tree(self):
         heads = self.agent_nets[:1] if self.share_params else self.agent_nets
@@ -162,15 +155,15 @@ class QmixLearner:
         if q.shape[1] != self.n_agents:
             raise QmixError(f"need {self.n_agents} utilities, got {q.shape[1]}")
         s = self._encode(state)[np.newaxis, :]
-        return float(self._mix(EVAL, q, s, self.mixing)[0, 0])
+        return float(self._mix(EVAL, q, s)[0, 0])
 
-    def _mix(self, g, q, s, mixing):
+    def _mix(self, g, q, s):
         """(n, 1) q_tot of the utility columns q at encoded states s."""
         if self.mode == "independent":
             raise ModeMismatch("independent mode has no joint mixer")
         if self.mode == "vdn":
             return g.sum(q, axis=1)
-        return mixing.forward(g, q, s)
+        return self.mixing.forward(g, q, s)
 
     # -- learning -------------------------------------------------------------
     def td_update(self, batch):
@@ -186,16 +179,16 @@ class QmixLearner:
             if spread > _COOP_TOL:
                 raise NonCooperative(f"joint modes need a shared reward (spread {spread:.3g})")
 
-        # targets are off the tape: greedy per-agent argmax on target heads,
-        # then the target mixer on the next state
+        # targets are off the tape, on the target graph: greedy per-agent
+        # argmax of the heads, then the mixer on the next state
         target_q = np.empty((n, self.n_agents))
-        for i, net in enumerate(self.target_agent_nets):
-            tu = net.forward(EVAL, s2_np)
+        for i, net in enumerate(self.agent_nets):
+            tu = net.forward(self.target, s2_np)
             target_q[:, i] = tu[np.arange(n), tu.argmax(axis=1)]
         if self.mode == "independent":
             y = rewards + self.gamma * (1.0 - done)[:, None] * target_q
         else:
-            tot2 = self._mix(EVAL, target_q, s2_np, self.target_mixing)[:, 0]
+            tot2 = self._mix(self.target, target_q, s2_np)[:, 0]
             y = (rewards[:, 0] + self.gamma * (1.0 - done) * tot2)[:, None]
 
         g = Graph()
@@ -207,12 +200,12 @@ class QmixLearner:
         if self.mode == "independent":
             err = g.sub(q_taken, g.constant(y))
         else:
-            err = g.sub(self._mix(g, q_taken, s_t, self.mixing), g.constant(y))
+            err = g.sub(self._mix(g, q_taken, s_t), g.constant(y))
         loss = g.mean(g.square(err))
 
         self.opt.grad[...] = 0.0
         ndiff.backward(g, loss)
-        clip_grad_norm(self.opt.grad, self.max_grad_norm)
+        clip_grad_norm(self.opt.grad, MAX_GRAD_NORM)
         adam_step(self.opt.params, self.opt)
 
         self.learn_steps += 1

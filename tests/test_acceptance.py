@@ -302,13 +302,13 @@ def test_A9_decentralized_target_matches_ctde_with_trained_models():
     # the co-actor's true policy is whatever the CTDE target samples from:
     # its target actor's categorical distribution, frozen for this check
     eye = np.eye(env.n_states)
-    script = np.stack([learner.target_actors[1].probs_np(eye[[s]])[0]
+    script = np.stack([learner.actors[1].probs_np(learner.target, eye[[s]])[0]
                        for s in range(env.n_states)])
 
     collected = []
     state = env.reset(rng)
     while len(collected) < 20000:
-        a0 = int(learner.actors[0].sample_np(eye[[state.index]], rng)[0])
+        a0 = int(learner.actors[0].sample_np(EVAL, eye[[state.index]], rng)[0])
         a1 = int(rng.choice(2, p=script[state.index]))
         nxt, rewards, done = env.step(state, (a0, a1), rng)
         collected.append(JointTransition(state=state.index, actions=(a0, a1),

@@ -19,6 +19,7 @@ from marlab.envs import fixture_by_name, game_to_dict, two_step_coop
 
 from calls import count_calls
 from golden import HOME_ENVS
+from nets import reachable_dense_nets
 
 
 def _train(tmp_path, name, *flags):
@@ -516,6 +517,17 @@ def test_every_optimizer_keeps_its_params_in_one_vector(algo):
             assert isinstance(moment, np.ndarray) and moment.shape == opt.value.shape
         for p in opt.params:
             assert p.value.base is opt.value and p.grad.base is opt.grad
+
+
+@pytest.mark.parametrize("algo", _ADAM_ALGOS)
+def test_every_reachable_net_steps_with_an_optimizer(algo):
+    # a target network is the live net run on the target graph, not a model of its own
+    learner, _ = _started(algo)
+    owned = {id(p) for opt in _optimizers(learner) for p in opt.params}
+    nets = reachable_dense_nets(learner)
+    assert nets
+    for net in nets:
+        assert all(id(p) in owned for p in net.params), net.name
 
 
 @pytest.mark.parametrize("algo", ["qmix", "maddpg_dec", "dial", "rial"])

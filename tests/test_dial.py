@@ -256,9 +256,9 @@ def test_input_layout_carries_own_previous_message():
 
 def test_factored_td_terminal_loss_is_squared_reward():
     sys_ = RialSystem(relay(), np.random.default_rng(12), batch_size=1)
-    for head, tgt in zip(sys_.heads, sys_.targets):
-        for p in head.net.params + tgt.net.params:
-            p.value[...] = 0.0
+    for opt, target in zip(sys_.opts, sys_.target_values):
+        opt.value[...] = 0.0
+        target[...] = 0.0
     for i in range(2):
         x = tuple(np.zeros(sys_.in_dims[i]))
         sys_.buffers[i].push(RialTransition(x, 0, 0, 1.0, x, True))

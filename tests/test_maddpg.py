@@ -3,7 +3,7 @@ import pytest
 
 from marlab import envs, maddpg
 from marlab.buffer import JointTransition
-from marlab.maddpg import Actor, ContinuousOpponent, MaddpgLearner
+from marlab.maddpg import Actor, ContinuousOpponent, MaddpgError, MaddpgLearner
 from marlab.ndiff import (EVAL, AdamState, Graph, adam_step, backward, copy_params,
                           tree_from_json, tree_to_json)
 
@@ -36,9 +36,9 @@ def test_box_actor_respects_bounds():
     rng = np.random.default_rng(3)
     actor = Actor(4, envs.Box1D(-0.5, 2.0), (8,), rng, "a")
     s = rng.normal(size=(200, 4))
-    greedy = actor.greedy_np(s)
+    greedy = actor.greedy_np(EVAL, s)
     assert np.all(greedy > -0.5) and np.all(greedy < 2.0)
-    sampled = actor.sample_np(s, rng)
+    sampled = actor.sample_np(EVAL, s, rng)
     assert np.all(sampled >= -0.5) and np.all(sampled <= 2.0)
 
 
@@ -46,7 +46,7 @@ def test_categorical_actor_outputs_distributions():
     rng = np.random.default_rng(4)
     actor = Actor(3, envs.Discrete(5), (8,), rng, "a")
     s = rng.normal(size=(50, 3))
-    p = actor.probs_np(s)
+    p = actor.probs_np(EVAL, s)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
     assert np.all(p > 0)
 
@@ -130,7 +130,7 @@ def test_exact_critic_gradient_field_reaches_cooperation():
     opts = [AdamState(a.net.params, lr=5e-3) for a in actors]
     s = np.ones((1, 1))
     for _ in range(2000):
-        others = [a.greedy_np(s)[0] for a in actors]
+        others = [a.greedy_np(EVAL, s)[0] for a in actors]
         for i in (0, 1):
             g = Graph()
             a_i = actors[i].forward(g, g.constant(s))
@@ -138,7 +138,7 @@ def test_exact_critic_gradient_field_reaches_cooperation():
             loss = g.mean(g.square(g.add(a_i, off)))
             backward(g, loss)
             adam_step(opts[i].params, opts[i])
-    total = actors[0].greedy_np(s)[0] + actors[1].greedy_np(s)[0]
+    total = actors[0].greedy_np(EVAL, s)[0] + actors[1].greedy_np(EVAL, s)[0]
     assert abs(total - 1.0) < 0.05
 
 
@@ -168,7 +168,7 @@ def test_score_function_ascent_prefers_dominant_action():
     batch = stacked([JointTransition(0, (0, 0), (0.0, 0.0), 0, True) for _ in range(32)])
     for _ in range(3000):
         learner.actor_update(batch, 0, rng)
-    assert learner.actors[0].probs_np(np.ones((1, 1)))[0, 1] > 0.9
+    assert learner.actors[0].probs_np(EVAL, np.ones((1, 1)))[0, 1] > 0.9
 
 
 def make_model_batches(a1_draw, rng, n=32):
@@ -212,6 +212,11 @@ def test_opponent_models_stay_distributions_during_training():
         assert np.all(p > 0)
 
 
+def test_decentralized_learner_without_opponent_models_is_refused():
+    with pytest.raises(MaddpgError, match="opponent models"):
+        disc_learner("two_step_coop", decentralized=True, model_opponents=False)
+
+
 def test_continuous_opponents_cannot_be_modeled():
     env = envs.fixture_by_name("coop_cts")
     with pytest.raises(ContinuousOpponent):
@@ -220,8 +225,8 @@ def test_continuous_opponents_cannot_be_modeled():
 
 def test_decentralized_target_matches_ctde_with_true_models():
     learner, env = disc_learner("two_step_coop", seed=14, model_opponents=True)
-    # target_pairs lists the actors' (live, target) vectors first, in agent order
-    copy_params(learner.target_pairs[1][1], learner.model_opts[(0, 1)].value)
+    # target_values lists the actors' target vectors first, in agent order
+    copy_params(learner.target_values[1], learner.model_opts[(0, 1)].value)
     rng = np.random.default_rng(9)
     batch = stacked([JointTransition(0, (0, 1), (0.0, 0.0), 1, False) for _ in range(10000)])
     y_ctde = learner.target_ctde(batch, rng)[:, 0]
@@ -243,26 +248,28 @@ def test_learner_step_moves_targets_by_polyak():
     learner, env = cts_learner(seed=16, tau=0.5)
     rng = np.random.default_rng(11)
     batch = cts_batch(env, rng, 16)
-    live_before = learner.actors[0].net.params[0].value.copy()
-    tgt_before = learner.target_actors[0].net.params[0].value.copy()
+    w = learner.actors[0].net.params[0]
+    live_before = w.value.copy()
+    tgt_before = learner.target.reads[w].copy()
     assert np.array_equal(live_before, tgt_before)
     out = learner.learner_step(batch, rng)
     assert set(out) == {"critic_loss", "actor_objective"}
-    live, tgt = learner.actors[0].net.params[0].value, learner.target_actors[0].net.params[0].value
+    live, tgt = w.value, learner.target.reads[w]
     assert np.max(np.abs(tgt - (0.5 * live + 0.5 * live_before))) < 1e-12
 
 
 def test_live_vector_moves_reach_targets_only_on_sync():
     learner, _ = disc_learner("two_step_coop", seed=19, tau=0.25, decentralized=True)
-    before = [target.copy() for _, target in learner.target_pairs]
+    before = [target.copy() for target in learner.target_values]
     for opt in learner.opts:
         opt.value += 1.0
-    for (_, target), kept in zip(learner.target_pairs, before):
+    for target, kept in zip(learner.target_values, before):
         assert np.array_equal(target, kept)
     learner.sync_targets()
-    for (live, target), kept in zip(learner.target_pairs, before):
-        assert np.max(np.abs(target - (0.75 * kept + 0.25 * live))) < 1e-12
-    assert learner.target_critics[1].weights[0].value.base is learner.target_pairs[-1][1]
+    tracked = learner.actor_opts + learner.critic_opts
+    for opt, target, kept in zip(tracked, learner.target_values, before):
+        assert np.max(np.abs(target - (0.75 * kept + 0.25 * opt.value))) < 1e-12
+    assert learner.target.reads[learner.critics[1].weights[0]].base is learner.target_values[-1]
 
 
 def test_act_explores_inside_box_and_greedy_is_deterministic():
@@ -281,9 +288,9 @@ def test_checkpoint_roundtrip_restores_behavior():
     learner, env = disc_learner(seed=18, model_opponents=True)
     rng = np.random.default_rng(13)
     blob = tree_to_json(learner.checkpoint_tree())
-    p_before = learner.actors[0].probs_np(np.ones((1, 1))).copy()
+    p_before = learner.actors[0].probs_np(EVAL, np.ones((1, 1))).copy()
     for opt in learner.opts:
         opt.value += 0.25
     tree_from_json(blob, learner.checkpoint_tree())
-    assert np.array_equal(learner.actors[0].probs_np(np.ones((1, 1))), p_before)
+    assert np.array_equal(learner.actors[0].probs_np(EVAL, np.ones((1, 1))), p_before)
     assert set(blob["opponent_models"]) == {"0_1", "1_0"}

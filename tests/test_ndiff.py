@@ -1,6 +1,8 @@
+import ast
 import copy
 import gc
 import importlib
+import inspect
 import json
 import pkgutil
 import weakref
@@ -40,6 +42,7 @@ from marlab.ndiff import (
 )
 
 from calls import count_calls
+from nets import reachable_dense_nets
 
 
 def test_matmul_forward():
@@ -198,6 +201,16 @@ def test_no_model_keeps_a_second_forward():
         for name, cls in vars(mod).items():
             if isinstance(cls, type) and cls.__module__ == mod.__name__:
                 assert not twins & set(vars(cls)), f"{mod.__name__}.{name}"
+
+
+def test_no_module_imports_copy():
+    # a target is a copy of a value vector that the live model's forward reads,
+    # never a second model object
+    for info in pkgutil.iter_modules(marlab.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"marlab.{info.name}")))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "copy" not in imported, info.name
 
 
 @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
@@ -526,7 +539,7 @@ def test_stacked_op_slices_equal_eval_on_each_copy(kind, copies, n, k, mask, sha
             if kind == "log":
                 stack = np.abs(stack)
             t = param(stack[0])
-            g.stacks[t] = stack
+            g.reads[t] = stack
             # neg(neg(x)) == x exactly, and reaches the op as a stacked result
             inputs.append(g.neg(g.neg(t)) if through_result else t)
             per_copy.append(stack)
@@ -812,34 +825,84 @@ def test_tree_from_json_names_the_path_that_does_not_fit(edit, path, error):
         tree_from_json(_edited(blob, edit), _tree(5))
 
 
-
-def _live_and_target_params(algo, share_params):
-    rng = np.random.default_rng(4)
+def _with_targets(algo, share_params=False, seed=4, **kw):
+    """A learner, the optimizers whose value vectors its target graph lags,
+    and those lagged vectors."""
+    rng = np.random.default_rng(seed)
     if algo == "qmix":
-        learner = qmix.QmixLearner(envs.two_step_coop(), "qmix", rng, share_params=share_params)
-        targets = learner.target_agent_nets + [learner.target_mixing]
-        return learner, learner.agent_nets + [learner.mixing], targets
-    if algo == "maddpg_ctde":
-        learner = maddpg.MaddpgLearner(envs.coop_cts(), rng)
-        return (learner, [a.net for a in learner.actors] + learner.critics,
-                [a.net for a in learner.target_actors] + learner.target_critics)
-    system = dial.RialSystem(envs.signal_relay(), rng)
-    return system, [h.net for h in system.heads], [h.net for h in system.targets]
+        learner = qmix.QmixLearner(envs.two_step_coop(), "qmix", rng,
+                                   share_params=share_params, **kw)
+        return learner, [learner.opt], [learner.target_value]
+    if algo.startswith("maddpg"):
+        env = envs.coop_cts() if algo == "maddpg_ctde" else envs.two_step_coop()
+        learner = maddpg.MaddpgLearner(env, rng, hidden=(8,),
+                                       decentralized=algo == "maddpg_dec", **kw)
+        return learner, learner.actor_opts + learner.critic_opts, learner.target_values
+    system = dial.RialSystem(envs.signal_relay(), rng, **kw)
+    return system, system.opts, system.target_values
 
 
 @pytest.mark.parametrize("algo,share_params", [("qmix", False), ("qmix", True),
                                                ("maddpg_ctde", False), ("rial", False)])
 def test_target_copies_share_no_memory_with_live_nets(algo, share_params):
-    learner, live, targets = _live_and_target_params(algo, share_params)
-    live_params = [p for net in live for p in net.params]
-    target_params = [p for net in targets for p in net.params]
-    assert len(live_params) == len(target_params)
-    for p, q in zip(live_params, target_params):
-        assert p is not q and p.name == q.name
-        assert np.array_equal(p.value, q.value)
-        for a in (p.value, p.grad):
-            for b in (q.value, q.grad):
-                assert not np.shares_memory(a, b)
+    learner, opts, vectors = _with_targets(algo, share_params)
+    reads = learner.target.reads
+    # each live tensor, a shared head's too, is read once, from a view into its opt's copy
+    assert list(reads) == [p for opt in opts for p in opt.params]
+    for opt, vector in zip(opts, vectors):
+        assert np.array_equal(vector, opt.value)
+        for p in opt.params:
+            assert reads[p].base is vector and reads[p].shape == p.shape
+            for a in (p.value, p.grad):
+                assert not np.shares_memory(a, vector)
     if algo == "qmix":
-        tied = learner.target_agent_nets[0] is learner.target_agent_nets[1]
+        tied = learner.agent_nets[0] is learner.agent_nets[1]
         assert tied == share_params
+
+
+_TARGET_ALGOS = [("qmix", False), ("qmix", True), ("maddpg_ctde", False),
+                 ("maddpg_dec", False), ("rial", False)]
+
+
+def _target_tracked_nets(learner):
+    return [net for net in reachable_dense_nets(learner) if net.weights[0] in learner.target.reads]
+
+
+def _forwards(nets, g, xs):
+    return [net.forward(g, x) for net, x in zip(nets, xs)]
+
+
+@pytest.mark.parametrize("algo,share_params", _TARGET_ALGOS)
+@given(seed=st.integers(0, 10 ** 6), shift=st.floats(0.01, 1.0))
+@settings(max_examples=5, derandomize=True, deadline=None)
+def test_target_forward_reads_only_the_target_vectors(algo, share_params, seed, shift):
+    # tau 1 makes maddpg's Polyak sync a full copy, as qmix's and rial's are
+    tau = {"tau": 1.0} if algo.startswith("maddpg") else {}
+    learner, opts, vectors = _with_targets(algo, share_params, seed, **tau)
+    nets = _target_tracked_nets(learner)
+    assert {id(p) for net in nets for p in net.params} == {id(p) for p in learner.target.reads}
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(3, net.layer_sizes[0])) for net in nets]
+    before = _forwards(nets, learner.target, xs)
+    for opt in opts:
+        opt.value += shift
+    for a, b in zip(_forwards(nets, learner.target, xs), before):
+        assert np.array_equal(a, b)
+    learner.sync_targets()
+    for a, b in zip(_forwards(nets, learner.target, xs), _forwards(nets, EVAL, xs)):
+        assert np.array_equal(a, b)
+
+    # a loaded payload fills the target vectors if it holds them, and leaves them otherwise
+    for vector in vectors:
+        vector -= shift
+    saved = learner.checkpoint_tree()
+    blob = tree_to_json(saved)
+    fresh, _, _ = _with_targets(algo, share_params, seed + 1)
+    fresh_nets = _target_tracked_nets(fresh)
+    kept = _forwards(fresh_nets, fresh.target, xs)
+    tree_from_json(blob, fresh.checkpoint_tree())
+    expect = _forwards(nets, learner.target, xs) if "targets" in saved else kept
+    for a, b in zip(_forwards(fresh_nets, fresh.target, xs), expect):
+        assert np.array_equal(a, b)
+    for a, b in zip(_forwards(fresh_nets, EVAL, xs), _forwards(nets, EVAL, xs)):
+        assert np.array_equal(a, b)

@@ -207,8 +207,8 @@ def test_gamma_zero_bootstraps_to_reward_only():
 def test_nonterminal_target_uses_target_net_max():
     learner, _ = make("vdn", gamma=0.5)
     zero_all(learner)
-    for i, net in enumerate(learner.target_agent_nets):
-        net.biases[-1].value[...] = np.array([[1.0 + i, 3.0 + i]])
+    for i, net in enumerate(learner.agent_nets):
+        learner.target.reads[net.biases[-1]][...] = np.array([[1.0 + i, 3.0 + i]])
     # target maxes are 3 and 4, y = 1 + 0.5 * 7 = 4.5, q_taken = 0
     tr = JointTransition(state=0, actions=(0, 0), rewards=(1.0, 1.0), next_state=1, done=False)
     assert abs(learner.td_update(stacked([tr])) - 4.5 ** 2) < 1e-12
@@ -294,16 +294,14 @@ def test_target_nets_sync_on_interval():
     tr = JointTransition(state=0, actions=(0, 0), rewards=(5.0, 5.0), next_state=1, done=False)
     learner.td_update(stacked([tr] * 4))
     learner.td_update(stacked([tr] * 4))
-    gap = max(
-        np.max(np.abs(p.value - t.value))
-        for p, t in zip(learner.agent_nets[0].params, learner.target_agent_nets[0].params)
-    )
+    reads = learner.target.reads
+    gap = max(np.max(np.abs(p.value - reads[p])) for p in learner.agent_nets[0].params)
     assert gap > 0
     learner.td_update(stacked([tr] * 4))
     assert learner.learn_steps == 3
-    for net, tgt in zip(learner.agent_nets, learner.target_agent_nets):
-        for p, t in zip(net.params, tgt.params):
-            assert np.array_equal(p.value, t.value)
+    for net in learner.agent_nets:
+        for p in net.params:
+            assert np.array_equal(p.value, reads[p])
 
 
 def test_shared_parameters_tie_agent_heads():
@@ -349,8 +347,8 @@ def test_shared_head_appears_once_in_the_vectors():
     floats = sum(p.value.size for net in unique for p in net.params)
     assert learner.opt.value.size == learner.opt.m.size == floats
     assert learner.target_value.size == floats
-    assert learner.target_agent_nets[0] is learner.target_agent_nets[1]
-    assert learner.target_agent_nets[0].weights[0].value.base is learner.target_value
+    assert len(learner.target.reads) == len(learner.opt.params)
+    assert learner.target.reads[learner.agent_nets[1].weights[0]].base is learner.target_value
 
 
 def test_live_vector_moves_reach_targets_only_on_sync():
@@ -360,8 +358,8 @@ def test_live_vector_moves_reach_targets_only_on_sync():
     assert np.array_equal(learner.target_value, before)
     learner.sync_targets()
     assert np.array_equal(learner.target_value, learner.opt.value)
-    assert np.array_equal(learner.target_mixing.hyper_b2.biases[-1].value,
-                          learner.mixing.hyper_b2.biases[-1].value)
+    b2 = learner.mixing.hyper_b2.biases[-1]
+    assert np.array_equal(learner.target.reads[b2], b2.value)
 
 
 def test_checkpoint_roundtrip_restores_utilities():
