@@ -334,27 +334,39 @@ def _bw_slice(ctx, vals, g):
 
 
 def _fw_pick(vals, attrs):
-    # the (n, 1) column x[i, index[i]]: row i's entry at its own column
+    # the (B, 1) column x[b, index[b]]; on n stacked (B, k) x, the (B, n) x[i, b, index[b, i]]
     (x,) = vals
     index = np.asarray(attrs["index"], dtype=np.intp)
-    if x.ndim != 2 or index.shape != (x.shape[0],):
+    if x.ndim == 2 and index.shape == x.shape[:1]:
+        rows = np.arange(x.shape[0])
+        return x[rows, index][:, None], (rows, index)
+    if x.ndim != 3 or index.ndim != 2 or index.shape[0] != x.shape[1] \
+            or len(x) not in (1, index.shape[1]):
         raise ShapeMismatch(f"pick: index of shape {index.shape} on {x.shape}")
-    rows = np.arange(x.shape[0])
-    return x[rows, index][:, None], (rows, index)
+    ctx = (np.arange(index.shape[1]) % len(x), np.arange(x.shape[1])[:, None], index)
+    return x[ctx], ctx
 
 
 def _bw_pick(ctx, vals, g):
     (x,) = vals
     out = np.zeros_like(x)
-    out[ctx] = g[:, 0]
+    if x.ndim == 3 and len(x) < g.shape[1]:
+        np.add.at(out, ctx, g)    # a stack of one serves all n columns
+    else:
+        out[ctx] = g.reshape(ctx[-1].shape)
     return (out,)
 
 
 def _fw_dense(vals, attrs):
-    # one layer act(x @ W + b) through the matmul, add and activation kernels
+    # one layer act(x @ W + b) through the matmul, add and activation kernels; n stacked layers,
+    # W (n, in, out) and b (n, 1, out), each run on x or on its slice of an (n, B, in) x
     x, w, b = vals
     act = attrs["act"]
-    pre = _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0]
+    if w.ndim == 3 and (b.shape != (len(w), 1, w.shape[2]) or x.shape[-1:] != w.shape[1:2]
+                        or x.shape[:-2] not in ((), w.shape[:1]) or x.ndim < 2):
+        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    pre = (np.matmul(x, w) + b if w.ndim == 3
+           else _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0])
     out = pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
     return out, (act, pre, out)
 
@@ -365,7 +377,12 @@ def _bw_dense(ctx, vals, g):
     x, w, b = vals
     if act != "identity":
         (g,) = OPS[act][1](out, (pre,), g)
-    return (*_bw_matmul(None, (x, w), g), _reduce_to(g, b.shape))
+    if w.ndim == 2:
+        return (*_bw_matmul(None, (x, w), g), _reduce_to(g, b.shape))
+    gx = np.matmul(g, np.swapaxes(w, 1, 2))
+    if x.ndim == 2:    # summed last slice first, as n records' adjoints sum in the sweep
+        gx = sum(gx[-2::-1], gx[-1])
+    return gx, np.matmul(np.swapaxes(x, -1, -2), g), g.sum(axis=1, keepdims=True)
 
 
 OPS = {
@@ -688,7 +705,8 @@ def glorot_uniform(rng, fan_in, fan_out):
 
 
 class DenseNet:
-    """Fully connected net; weights Glorot-uniform, biases zero."""
+    """Fully connected net; weights Glorot-uniform, biases zero.  Named by n names, a stack of
+    n such nets drawn in turn, each layer an (n, in, out) weight and an (n, 1, out) bias."""
 
     def __init__(self, layer_sizes, activations, rng, name="net"):
         if len(layer_sizes) < 2:
@@ -700,19 +718,27 @@ class DenseNet:
                 raise UnknownOp(f"activation {a!r}")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.activations = tuple(activations)
-        self.name = name
-        self.weights = []
-        self.biases = []
-        for l, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-            self.weights.append(param(glorot_uniform(rng, n_in, n_out), name=f"{name}/W{l}"))
-            self.biases.append(param(np.zeros((1, n_out)), name=f"{name}/b{l}"))
+        self.stacked = not isinstance(name, str)
+        self.names = list(name) if self.stacked else [name]
+        self.name, lead = "+".join(self.names), (len(self.names),) * self.stacked
+        sizes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        draws = zip(*[[glorot_uniform(rng, *size) for size in sizes] for _ in self.names])
+        self.weights = [param(np.reshape(ws, lead + ws[0].shape), name=f"{self.name}/W{l}")
+                        for l, ws in enumerate(draws)]
+        self.biases = [param(np.zeros(lead + (1, n_out)), name=f"{self.name}/b{l}")
+                       for l, (_, n_out) in enumerate(sizes)]
 
     @property
     def params(self):
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
+    def net_params(self):
+        """Each net's params, named as a lone net's: a stack's are views into its slices."""
+        return [_wrap(p.value[i], False, f"{net}/{p.name.split('/')[-1]}") if self.stacked else p
+                for i, net in enumerate(self.names) for p in self.params]
+
     def forward(self, g, x):
-        """(n, out) output of a 2-D input: a Tensor on a Graph, an array on EVAL."""
+        """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x."""
         h = x
         for act, w, b in zip(self.activations, self.weights, self.biases):
             h = g.op("dense", (h, w, b), act=act)
@@ -723,31 +749,48 @@ class DenseNet:
 # optimization
 # ---------------------------------------------------------------------------
 
-def _views(vector, params):
-    """Views into vector shaped as params, laid end to end in order."""
-    ends = np.cumsum([0] + [p.value.size for p in params])
-    return [vector[a:b].reshape(p.value.shape) for p, a, b in zip(params, ends, ends[1:])]
+def _tensors(layout):
+    return [p for item in layout for p in (item if isinstance(item, list) else [item])]
 
 
-def flatten(params):
-    """Copy params, in order, into one value and one grad vector and rebind
-    each tensor's .value and .grad as views into them; returns (value, grad)."""
-    params = list(params)
+def _views(vector, layout, n=1):
+    """Views into vector, or into each of its n rows, shaped as the layout's tensors laid end
+    to end.  A list in the layout is a stack's params, which share a leading axis: laid slice
+    by slice, so that its nets lie one after another as lone nets' params would."""
+    views, start = [], 0
+    for item in layout:
+        if isinstance(item, list):
+            size, k = sum(p.value.size for p in item), len(item[0].value)
+            if any(len(p.value) != k for p in item):
+                raise ShapeMismatch(f"stack of {[p.shape for p in item]}")
+            views += _views(vector[start:start + size].reshape(k, -1), item, k)
+        else:
+            size = item.value.size // n
+            views.append(vector[..., start:start + size].reshape(item.value.shape))
+        start += size
+    return views
+
+
+def flatten(layout):
+    """Copy the layout's tensors (see _views) into one value and one grad vector and
+    rebind each tensor's .value and .grad as views into them; returns (value, grad)."""
+    params = _tensors(layout)
     if len({id(p) for p in params}) != len(params):
         raise NdiffError("flatten: a tensor appears twice")
-    value = np.concatenate([p.value.reshape(-1) for p in params])
-    grad = np.concatenate([p.grad.reshape(-1) for p in params])
-    for p, v, g in zip(params, _views(value, params), _views(grad, params)):
+    value, grad = (np.empty(sum(p.value.size for p in params)) for _ in range(2))
+    for p, v, g in zip(params, _views(value, layout), _views(grad, layout)):
+        v[...], g[...] = p.value, p.grad
         p.value, p.grad = v, g
     return value, grad
 
 
 class AdamState:
-    """Adam moments over one flat value vector and grad vector of its params."""
+    """Adam moments over one flat value vector and grad vector of its params (see flatten)."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.value, self.grad = flatten(self.params)
+        self.layout = list(params)
+        self.params = _tensors(self.layout)
+        self.value, self.grad = flatten(self.layout)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -818,7 +861,7 @@ def target_graph(opts):
     from its view into that copy.  A model's forward on graph is its target."""
     vectors = [opt.value.copy() for opt in opts]
     return vectors, OffTape({p: view for opt, vector in zip(opts, vectors)
-                             for p, view in zip(opt.params, _views(vector, opt.params))})
+                             for p, view in zip(opt.params, _views(vector, opt.layout))})
 
 
 # ---------------------------------------------------------------------------

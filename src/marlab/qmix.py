@@ -90,36 +90,31 @@ class QmixLearner:
         self.mode = mode
         self.gamma = env.gamma if gamma is None else float(gamma)
         self.target_interval = int(target_interval)
-        self.share_params = bool(share_params)
         self.learn_steps = 0
         self.n_agents = env.n_agents
         self.n_actions = [sp.n for sp in env.action_space]
         state_dim = env.state_dim
         self._eye = np.eye(state_dim)
 
-        if share_params:
-            if len(set(self.n_actions)) != 1:
-                raise QmixError("shared parameters need identical action counts")
-            net = DenseNet([state_dim, *hidden, self.n_actions[0]],
-                           ["relu"] * len(hidden) + ["identity"], rng, "agents_shared")
-            self.agent_nets = [net] * self.n_agents
-        else:
-            self.agent_nets = [
-                DenseNet([state_dim, *hidden, k], ["relu"] * len(hidden) + ["identity"],
-                         rng, f"agent{i}")
-                for i, k in enumerate(self.n_actions)
-            ]
+        if share_params and len(set(self.n_actions)) != 1:
+            raise QmixError("shared parameters need identical action counts")
+        # one stacked head per run of agents with equal action counts; shared, a stack of one
+        cuts = [i for i in range(1, self.n_agents) if self.n_actions[i] != self.n_actions[i - 1]]
+        self.runs = [range(a, b) for a, b in zip([0] + cuts, cuts + [self.n_agents])]
+        self.heads = [DenseNet([state_dim, *hidden, self.n_actions[run[0]]],
+                               ["relu"] * len(hidden) + ["identity"], rng,
+                               ["agents_shared"] if share_params else [f"agent{i}" for i in run])
+                      for run in self.runs]
         self.mixing = None
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
-        tree = self.checkpoint_tree()
-        self.opt = AdamState(tree["psi"] + tree["theta"], lr=lr)
+        # laid net by net, so the flat vector and its clip norm run agent by agent
+        self.opt = AdamState([h.params for h in self.heads] + self.checkpoint_tree()["theta"], lr)
         (self.target_value,), self.target = target_graph([self.opt])
 
     def checkpoint_tree(self):
-        heads = self.agent_nets[:1] if self.share_params else self.agent_nets
         return {"mode": self.mode,
-                "psi": [p for net in heads for p in net.params],
+                "psi": [p for net in self.heads for p in net.net_params()],
                 "theta": self.mixing.params if self.mixing else []}
 
     # -- acting ---------------------------------------------------------------
@@ -127,16 +122,22 @@ class QmixLearner:
         index = state.index if hasattr(state, "index") else int(state)
         return self._eye[index]
 
+    def _head_values(self, g, x):
+        """Per run, the (n, B, k) utilities of its n agents at encoded states x, off the tape."""
+        for net, run in zip(self.heads, self.runs):
+            u = net.forward(g, x)
+            yield u if len(u) == len(run) else np.broadcast_to(u, (len(run),) + u.shape[1:])
+
     def utilities(self, state):
         """Per-agent utility vectors at one state, from the current heads."""
         x = self._encode(state)[np.newaxis, :]
-        return [net.forward(EVAL, x)[0] for net in self.agent_nets]
+        return [u for us in self._head_values(EVAL, x) for u in us[:, 0]]
 
     def greedy_joint(self, index):
         """Per-agent argmax of the current heads at an (n,) array of state
         indices: (n, n_agents) joint actions."""
         x = self._eye[np.asarray(index)]
-        return np.stack([net.forward(EVAL, x).argmax(axis=1) for net in self.agent_nets], axis=1)
+        return np.hstack([u.argmax(axis=2).T for u in self._head_values(EVAL, x)])
 
     def act_epsilon_greedy(self, state, epsilon, rng):
         joint = []
@@ -170,7 +171,6 @@ class QmixLearner:
         """One optimization step on a stacked batch of joint transitions;
         returns the pre-step loss."""
         rewards, done = batch.rewards, batch.done
-        n = len(rewards)
         s_np = self._eye[batch.state]
         s2_np = self._eye[batch.next_state]
 
@@ -180,11 +180,8 @@ class QmixLearner:
                 raise NonCooperative(f"joint modes need a shared reward (spread {spread:.3g})")
 
         # targets are off the tape, on the target graph: greedy per-agent
-        # argmax of the heads, then the mixer on the next state
-        target_q = np.empty((n, self.n_agents))
-        for i, net in enumerate(self.agent_nets):
-            tu = net.forward(self.target, s2_np)
-            target_q[:, i] = tu[np.arange(n), tu.argmax(axis=1)]
+        # max of the heads, then the mixer on the next state
+        target_q = np.hstack([u.max(axis=2).T for u in self._head_values(self.target, s2_np)])
         if self.mode == "independent":
             y = rewards + self.gamma * (1.0 - done)[:, None] * target_q
         else:
@@ -193,9 +190,9 @@ class QmixLearner:
 
         g = Graph()
         s_t = g.constant(s_np)
-        taken = [g.pick(net.forward(g, s_t), batch.actions[:, i])
-                 for i, net in enumerate(self.agent_nets)]
-        q_taken = taken[0] if self.n_agents == 1 else g.concat(*taken)
+        taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
+                 for net, run in zip(self.heads, self.runs)]
+        q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
 
         if self.mode == "independent":
             err = g.sub(q_taken, g.constant(y))

@@ -259,6 +259,145 @@ def test_dense_record_equals_the_unfused_chain_bit_for_bit(act, batch, n_in, n_o
     assert x_on_path or not np.any(results[0][1])
 
 
+def _picked_root(g, picked, weights):
+    return g.sum(g.mul(picked, g.constant(weights)))
+
+
+@pytest.mark.parametrize("act", ndiff._ACTIVATIONS)
+@pytest.mark.parametrize("batch", [1, 32])
+@given(n=st.integers(1, 3), n_in=st.integers(1, 4), n_out=st.integers(1, 4),
+       per_agent_x=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_stacked_dense_and_pick_equal_per_agent_records_bit_for_bit(act, batch, n, n_in, n_out,
+                                                                     per_agent_x, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(n, batch, n_in) if per_agent_x else (batch, n_in))
+    ws, bs = rng.normal(size=(n, n_in, n_out)), rng.normal(size=(n, 1, n_out))
+    index = rng.integers(n_out, size=(batch, n))
+    weights = rng.normal(size=(batch, n))
+
+    g = Graph()
+    x, w, b = param(xs), param(ws), param(bs)
+    out = g.op("dense", (x, w, b), act=act)
+    picked = g.pick(out, index)
+    backward(g, _picked_root(g, picked, weights))
+
+    g = Graph()
+    xi = [param(v) for v in xs] if per_agent_x else [param(xs)] * n
+    wi, bi = [param(v) for v in ws], [param(v) for v in bs]
+    outs = [g.op("dense", (xi[i], wi[i], bi[i]), act=act) for i in range(n)]
+    picks = [g.pick(o, index[:, i]) for i, o in enumerate(outs)]
+    joined = picks[0] if n == 1 else g.concat(*picks)
+    backward(g, _picked_root(g, joined, weights))
+
+    assert out.shape == (n, batch, n_out) and picked.shape == (batch, n)
+    assert np.array_equal(picked.value, joined.value)
+    for i in range(n):
+        assert np.array_equal(out.value[i], outs[i].value)
+        assert np.array_equal(w.grad[i], wi[i].grad)
+        assert np.array_equal(b.grad[i], bi[i].grad)
+        if per_agent_x:
+            assert np.array_equal(x.grad[i], xi[i].grad)
+    if not per_agent_x:
+        assert np.array_equal(x.grad, xi[0].grad)
+    assert np.array_equal(EVAL.pick(EVAL.op("dense", (xs, ws, bs), act=act), index), picked.value)
+
+
+def test_a_stack_of_one_picks_for_every_column():
+    rng = np.random.default_rng(3)
+    x = param(rng.normal(size=(1, 5, 3)))
+    index = rng.integers(3, size=(5, 4))
+    g = Graph()
+    picked = g.pick(x, index)
+    backward(g, g.sum(picked))
+    assert np.array_equal(picked.value, np.take_along_axis(x.value[0], index, axis=1))
+    expect = np.zeros((5, 3))
+    for col in index.T:
+        expect[np.arange(5), col] += 1.0
+    assert np.array_equal(x.grad[0], expect)
+
+
+@pytest.mark.parametrize("x,w,b", [
+    ((4, 3), (2, 3, 5), (2, 1, 4)),
+    ((4, 3), (2, 3, 5), (3, 1, 5)),
+    ((4, 3), (2, 3, 5), (2, 5)),
+    ((4, 3), (2, 3, 5), (1, 5)),
+    ((4, 2), (2, 3, 5), (2, 1, 5)),
+    ((3, 4, 3), (2, 3, 5), (2, 1, 5)),
+    ((3,), (2, 3, 5), (2, 1, 5)),
+    ((1, 2, 4, 3), (2, 3, 5), (2, 1, 5)),
+    ((2, 4, 3), (3, 5), (1, 5)),
+    ((4, 3), (1, 2, 3, 5), (1, 2, 1, 5)),
+])
+def test_stacked_dense_rejects_malformed_shapes(x, w, b):
+    vals = [np.ones(shape) for shape in (x, w, b)]
+    g = Graph()
+    for graph, inputs in ((EVAL, vals), (g, [g.constant(v) for v in vals])):
+        with pytest.raises(ShapeMismatch):
+            graph.op("dense", inputs, act="relu")
+
+
+@pytest.mark.parametrize("x,index", [
+    ((2, 4, 3), (4,)), ((2, 4, 3), (4, 3)), ((2, 4, 3), (3, 2)), ((2, 4, 3), (4, 2, 1)),
+    ((3, 4, 3), (4, 2)), ((4, 3), (4, 2)), ((2, 2, 4, 3), (4, 2)),
+])
+def test_stacked_pick_rejects_malformed_shapes(x, index):
+    with pytest.raises(ShapeMismatch):
+        EVAL.pick(np.ones(x), np.zeros(index, dtype=int))
+
+
+@pytest.mark.parametrize("copied", ["W0", "b1", "x", "none"])
+def test_copy_axis_runs_a_stacked_net_like_eval_or_raises(copied):
+    # a stacked net on the Stacked graph gives each copy what EVAL gives it, or raises;
+    # never numbers of another shape
+    rng = np.random.default_rng(8)
+    net = DenseNet([3, 4, 2], ["tanh", "identity"], rng, ["a", "b"])
+    x = param(rng.normal(size=(5, 3)))
+    chosen = {"W0": net.weights[0], "b1": net.biases[1], "x": x}.get(copied)
+    stacks = {} if chosen is None else {
+        chosen: chosen.value + rng.normal(size=(3,) + chosen.shape)}
+    try:
+        out = net.forward(Stacked(stacks), x)
+    except ShapeMismatch:
+        return
+    for c in range(3):
+        reads = {t: v[c] for t, v in stacks.items()}
+        expect = net.forward(ndiff.OffTape(reads), reads.get(x, x.value))
+        assert np.array_equal(out if chosen is None else out[c], expect)
+
+
+def test_stacked_net_draws_its_nets_in_order_and_names_their_params_alike():
+    stack = DenseNet([3, 4, 2], ["relu", "identity"], np.random.default_rng(0), ["a", "b"])
+    rng = np.random.default_rng(0)
+    lone = [DenseNet([3, 4, 2], ["relu", "identity"], rng, name) for name in ("a", "b")]
+    x = np.random.default_rng(1).normal(size=(6, 3))
+    out = stack.forward(EVAL, x)
+    for i, net in enumerate(lone):
+        assert np.array_equal(out[i], net.forward(EVAL, x))
+    views = stack.net_params()
+    assert [p.name for p in views] == [p.name for net in lone for p in net.params]
+    for view, p in zip(views, (p for net in lone for p in net.params)):
+        assert np.array_equal(view.value, p.value)
+    views[4].value[...] = 7.0
+    assert (stack.weights[0].value[1] == 7.0).all()
+
+
+def test_a_stack_is_laid_net_by_net_in_the_flat_vector():
+    stack = DenseNet([3, 4, 2], ["relu", "identity"], np.random.default_rng(0), ["a", "b"])
+    lone = DenseNet([2, 1], ["identity"], np.random.default_rng(1), "c")
+    opt = AdamState([stack.params, lone.weights[0]], lr=0.1)
+    expect = np.concatenate([p.value.reshape(-1) for p in stack.net_params()]
+                            + [lone.weights[0].value.reshape(-1)])
+    assert np.array_equal(opt.value, expect)
+    for p in opt.params:
+        assert p.value.base is opt.value and p.grad.base is opt.grad
+    vectors, target = ndiff.target_graph([opt])
+    assert np.array_equal(target.reads[stack.biases[1]], stack.biases[1].value)
+    assert target.reads[stack.weights[1]].base is vectors[0]
+    with pytest.raises(ShapeMismatch):
+        flatten([[stack.weights[0], lone.biases[0]]])
+
+
 def test_dense_net_forward_is_one_record_or_off_tape_op_per_layer(monkeypatch):
     rng = np.random.default_rng(5)
     net = DenseNet([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
@@ -793,7 +932,7 @@ def test_tree_rejects_a_duplicate_tensor_name():
     learner = qmix.QmixLearner(envs.coop_climb(), "vdn", np.random.default_rng(0),
                                share_params=True)
     tree = learner.checkpoint_tree()
-    assert len(tree["psi"]) == len(learner.agent_nets[0].params)
+    assert len(tree["psi"]) == len(learner.heads[0].params)
     tree_from_json(tree_to_json(tree), tree)
 
 
@@ -856,7 +995,7 @@ def test_target_copies_share_no_memory_with_live_nets(algo, share_params):
             for a in (p.value, p.grad):
                 assert not np.shares_memory(a, vector)
     if algo == "qmix":
-        tied = learner.agent_nets[0] is learner.agent_nets[1]
+        tied = len(learner.heads[0].weights[0].value) < learner.n_agents
         assert tied == share_params
 
 

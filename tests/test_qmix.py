@@ -1,12 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlab import envs, ndiff, oracle
+from marlab import envs, ndiff, oracle, qmix
 from marlab.buffer import JointTransition, ReplayBuffer
-from marlab.ndiff import EVAL, Graph, backward, param
+from marlab.ndiff import EVAL, DenseNet, Graph, backward, param
 from marlab.qmix import (
+    MODES,
     MixingNet,
     ModeMismatch,
     NonCooperative,
@@ -17,6 +20,7 @@ from marlab.qmix import (
 )
 
 from batches import stacked
+from calls import count_calls
 
 
 def make(mode, env_name="two_step_coop", seed=0, **kw):
@@ -30,9 +34,9 @@ def zero_all(learner):
     learner.sync_targets()
 
 
-def three_agent_coop(rng):
-    """Random shared-reward table game with three agents of mixed arity."""
-    shape = (1, 2, 3, 2)
+def three_agent_coop(rng, arities=(2, 3, 2)):
+    """Random shared-reward table game with three agents, of mixed arity by default."""
+    shape = (1, *arities)
     base = rng.normal(size=shape)
     rewards = np.repeat(base[..., np.newaxis], 3, axis=-1)
     transition = np.ones(shape + (1,))
@@ -207,8 +211,7 @@ def test_gamma_zero_bootstraps_to_reward_only():
 def test_nonterminal_target_uses_target_net_max():
     learner, _ = make("vdn", gamma=0.5)
     zero_all(learner)
-    for i, net in enumerate(learner.agent_nets):
-        learner.target.reads[net.biases[-1]][...] = np.array([[1.0 + i, 3.0 + i]])
+    learner.target.reads[learner.heads[0].biases[-1]][...] = [[[1.0, 3.0]], [[2.0, 4.0]]]
     # target maxes are 3 and 4, y = 1 + 0.5 * 7 = 4.5, q_taken = 0
     tr = JointTransition(state=0, actions=(0, 0), rewards=(1.0, 1.0), next_state=1, done=False)
     assert abs(learner.td_update(stacked([tr])) - 4.5 ** 2) < 1e-12
@@ -223,8 +226,7 @@ def test_greedy_ties_break_to_lowest_index():
 def test_epsilon_extremes():
     learner, env = make("vdn", seed=2)
     zero_all(learner)
-    for net in learner.agent_nets:
-        net.biases[-1].value[...] = np.array([[0.0, 2.0]])
+    learner.heads[0].biases[-1].value[...] = np.array([0.0, 2.0])
     s = env.reset(np.random.default_rng(0))
     rng = np.random.default_rng(123)
     assert learner.act_epsilon_greedy(s, 0.0, rng) == (1, 1)
@@ -267,6 +269,87 @@ def test_decentralized_argmax_matches_exhaustive_joint_scan():
             assert dec == best_joint
 
 
+def _lone_heads(learner, reads):
+    """Plain per-agent DenseNets holding each agent's head values, read through reads."""
+    nets = []
+    for head, run in zip(learner.heads, learner.runs):
+        for i in run:
+            net = DenseNet(head.layer_sizes, head.activations, np.random.default_rng(0))
+            for p, stack in zip(net.params, head.params):
+                p.value[...] = reads(stack)[(i - run[0]) % len(stack.value)]
+            nets.append(net)
+    return nets
+
+
+def _per_agent_loss(learner, batch, shared):
+    """The TD loss as per-agent heads compute it, one record per agent and layer, its
+    gradient laid out as the learner's, and those heads."""
+    live = _lone_heads(learner, lambda t: t.value)
+    target = _lone_heads(learner, learner.target.reads.get)
+    n = len(batch.rewards)
+    s, s2 = learner._eye[batch.state], learner._eye[batch.next_state]
+    target_q = np.empty((n, learner.n_agents))
+    for i, net in enumerate(target):
+        tu = net.forward(EVAL, s2)
+        target_q[:, i] = tu[np.arange(n), tu.argmax(axis=1)]
+    if learner.mode == "independent":
+        y = batch.rewards + learner.gamma * (1.0 - batch.done)[:, None] * target_q
+    else:
+        tot2 = learner._mix(learner.target, target_q, s2)[:, 0]
+        y = (batch.rewards[:, 0] + learner.gamma * (1.0 - batch.done) * tot2)[:, None]
+    g = Graph()
+    s_t = g.constant(s)
+    taken = [g.pick(net.forward(g, s_t), batch.actions[:, i]) for i, net in enumerate(live)]
+    q = taken[0] if len(taken) == 1 else g.concat(*taken)
+    q = q if learner.mode == "independent" else learner._mix(g, q, s_t)
+    loss = g.mean(g.square(g.sub(q, g.constant(y))))
+    backward(g, loss)
+    heads = [[p.grad for p in net.params] for net in live]
+    if shared:    # the shared head's adjoints, summed last agent first
+        heads = [[functools.reduce(np.add, grads) for grads in zip(*heads[::-1])]]
+    theta = learner.checkpoint_tree()["theta"]
+    grad = np.concatenate([a.reshape(-1) for a in sum(heads, []) + [p.grad for p in theta]])
+    learner.opt.grad[...] = 0.0
+    return float(loss.value), grad, live
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arities,share", [((2, 3, 2), False), ((3, 3, 3), True),
+                                           ((2, 2, 3), False)])
+def test_stacked_heads_match_per_agent_heads_bit_for_bit(monkeypatch, mode, arities, share):
+    clipped = []
+    monkeypatch.setattr(qmix, "clip_grad_norm",
+                        lambda grad, norm, clip=qmix.clip_grad_norm: clipped.append(grad.copy())
+                        or clip(grad, norm))
+    rng = np.random.default_rng(17)
+    env = three_agent_coop(rng, arities)
+    learner = QmixLearner(env, mode, np.random.default_rng(5), hidden=(6,), share_params=share,
+                          target_interval=3)
+    assert [len(h.weights[0].value) for h in learner.heads] == (
+        [1] if share else [len(r) for r in learner.runs])
+    for step in range(7):
+        actions = rng.integers(arities, size=(16, 3))
+        rewards = np.repeat(rng.normal(size=(16, 1)), 3, axis=1)
+        trs = [JointTransition(state=0, actions=tuple(a), rewards=tuple(r), next_state=0,
+                               done=bool(step % 2 and i % 2))
+               for i, (a, r) in enumerate(zip(actions, rewards))]
+        batch = stacked(trs)
+        expect, grad, live = _per_agent_loss(learner, batch, share)
+        x = learner._eye[[0]]
+        assert learner.greedy_joint([0]).tolist() == [[int(net.forward(EVAL, x).argmax())
+                                                       for net in live]]
+        for u, net in zip(learner.utilities(0), live):
+            assert np.array_equal(u, net.forward(EVAL, x)[0])
+        joint, ref = (np.random.default_rng(step) for _ in range(2))
+        expect_joint = tuple(int(ref.integers(k)) if ref.random() < 0.5
+                             else int(net.forward(EVAL, x).argmax())
+                             for k, net in zip(arities, live))
+        assert learner.act_epsilon_greedy(0, 0.5, joint) == expect_joint
+        assert learner.td_update(batch) == expect
+        # a shared head sums its agents' adjoints in another order than separate records do
+        assert np.array_equal(clipped[-1], grad) or share and np.allclose(clipped[-1], grad)
+
+
 def test_td_update_moves_hypernet_parameters():
     learner, _ = make("qmix", seed=4)
     before = [p.value.copy() for p in learner.mixing.params]
@@ -276,9 +359,9 @@ def test_td_update_moves_hypernet_parameters():
     assert moved
 
 
-@pytest.mark.parametrize("mode,records", [("qmix", 29), ("vdn", 12), ("independent", 11)])
+@pytest.mark.parametrize("mode,records", [("qmix", 25), ("vdn", 8), ("independent", 7)])
 def test_td_update_tape_length(monkeypatch, mode, records):
-    # one dense record per layer, one pick per agent
+    # the two agents' heads are one stack: one dense record per layer and one pick for both
     learner, _ = make(mode, seed=6)
     lengths = []
     real_backward = ndiff.backward
@@ -289,17 +372,28 @@ def test_td_update_tape_length(monkeypatch, mode, records):
     assert lengths == [records]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_acting_runs_one_off_tape_dense_per_layer(monkeypatch, mode):
+    learner, env = make(mode, seed=6, hidden=(8, 8))
+    calls = count_calls(monkeypatch, ndiff.OffTape, ["op"])
+    learner.greedy_joint(np.arange(env.n_states))
+    assert calls["op"] == 3
+    learner.act_epsilon_greedy(env.reset(np.random.default_rng(0)), 0.5,
+                               np.random.default_rng(1))
+    assert calls["op"] == 6
+
+
 def test_target_nets_sync_on_interval():
     learner, _ = make("qmix", seed=5, target_interval=3)
     tr = JointTransition(state=0, actions=(0, 0), rewards=(5.0, 5.0), next_state=1, done=False)
     learner.td_update(stacked([tr] * 4))
     learner.td_update(stacked([tr] * 4))
     reads = learner.target.reads
-    gap = max(np.max(np.abs(p.value - reads[p])) for p in learner.agent_nets[0].params)
+    gap = max(np.max(np.abs(p.value - reads[p])) for p in learner.heads[0].params)
     assert gap > 0
     learner.td_update(stacked([tr] * 4))
     assert learner.learn_steps == 3
-    for net in learner.agent_nets:
+    for net in learner.heads:
         for p in net.params:
             assert np.array_equal(p.value, reads[p])
 
@@ -343,12 +437,12 @@ def test_independent_learner_recovers_value_against_scripted_coin():
 
 def test_shared_head_appears_once_in_the_vectors():
     learner, _ = make("qmix", share_params=True, hidden=(5,))
-    unique = [learner.agent_nets[0]] + learner.mixing.nets
+    unique = learner.heads + learner.mixing.nets
     floats = sum(p.value.size for net in unique for p in net.params)
     assert learner.opt.value.size == learner.opt.m.size == floats
     assert learner.target_value.size == floats
     assert len(learner.target.reads) == len(learner.opt.params)
-    assert learner.target.reads[learner.agent_nets[1].weights[0]].base is learner.target_value
+    assert learner.target.reads[learner.heads[0].weights[0]].base is learner.target_value
 
 
 def test_live_vector_moves_reach_targets_only_on_sync():
