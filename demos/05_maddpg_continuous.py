@@ -57,7 +57,7 @@ for _ in range(4000):
     state = env2.reset(rng2) if done else nxt
 
 for _ in range(800):
-    dec.opponent_model_update(buf2.sample(256, rng2), 0)
+    dec.opponent_model_update(buf2.sample(256, rng2))
 
 print("\nstate  true P(co-action=0)  modeled")
 for s in range(env2.n_states):

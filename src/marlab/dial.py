@@ -308,25 +308,27 @@ class RialSystem:
         return final_reward
 
     def td_update(self, rng):
-        """One factored TD step per agent: predicted Qa[a] + Qm[m] regresses
-        onto r + gamma (1-done) (max Qa' + max Qm') from the target head."""
-        total = 0.0
-        for i, head in enumerate(self.heads):
-            b = self.buffers[i].sample(self.batch_size, rng)
+        """One factored TD step for every agent on one tape: each head's Qa[a] +
+        Qm[m] regresses onto r + gamma (1-done) (max Qa' + max Qm') from its
+        target head, on a batch from its own replay, sampled in agent order;
+        one backward, then each head's Adam step.  Returns the summed loss."""
+        g = Graph()
+        loss = None
+        for head, buffer in zip(self.heads, self.buffers):
+            b = buffer.sample(self.batch_size, rng)
             qa2, qm2 = head.forward(self.target, b.x_next)
             y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
-
-            g = Graph()
             qa_t, qm_t = head.forward(g, g.constant(b.x))
             taken = g.add(g.pick(qa_t, b.action), g.pick(qm_t, b.message))
-            loss = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
-            backward(g, loss)
-            adam_step(self.opts[i].params, self.opts[i])
-            total += float(loss.value)
+            term = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
+            loss = term if loss is None else g.add(loss, term)
+        backward(g, loss)
+        for opt in self.opts:
+            adam_step(opt.params, opt)
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
             self.sync_targets()
-        return total
+        return float(loss.value)
 
     def sync_targets(self):
         for opt, target in zip(self.opts, self.target_values):

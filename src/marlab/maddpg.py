@@ -1,7 +1,7 @@
 """Actor-critic learning for mixed games: each agent owns a critic over the
-full joint action (trained centrally), an actor executed from local state,
-and optionally categorical models of the other agents' policies so that the
-critic target can be formed without seeing the co-actors at training time.
+full joint action (trained centrally) and an actor executed from local state.
+A learner models its co-actors' policies exactly when it is decentralized, so
+its targets and actor updates never see them.  Each update phase is one graph.
 """
 
 import numpy as np
@@ -81,15 +81,15 @@ class Actor:
 
 class MaddpgLearner:
     """Per-agent critics Q_i(s, a_1..a_N) and actors, both run as targets on
-    self.target, and categorical opponent models mu_ij(a_j | s) for discrete
-    co-actors.
+    self.target.  A decentralized learner, and no other, holds categorical
+    opponent models mu_ij(a_j | s) for every owner i and discrete co-actor j.
 
     Critic inputs are laid out as (state, a_1, ..., a_N) in agent order; box
     actions enter raw, finite actions one-hot.
     """
 
     def __init__(self, env, rng, hidden=(64, 64), lr=1e-3, gamma=None, tau=0.01,
-                 beta=0.01, decentralized=False, model_opponents=None):
+                 beta=0.01, decentralized=False):
         self.env = env
         self.n_agents = env.n_agents
         self.gamma = env.gamma if gamma is None else float(gamma)
@@ -108,12 +108,8 @@ class MaddpgLearner:
                                  ["relu"] * len(hidden) + ["identity"], rng, f"critic{i}")
                         for i in range(self.n_agents)]
 
-        if model_opponents is None:
-            model_opponents = decentralized
-        if decentralized and not model_opponents:
-            raise MaddpgError("decentralized targets and actor updates need opponent models")
         self.opponent_models = {}
-        if model_opponents:
+        if self.decentralized:
             for i in range(self.n_agents):
                 for j in range(self.n_agents):
                     if j == i:
@@ -183,32 +179,22 @@ class MaddpgLearner:
         return self._bootstrap(batch, owner, s2, a2)
 
     # -- updates ----------------------------------------------------------
-    def _critic_loss_graph(self, g, batch, owners, y_cols):
+    def critic_update(self, batch, rng):
+        """One TD regression step on every critic, on one graph; y bootstraps
+        through the target actors, or when decentralized through each owner's
+        models, drawn owner by owner first.  Returns the pre-step summed loss."""
+        if self.decentralized:
+            y = [self.target_decentralized(batch, i, rng) for i in range(self.n_agents)]
+        else:
+            y = self.target_ctde(batch, rng).T
         cols = [self._encode_action_col(i, batch.actions[:, i]) for i in range(self.n_agents)]
+        g = Graph()
         x = g.constant(self.critic_input(self._encode_states(batch.state), cols))
-        total = None
-        for i in owners:
-            err = g.sub(self.critics[i].forward(g, x), g.constant(y_cols[i][:, None]))
-            term = g.mean(g.square(err))
-            total = term if total is None else g.add(total, term)
-        return total
-
-    def critic_update_ctde(self, batch, rng):
-        """One TD regression step on every critic against target-actor
-        bootstraps; returns the pre-step summed loss."""
-        y = self.target_ctde(batch, rng)
-        g = Graph()
-        loss = self._critic_loss_graph(g, batch, range(self.n_agents), y.T)
-        self._descend(g, loss, [self.critic_opts[i] for i in range(self.n_agents)])
-        return float(loss.value)
-
-    def critic_update_decentralized(self, batch, owner, rng):
-        """Same regression for one critic, bootstrapping through the owner's
-        opponent models; returns the pre-step loss."""
-        y = self.target_decentralized(batch, owner, rng)
-        g = Graph()
-        loss = self._critic_loss_graph(g, batch, [owner], {owner: y})
-        self._descend(g, loss, [self.critic_opts[owner]])
+        loss = None
+        for critic, y_i in zip(self.critics, y):
+            term = g.mean(g.square(g.sub(critic.forward(g, x), g.constant(y_i[:, None]))))
+            loss = term if loss is None else g.add(loss, term)
+        self._descend(g, loss, self.critic_opts)
         return float(loss.value)
 
     def _descend(self, g, loss, opts):
@@ -252,29 +238,25 @@ class MaddpgLearner:
         self._descend(g, loss, [self.actor_opts[i]])
         return float(objective.value) if actor.kind == "box" else objective_value
 
-    def opponent_model_update(self, batch, owner):
-        """Max-likelihood step of owner's models of every co-actor, with an
-        entropy bonus weighted by beta; returns the batch NLL summed over
-        modeled co-actors."""
-        if not any(key[0] == owner for key in self.opponent_models):
-            raise ContinuousOpponent(f"agent {owner} models no opponents")
+    def opponent_model_update(self, batch):
+        """Max-likelihood step of every opponent model, all on one graph, with
+        an entropy bonus weighted by beta; returns the batch NLL summed over
+        the models in (owner, co-actor) order."""
+        if not self.opponent_models:
+            raise MaddpgError("a CTDE learner models no opponents")
         g = Graph()
         s_t = g.constant(self._encode_states(batch.state))
         total = None
         nll_value = 0.0
-        opts = []
-        for j in range(self.n_agents):
-            if (owner, j) not in self.opponent_models:
-                continue
-            logits = self.opponent_models[(owner, j)].forward(g, s_t)
+        for (_, j), model in self.opponent_models.items():
+            logits = model.forward(g, s_t)
             logp = g.log_softmax(logits)
             nll = g.neg(g.mean(g.pick(logp, batch.actions[:, j])))
             entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
             term = g.sub(nll, g.mul(g.constant(np.asarray(self.beta)), entropy))
             total = term if total is None else g.add(total, term)
             nll_value += float(nll.value)
-            opts.append(self.model_opts[(owner, j)])
-        self._descend(g, total, opts)
+        self._descend(g, total, self.model_opts.values())
         return nll_value
 
     def model_probs(self, owner, j, state):
@@ -283,19 +265,14 @@ class MaddpgLearner:
 
     # -- full step ----------------------------------------------------------
     def learner_step(self, batch, rng):
-        """Critics, then actors, then opponent models, agent by agent; targets
+        """Critics, then actors agent by agent, then (if decentralized) opponent
+        models, each critic or model phase one graph and one backward; targets
         then track the live nets by polyak averaging."""
-        out = {}
+        out = {"critic_loss": self.critic_update(batch, rng),
+               "actor_objective": sum(self.actor_update(batch, i, rng)
+                                      for i in range(self.n_agents))}
         if self.decentralized:
-            out["critic_loss"] = sum(
-                self.critic_update_decentralized(batch, i, rng) for i in range(self.n_agents))
-        else:
-            out["critic_loss"] = self.critic_update_ctde(batch, rng)
-        out["actor_objective"] = sum(
-            self.actor_update(batch, i, rng) for i in range(self.n_agents))
-        if self.opponent_models:
-            out["model_nll"] = sum(
-                self.opponent_model_update(batch, i) for i in range(self.n_agents))
+            out["model_nll"] = self.opponent_model_update(batch)
         self.sync_targets()
         return out
 

@@ -2,8 +2,9 @@
 
 
 def count_calls(monkeypatch, cls, names):
-    """Wrap each named method of cls so that its calls are counted; returns
-    the name -> count dict that the wrappers update."""
+    """Wrap each named method of cls (or function, when cls is a module) so
+    that its calls are counted; returns the name -> count dict that the
+    wrappers update."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         method = getattr(cls, name)

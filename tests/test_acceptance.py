@@ -320,7 +320,7 @@ def test_A9_decentralized_target_matches_ctde_with_trained_models():
     for tr in collected:
         buf.push(tr)
     for _ in range(1500):
-        learner.opponent_model_update(buf.sample(256, rng), 0)
+        learner.opponent_model_update(buf.sample(256, rng))
 
     model_gap = max(
         float(np.max(np.abs(learner.model_probs(0, 1, s) - script[s])))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marlab import envs
+from marlab import dial, envs
 from marlab.dial import (
     CHANNEL_MODES,
     DialError,
@@ -264,6 +264,16 @@ def test_factored_td_terminal_loss_is_squared_reward():
         sys_.buffers[i].push(RialTransition(x, 0, 0, 1.0, x, True))
     loss = sys_.td_update(np.random.default_rng(0))
     assert loss == 2.0
+
+
+def test_td_update_runs_one_backward_for_all_heads(monkeypatch):
+    sys_ = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
+    rng = np.random.default_rng(1)
+    while len(sys_.buffers[0]) < 4:
+        sys_.play_episode(rng, 0.5)
+    calls = count_calls(monkeypatch, dial, ["backward", "adam_step"])
+    sys_.td_update(rng)
+    assert calls == {"backward": 1, "adam_step": 2}
 
 
 def test_rial_learns_to_signal():

@@ -8,6 +8,7 @@ from marlab.ndiff import (EVAL, AdamState, Graph, adam_step, backward, copy_para
                           tree_from_json, tree_to_json)
 
 from batches import stacked
+from calls import count_calls
 
 
 def cts_learner(seed=0, **kw):
@@ -177,44 +178,39 @@ def make_model_batches(a1_draw, rng, n=32):
 
 
 def test_opponent_model_fits_constant_opponent():
-    learner, _ = disc_learner(seed=10, model_opponents=True, beta=0.0)
+    learner, _ = disc_learner(seed=10, decentralized=True, beta=0.0)
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        learner.opponent_model_update(make_model_batches(lambda r: 0, rng), 0)
+        learner.opponent_model_update(make_model_batches(lambda r: 0, rng))
     assert learner.model_probs(0, 1, 0)[0] >= 0.95
 
 
 def test_opponent_model_fits_uniform_opponent():
-    learner, _ = disc_learner(seed=11, model_opponents=True)
+    learner, _ = disc_learner(seed=11, decentralized=True)
     rng = np.random.default_rng(6)
     for _ in range(2000):
-        learner.opponent_model_update(make_model_batches(lambda r: r.integers(2), rng), 0)
+        learner.opponent_model_update(make_model_batches(lambda r: r.integers(2), rng))
     p = learner.model_probs(0, 1, 0)
     assert 0.45 <= p[0] <= 0.55
 
 
 def test_large_entropy_weight_pins_model_to_uniform():
-    learner, _ = disc_learner(seed=12, model_opponents=True, beta=10.0)
+    learner, _ = disc_learner(seed=12, decentralized=True, beta=10.0)
     rng = np.random.default_rng(7)
     for _ in range(2000):
-        learner.opponent_model_update(make_model_batches(lambda r: 0, rng), 0)
+        learner.opponent_model_update(make_model_batches(lambda r: 0, rng))
     p = learner.model_probs(0, 1, 0)
     assert np.max(np.abs(p - 0.5)) < 0.05
 
 
 def test_opponent_models_stay_distributions_during_training():
-    learner, _ = disc_learner(seed=13, model_opponents=True)
+    learner, _ = disc_learner(seed=13, decentralized=True)
     rng = np.random.default_rng(8)
     for _ in range(50):
-        learner.opponent_model_update(make_model_batches(lambda r: r.integers(2), rng), 0)
+        learner.opponent_model_update(make_model_batches(lambda r: r.integers(2), rng))
         p = learner.model_probs(0, 1, 0)
         assert abs(p.sum() - 1.0) < 1e-9
         assert np.all(p > 0)
-
-
-def test_decentralized_learner_without_opponent_models_is_refused():
-    with pytest.raises(MaddpgError, match="opponent models"):
-        disc_learner("two_step_coop", decentralized=True, model_opponents=False)
 
 
 def test_continuous_opponents_cannot_be_modeled():
@@ -224,7 +220,7 @@ def test_continuous_opponents_cannot_be_modeled():
 
 
 def test_decentralized_target_matches_ctde_with_true_models():
-    learner, env = disc_learner("two_step_coop", seed=14, model_opponents=True)
+    learner, env = disc_learner("two_step_coop", seed=14, decentralized=True)
     # target_values lists the actors' target vectors first, in agent order
     copy_params(learner.target_values[1], learner.model_opts[(0, 1)].value)
     rng = np.random.default_rng(9)
@@ -234,13 +230,112 @@ def test_decentralized_target_matches_ctde_with_true_models():
     assert abs(y_ctde.mean() - y_dec.mean()) < 0.02
 
 
+def three_agent_game():
+    """A random cooperative game over two states for three discrete agents of
+    2, 3 and 2 actions."""
+    shape = (2, 2, 3, 2)
+    rewards = np.random.default_rng(0).normal(size=shape + (1,))
+    return envs.MarkovGame(
+        name="coop3", action_space=[envs.Discrete(k) for k in shape[1:]], horizon=2,
+        gamma=0.9, cooperative=True, zero_sum=False, n_states=2,
+        rewards=np.repeat(rewards, 3, axis=-1), transition=np.full(shape + (2,), 0.5),
+        terminal_after=np.zeros(shape, dtype=bool))
+
+
+def random_batch(env, rng, n=32):
+    return stacked([JointTransition(int(rng.integers(env.n_states)),
+                                    tuple(int(rng.integers(sp.n)) for sp in env.action_space),
+                                    tuple(rng.normal(size=env.n_agents)),
+                                    int(rng.integers(env.n_states)), bool(rng.integers(2)))
+                    for _ in range(n)])
+
+
+def per_owner_updates(learner, batch, rng):
+    """The decentralized critic and opponent-model steps built one graph per
+    owner: owner i draws its targets, its critic steps, then the next owner
+    draws; then owner by owner, one graph of its models of the co-actors.
+    Returns the summed critic loss and the NLL summed owner by owner."""
+    n = learner.n_agents
+    s = learner._encode_states(batch.state)
+    x = learner.critic_input(s, [learner._encode_action_col(i, batch.actions[:, i])
+                                 for i in range(n)])
+    critic_loss = 0.0
+    for i in range(n):
+        y = learner.target_decentralized(batch, i, rng)
+        g = Graph()
+        err = g.sub(learner.critics[i].forward(g, g.constant(x)), g.constant(y[:, None]))
+        loss = g.mean(g.square(err))
+        backward(g, loss)
+        adam_step(learner.critic_opts[i].params, learner.critic_opts[i])
+        critic_loss += float(loss.value)
+    model_nll = 0.0
+    for i in range(n):
+        g = Graph()
+        s_t = g.constant(s)
+        total, owner_nll = None, 0.0
+        co_actors = [j for j in range(n) if j != i]
+        for j in co_actors:
+            logits = learner.opponent_models[(i, j)].forward(g, s_t)
+            logp = g.log_softmax(logits)
+            nll = g.neg(g.mean(g.pick(logp, batch.actions[:, j])))
+            entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
+            term = g.sub(nll, g.mul(g.constant(np.asarray(learner.beta)), entropy))
+            total = term if total is None else g.add(total, term)
+            owner_nll += float(nll.value)
+        backward(g, total)
+        for j in co_actors:
+            adam_step(learner.model_opts[(i, j)].params, learner.model_opts[(i, j)])
+        model_nll += owner_nll
+    return critic_loss, model_nll
+
+
+def test_decentralized_updates_equal_per_owner_graphs():
+    env = three_agent_game()
+    merged, ref = (MaddpgLearner(env, np.random.default_rng(20), hidden=(16,),
+                                 decentralized=True) for _ in range(2))
+    assert len(merged.opponent_models) == 6
+    trained = [[*learner.critic_opts, *learner.model_opts.values()] for learner in (merged, ref)]
+    start = [opt.value.copy() for opt in trained[0]]
+    rng_merged, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+    for step in range(3):
+        batch = random_batch(env, np.random.default_rng(22 + step))
+        loss = merged.critic_update(batch, rng_merged)
+        nll = merged.opponent_model_update(batch)
+        ref_loss, ref_nll = per_owner_updates(ref, batch, rng_ref)
+        assert loss == ref_loss
+        # one running sum against per-owner subtotals: the last bits may move
+        assert np.allclose(nll, ref_nll, rtol=1e-14, atol=0.0)
+        assert rng_merged.bit_generator.state == rng_ref.bit_generator.state
+    for opt, ref_opt, kept in zip(*trained, start):
+        assert np.array_equal(opt.value, ref_opt.value)
+        assert not np.array_equal(opt.value, kept)
+    for opt in merged.opts:
+        assert np.all(opt.grad == 0.0)
+
+
+@pytest.mark.parametrize("decentralized,passes", [(False, 3), (True, 4)])
+def test_learner_step_runs_one_backward_per_update_phase(monkeypatch, decentralized, passes):
+    learner, env = disc_learner("two_step_coop", seed=21, decentralized=decentralized)
+    batch = random_batch(env, np.random.default_rng(23))
+    calls = count_calls(monkeypatch, maddpg, ["backward"])
+    learner.learner_step(batch, np.random.default_rng(24))
+    assert calls == {"backward": passes}
+
+
+def test_ctde_learner_has_no_opponent_models_to_update():
+    learner, env = disc_learner("two_step_coop", seed=22)
+    assert learner.opponent_models == {} and learner.model_opts == {}
+    with pytest.raises(MaddpgError, match="models no opponents"):
+        learner.opponent_model_update(random_batch(env, np.random.default_rng(25)))
+
+
 def test_ctde_critic_regression_converges_on_fixed_batch():
     learner, env = cts_learner(seed=15, lr=1e-2)
     rng = np.random.default_rng(10)
     batch = cts_batch(env, rng, 32)
-    first = learner.critic_update_ctde(batch, rng)
+    first = learner.critic_update(batch, rng)
     for _ in range(500):
-        last = learner.critic_update_ctde(batch, rng)
+        last = learner.critic_update(batch, rng)
     assert last < first * 0.05
 
 
@@ -285,7 +380,7 @@ def test_act_explores_inside_box_and_greedy_is_deterministic():
 
 
 def test_checkpoint_roundtrip_restores_behavior():
-    learner, env = disc_learner(seed=18, model_opponents=True)
+    learner, env = disc_learner(seed=18, decentralized=True)
     rng = np.random.default_rng(13)
     blob = tree_to_json(learner.checkpoint_tree())
     p_before = learner.actors[0].probs_np(EVAL, np.ones((1, 1))).copy()
