@@ -6,8 +6,9 @@ gradient flows backward through the channel (the differentiable regime), and
 a non-differentiable baseline that treats a discrete message as a second
 action learned by factored Q-heads.
 
-Messages are pure communication: they are routed between agent inputs and
-never enter the environment's transition or reward computations.
+All agents run as one stack of nets, on (n_agents, batch, width) arrays.
+Messages are pure communication: the take op routes them between the agents'
+slices, and they never enter the environment's transition or reward.
 """
 
 import typing
@@ -35,14 +36,16 @@ def _check_comm_env(env):
         raise DialError(f"{env.name} is not a signalling fixture")
     if not env.all_discrete():
         raise DialError("communication learners need discrete actions")
+    if len({(env.obs_dim(i), env.action_space[i].n) for i in range(env.n_agents)}) > 1:
+        raise DialError("one stack of agents needs equal observation widths and action counts")
     if env.horizon < 2:
         raise DialError("need at least two steps for a message to arrive")
 
 
 class CommAgentCell:
-    """One agent's step function: concat(observation, incoming messages, own
-    hidden state) -> (action scores, bounded outgoing message, next hidden
-    state).  Recurrence is threaded by the caller."""
+    """The step function of the agents named, one stack of nets: concat(observation,
+    incoming messages, own hidden state) -> (action scores, bounded outgoing message,
+    next hidden state), each (n, B, .).  The caller threads recurrence."""
 
     def __init__(self, obs_dim, n_actions, msg_dim, hidden_dim, in_msg_dim,
                  net_hidden, rng, name):
@@ -67,23 +70,23 @@ class CommAgentCell:
 class Unroll:
     """One batched on-policy rollout and the graph it ran on; `actions` and
     `rewards` hold each step's joint actions and rewards, (horizon, batch,
-    n_agents), as one env.step_batch call per timestep returned them."""
+    n_agents), as one env.step_batch call per timestep returned them; `messages`
+    and `incoming`, each step's (n_agents, batch, .) messages sent and received."""
 
     graph: Graph
     actions: np.ndarray
     rewards: np.ndarray
     bits: np.ndarray
     listener_scores: object
-    messages: dict
-    incoming: dict
+    messages: list
+    incoming: list
     version: int
 
 
 class DialSystem:
-    """All agents' cells plus one optimizer; channel "on" routes each agent's
-    message tensor into the other agents' next-step inputs, channel "zeroed"
-    replaces every incoming message with a zero constant (the
-    no-communication control)."""
+    """All agents' cells as one stack plus one optimizer; channel "on" routes each agent's
+    message through take into the other agents' next-step inputs, channel "zeroed" replaces
+    every incoming message with a zero constant (the no-communication control)."""
 
     def __init__(self, env, rng, msg_dim=1, hidden_dim=4, net_hidden=(16,),
                  lr=5e-3, channel="on"):
@@ -94,27 +97,18 @@ class DialSystem:
         self.channel = channel
         self.msg_dim = msg_dim
         self.hidden_dim = hidden_dim
-        self.n_agents = env.n_agents
-        in_msg_dim = (self.n_agents - 1) * msg_dim
-        self.cells = [
-            CommAgentCell(env.obs_dim(i), env.action_space[i].n, msg_dim,
-                          hidden_dim, in_msg_dim, net_hidden, rng, f"cell{i}")
-            for i in range(self.n_agents)
-        ]
-        self.opt = AdamState(self.params(), lr=lr)
+        n = self.n_agents = env.n_agents
+        self.cells = CommAgentCell(env.obs_dim(0), env.action_space[0].n, msg_dim, hidden_dim,
+                                   (n - 1) * msg_dim, net_hidden, rng,
+                                   [f"cell{i}" for i in range(n)])
+        # column k: the k-th other agent of each agent, in agent order
+        self._others = np.array([[j for j in range(n) if j != i] for i in range(n)]).T
+        self._obs = np.stack(env.obs_tables, axis=1)   # (state, agent, obs)
+        self.opt = AdamState([self.params()], lr=lr)
         self.version = 0
 
     def params(self):
-        return [p for cell in self.cells for p in cell.net.params]
-
-    def _route_graph(self, g, messages_prev, agent, batch):
-        """Incoming message tensor for one agent: others' previous messages
-        concatenated in agent order, or zeros when the channel is closed."""
-        if self.channel == "zeroed" or messages_prev is None:
-            width = (self.n_agents - 1) * self.msg_dim
-            return g.constant(np.zeros((batch, width)))
-        others = [messages_prev[j] for j in range(self.n_agents) if j != agent]
-        return others[0] if len(others) == 1 else g.concat(*others)
+        return self.cells.net.params
 
     def unroll(self, g, batch_size, rng, bits=None):
         """Play batch_size two-step episodes with greedy actions, running
@@ -131,35 +125,29 @@ class DialSystem:
             batch_size = len(index)
         bits_arr = np.asarray(env.meta["bit_of_state"])[index]
 
-        h = [g.constant(np.zeros((batch_size, self.hidden_dim)))
-             for _ in range(self.n_agents)]
-        messages_prev = None
-        actions_taken, rewards_got = [], []
-        messages_out = {}
-        incoming_by_agent = {}
-
+        n = self.n_agents
+        h = g.constant(np.zeros((n, batch_size, self.hidden_dim)))
+        incoming = g.constant(np.zeros((n, batch_size, (n - 1) * self.msg_dim)))
+        actions_taken, rewards_got, messages, incomings = [], [], [], []
         for t in range(env.horizon):
-            scores_t, msg_t = [], []
-            for i, cell in enumerate(self.cells):
-                obs = g.constant(env.obs_tables[i][index])
-                incoming = self._route_graph(g, messages_prev, i, batch_size)
-                scores, message, h[i] = cell.forward(g, obs, incoming, h[i])
-                scores_t.append(scores)
-                msg_t.append(message)
-                messages_out[(i, t)] = message
-                incoming_by_agent[(i, t)] = incoming
-            joint = np.stack([value_of(s).argmax(axis=-1) for s in scores_t], axis=-1)
+            if t and self.channel == "on":
+                parts = [g.take(messages[-1], col) for col in self._others]
+                incoming = parts[0] if len(parts) == 1 else g.concat(*parts)
+            obs = g.constant(np.swapaxes(self._obs[index], -3, -2))
+            scores, message, h = self.cells.forward(g, obs, incoming, h)
+            messages.append(message)
+            incomings.append(incoming)
+            joint = np.swapaxes(value_of(scores).argmax(axis=-1), -2, -1)
             episodes = joint.shape[:-1]
             index, rewards, _ = env.step_batch(np.broadcast_to(index, episodes).reshape(-1), t,
-                                               joint.reshape(-1, self.n_agents), rng)
+                                               joint.reshape(-1, n), rng)
             index = index.reshape(episodes)
             actions_taken.append(joint)
             rewards_got.append(rewards.reshape(joint.shape))
-            messages_prev = msg_t
 
         return Unroll(graph=g, actions=np.stack(actions_taken), rewards=np.stack(rewards_got),
-                      bits=bits_arr, listener_scores=scores_t[env.meta["listener"]],
-                      messages=messages_out, incoming=incoming_by_agent, version=self.version)
+                      bits=bits_arr, listener_scores=g.take(scores, env.meta["listener"]),
+                      messages=messages, incoming=incomings, version=self.version)
 
     def loss_tensor(self, unroll):
         """Cross-entropy of the listener's final-step action scores against
@@ -190,7 +178,7 @@ class DialSystem:
         return float((u.actions[-1, :, self.env.meta["listener"]] == u.bits).mean())
 
     def checkpoint_tree(self):
-        return {"cells": [c.net.params for c in self.cells], "channel": self.channel}
+        return {"cells": self.cells.net.net_params(), "channel": self.channel}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +196,7 @@ class RialTransition(typing.NamedTuple):
 
 class FactoredQHead:
     """One trunk, two heads: utilities over environment actions and utilities
-    over the message alphabet."""
+    over the message alphabet; named by a list of names, a stack of them."""
 
     def __init__(self, in_dim, n_actions, n_messages, net_hidden, rng, name):
         self.n_actions = n_actions
@@ -234,7 +222,7 @@ class RialSystem:
     its own replay of (input, action, message) choices.  An agent's input is
     its observation, the other agents' previous messages one-hot, and its own
     previous message one-hot (needed so its value function can see what it
-    signalled)."""
+    signalled).  The heads are one stack, one optimizer and one target."""
 
     def __init__(self, env, rng, n_messages=2, net_hidden=(32,), lr=5e-3,
                  gamma=None, target_interval=100,
@@ -245,38 +233,36 @@ class RialSystem:
         self.gamma = env.gamma if gamma is None else float(gamma)
         self.batch_size = int(batch_size)
         self.target_interval = int(target_interval)
-        self.n_agents = env.n_agents
-        m = self.n_messages
-        self.in_dims = [env.obs_dim(i) + (self.n_agents - 1) * m + m
-                        for i in range(self.n_agents)]
-        self.heads = [FactoredQHead(self.in_dims[i], env.action_space[i].n, m,
-                                    net_hidden, rng, f"rial{i}")
-                      for i in range(self.n_agents)]
-        self.opts = [AdamState(h.net.params, lr=lr) for h in self.heads]
-        self.target_values, self.target = target_graph(self.opts)
-        self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(self.n_agents)]
+        n = self.n_agents = env.n_agents
+        self.in_dim = env.obs_dim(0) + n * self.n_messages
+        self.heads = FactoredQHead(self.in_dim, env.action_space[0].n, self.n_messages,
+                                   net_hidden, rng, [f"rial{i}" for i in range(n)])
+        self.opt = AdamState([self.heads.net.params], lr=lr)
+        (self.target_value,), self.target = target_graph([self.opt])
+        self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(n)]
+        self._order = np.array([[j for j in range(n) if j != i] + [i] for i in range(n)])
+        self._obs = np.stack(env.obs_tables)   # (agent, state, obs)
         self.learn_steps = 0
 
-    def _input(self, agent, index, prev_msgs):
-        """Agent inputs at one state index or an (n,) array of them: the
-        observation, the other agents' previous messages one-hot in agent
-        order, then its own.  prev_msgs holds per-agent message ints, (...,
-        n_agents), or is None at t=0 (all-zero blocks)."""
-        m = self.n_messages
-        obs = self.env.obs_tables[agent][index]
+    def _input(self, index, prev_msgs):
+        """(n_agents, ..., in_dim) inputs at one state index or an (n,) array of
+        them: each agent's observation, the other agents' previous messages
+        one-hot in agent order, then its own.  prev_msgs holds per-agent message
+        ints, (..., n_agents), or is None at t=0 (all-zero blocks)."""
+        obs = self._obs[:, index]
         if prev_msgs is None:
-            blocks = np.zeros(obs.shape[:-1] + (self.n_agents * m,))
+            blocks = np.zeros(obs.shape[:-1] + (self.n_agents * self.n_messages,))
         else:
-            order = [j for j in range(self.n_agents) if j != agent] + [agent]
-            blocks = np.eye(m)[np.asarray(prev_msgs)[..., order]]
-            blocks = blocks.reshape(obs.shape[:-1] + (self.n_agents * m,))
+            blocks = np.eye(self.n_messages)[np.asarray(prev_msgs)[..., self._order]]
+            blocks = blocks.reshape(blocks.shape[:-2] + (-1,)).swapaxes(0, -2)
         return np.concatenate([obs, blocks], axis=-1)
 
-    def _choose(self, agent, x, epsilon, rng):
-        qa, qm = self.heads[agent].forward(EVAL, x[np.newaxis, :])
-        a = int(rng.integers(len(qa[0]))) if rng.random() < epsilon else int(np.argmax(qa[0]))
-        msg = int(rng.integers(len(qm[0]))) if rng.random() < epsilon else int(np.argmax(qm[0]))
-        return a, msg
+    def _choose(self, x, epsilon, rng):
+        """Each agent's epsilon-greedy (action, message) at its row of x: one stacked
+        forward, then the draws agent by agent, the action's before the message's."""
+        return [tuple(int(rng.integers(len(q))) if rng.random() < epsilon else int(np.argmax(q))
+                      for q in (qa[0], qm[0]))
+                for qa, qm in zip(*self.heads.forward(EVAL, x[:, np.newaxis]))]
 
     def play_episode(self, rng, epsilon):
         """One env episode with per-head epsilon-greedy choices; pushes each
@@ -287,8 +273,8 @@ class RialSystem:
         pending = [None] * self.n_agents
         final_reward = 0.0
         while not state.done:
-            xs = [self._input(i, state.index, prev_msgs) for i in range(self.n_agents)]
-            choices = [self._choose(i, xs[i], epsilon, rng) for i in range(self.n_agents)]
+            xs = self._input(state.index, prev_msgs)
+            choices = self._choose(xs, epsilon, rng)
             actions = tuple(c[0] for c in choices)
             msgs = [c[1] for c in choices]
             nxt, rewards, done = env.step(state, actions, rng)
@@ -298,7 +284,7 @@ class RialSystem:
                     self.buffers[i].push(RialTransition(px, pa, pm, pr, xs[i], False))
                 pending[i] = (xs[i], actions[i], msgs[i], float(rewards[i]))
             if done:
-                x_terminal = [self._input(i, nxt.index, msgs) for i in range(self.n_agents)]
+                x_terminal = self._input(nxt.index, msgs)
                 for i in range(self.n_agents):
                     px, pa, pm, pr = pending[i]
                     self.buffers[i].push(RialTransition(px, pa, pm, pr, x_terminal[i], True))
@@ -310,29 +296,27 @@ class RialSystem:
     def td_update(self, rng):
         """One factored TD step for every agent on one tape: each head's Qa[a] +
         Qm[m] regresses onto r + gamma (1-done) (max Qa' + max Qm') from its
-        target head, on a batch from its own replay, sampled in agent order;
-        one backward, then each head's Adam step.  Returns the summed loss."""
+        target head, on a batch from its own replay, sampled in agent order before
+        any forward; one backward, one Adam step.  The root is n_agents times the
+        mean squared error; returns the per-agent means' sum, folded agent by agent."""
+        b = RialTransition._make(np.stack(col) for col in zip(
+            *[buffer.sample(self.batch_size, rng) for buffer in self.buffers]))
+        qa2, qm2 = self.heads.forward(self.target, b.x_next)
+        y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=2) + qm2.max(axis=2))
         g = Graph()
-        loss = None
-        for head, buffer in zip(self.heads, self.buffers):
-            b = buffer.sample(self.batch_size, rng)
-            qa2, qm2 = head.forward(self.target, b.x_next)
-            y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
-            qa_t, qm_t = head.forward(g, g.constant(b.x))
-            taken = g.add(g.pick(qa_t, b.action), g.pick(qm_t, b.message))
-            term = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
-            loss = term if loss is None else g.add(loss, term)
+        qa, qm = self.heads.forward(g, g.constant(b.x))
+        taken = g.add(g.pick(qa, b.action.T), g.pick(qm, b.message.T))
+        sq = g.square(g.sub(taken, g.constant(y.T)))
+        loss = g.mul(g.mean(sq), g.constant(float(self.n_agents)))
         backward(g, loss)
-        for opt in self.opts:
-            adam_step(opt.params, opt)
+        adam_step(self.opt.params, self.opt)
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
             self.sync_targets()
-        return float(loss.value)
+        return float(sum(col.mean() for col in sq.value.T))
 
     def sync_targets(self):
-        for opt, target in zip(self.opts, self.target_values):
-            copy_params(opt.value, target)
+        copy_params(self.opt.value, self.target_value)
 
     def step(self, rng, epsilon):
         """Collect one episode, then learn if the replays have a batch."""
@@ -348,12 +332,10 @@ class RialSystem:
         bits = np.asarray(env.meta["bit_of_state"])[index]
         msgs = None
         for t in range(env.horizon):
-            choices = [greedy_factored(*self.heads[i].forward(EVAL, self._input(i, index, msgs)))
-                       for i in range(self.n_agents)]
-            actions = np.stack([a for a, _ in choices], axis=1)
-            msgs = np.stack([m for _, m in choices], axis=1)
+            actions, msgs = (c.T for c in greedy_factored(*self.heads.forward(
+                EVAL, self._input(index, msgs))))
             index, _, _ = env.step_batch(index, t, actions, rng)
         return float((actions[:, env.meta["listener"]] == bits).mean())
 
     def checkpoint_tree(self):
-        return {"heads": [h.net.params for h in self.heads]}
+        return {"heads": self.heads.net.net_params()}

@@ -102,7 +102,9 @@ class _Record:
 #
 # add and mul broadcast one way only: the operands match exactly, or one is a
 # scalar (size 1), or one is a (1, k) row repeated over the rows of an (n, k)
-# matrix (a bias).  Anything else is a ShapeMismatch.
+# matrix (a bias).  Anything else is a ShapeMismatch.  take indexes the
+# leading (agent) axis: it routes a stack's messages to other agents and picks
+# one agent's slice out of a stack.
 # ---------------------------------------------------------------------------
 
 def _binary_shapes(a, b, kind):
@@ -272,7 +274,9 @@ def _fw_sum(vals, attrs):
 
 def _bw_sum(ctx, vals, g):
     (x,) = vals
-    return (np.broadcast_to(g, x.shape).copy(),)
+    out = np.empty_like(x)
+    out[...] = g
+    return (out,)
 
 
 def _fw_mean(vals, attrs):
@@ -357,17 +361,48 @@ def _bw_pick(ctx, vals, g):
     return (out,)
 
 
+def _take_index(x, attrs):
+    # x[index] on the leading axis, each entry in [0, len(x)): an int drops it, a 1-D array keeps it
+    try:
+        index = np.asarray(attrs["index"])
+    except ValueError:    # a ragged list
+        raise ShapeMismatch(f"take: ragged index on {x.shape}")
+    if x.ndim == 0 or index.ndim > 1 or index.dtype.kind not in "iu" \
+            or not ((0 <= index) & (index < len(x))).all():
+        raise ShapeMismatch(f"take: index {index.tolist()} on {x.shape}")
+    return index
+
+
+def _fw_take(vals, attrs):
+    index = _take_index(vals[0], attrs)
+    return vals[0][index], index
+
+
+def _bw_take(ctx, vals, g):
+    out = np.zeros_like(vals[0])
+    np.add.at(out, ctx, g)    # an index repeated sums its rows' gradients
+    return (out,)
+
+
+def _stack_shapes(x, w, b):
+    if b.shape != (len(w), 1, w.shape[2]) or x.shape[-1:] != w.shape[1:2] \
+            or x.shape[:-2] not in ((), w.shape[:1]) or x.ndim < 2:
+        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+
+
 def _fw_dense(vals, attrs):
     # one layer act(x @ W + b) through the matmul, add and activation kernels; n stacked layers,
     # W (n, in, out) and b (n, 1, out), each run on x or on its slice of an (n, B, in) x
     x, w, b = vals
     act = attrs["act"]
-    if w.ndim == 3 and (b.shape != (len(w), 1, w.shape[2]) or x.shape[-1:] != w.shape[1:2]
-                        or x.shape[:-2] not in ((), w.shape[:1]) or x.ndim < 2):
-        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
-    pre = (np.matmul(x, w) + b if w.ndim == 3
-           else _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0])
-    out = pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
+    if w.ndim == 3:
+        _stack_shapes(x, w, b)
+        pre = np.matmul(x, w)
+        pre += b    # in place, as relu below: past 128 KiB each new array can cost page faults
+    else:
+        pre = _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0]
+    out = (np.maximum(pre, 0.0, out=pre) if act == "relu"    # its backward reads only the sign
+           else pre if act == "identity" else OPS[act][0]((pre,), attrs)[0])
     return out, (act, pre, out)
 
 
@@ -405,6 +440,7 @@ OPS = {
     "pick": (_fw_pick, _bw_pick),
     "log_softmax": (_fw_log_softmax, _bw_log_softmax),
     "dense": (_fw_dense, _bw_dense),
+    "take": (_fw_take, _bw_take),
 }
 
 # ops whose backward reads the output value rather than the inputs
@@ -481,6 +517,9 @@ class Graph:
     def pick(self, x, index):
         return self.op("pick", (x,), index=index)
 
+    def take(self, x, index):
+        return self.op("take", (x,), index=index)
+
 
 class OffTape(Graph):
     """The Graph ops on plain arrays: each runs the op table's forward on its
@@ -553,7 +592,11 @@ def _stk_mul(vals, stacked, attrs):
 def _stk_dense(vals, stacked, attrs):
     x, w, b = vals
     sx, sw, sb = stacked
-    pre = _stk_add((_stk_matmul((x, w), (sx, sw), attrs), b), (sx or sw, sb), attrs)
+    if w.ndim - sw == 3:    # a stack of nets: one copy's x, if 2-D, feeds each of its nets
+        _stack_shapes(*_one_copy(vals, stacked))
+        pre = np.matmul(x[:, None] if sx and x.ndim == 3 else x, w) + b
+    else:
+        pre = _stk_add((_stk_matmul((x, w), (sx, sw), attrs), b), (sx or sw, sb), attrs)
     act = attrs["act"]
     return pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
 
@@ -577,6 +620,10 @@ def _stk_pick(vals, stacked, attrs):
     return x[:, np.arange(x.shape[1]), index][..., None]
 
 
+def _stk_take(vals, stacked, attrs):
+    return vals[0][:, _take_index(vals[0][0], attrs)]
+
+
 def _stk_sum(vals, stacked, attrs):
     (x,) = vals
     axis = attrs.get("axis")
@@ -597,6 +644,7 @@ _STACKED_FW = {
     "dense": _stk_dense,
     "concat": _stk_concat,
     "pick": _stk_pick,
+    "take": _stk_take,
     "sum": _stk_sum,
     "mean": _stk_mean,
 }
@@ -733,9 +781,9 @@ class DenseNet:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def net_params(self):
-        """Each net's params, named as a lone net's: a stack's are views into its slices."""
-        return [_wrap(p.value[i], False, f"{net}/{p.name.split('/')[-1]}") if self.stacked else p
-                for i, net in enumerate(self.names) for p in self.params]
+        """Each net's list of params, named as a lone net's: a stack's are views into its slices."""
+        return [[_wrap(p.value[i], False, f"{net}/{p.name.split('/')[-1]}") if self.stacked else p
+                 for p in self.params] for i, net in enumerate(self.names)]
 
     def forward(self, g, x):
         """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x."""

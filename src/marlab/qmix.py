@@ -114,7 +114,7 @@ class QmixLearner:
 
     def checkpoint_tree(self):
         return {"mode": self.mode,
-                "psi": [p for net in self.heads for p in net.net_params()],
+                "psi": [p for net in self.heads for ps in net.net_params() for p in ps],
                 "theta": self.mixing.params if self.mixing else []}
 
     # -- acting ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marlab import dial, envs
+from marlab import dial, envs, ndiff
 from marlab.dial import (
     CHANNEL_MODES,
     DialError,
@@ -11,7 +11,8 @@ from marlab.dial import (
     StaleTrace,
     greedy_factored,
 )
-from marlab.ndiff import EVAL, Graph, Stacked, grad_check, tree_from_json, tree_to_json
+from marlab.ndiff import (EVAL, AdamState, Graph, Stacked, adam_step, backward, grad_check,
+                          target_graph, tree_from_json, tree_to_json)
 
 from calls import count_calls
 
@@ -38,33 +39,31 @@ def test_listener_receives_speaker_message_verbatim():
     sys_ = make_system(seed=1)
     u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 1, 0])
     speaker, listener = relay().meta["speaker"], relay().meta["listener"]
-    assert np.array_equal(u.incoming[(listener, 1)].value, u.messages[(speaker, 0)].value)
-    assert np.array_equal(u.incoming[(speaker, 1)].value, u.messages[(listener, 0)].value)
-    assert np.all(u.incoming[(listener, 0)].value == 0.0)
+    assert np.array_equal(u.incoming[1].value[listener], u.messages[0].value[speaker])
+    assert np.array_equal(u.incoming[1].value[speaker], u.messages[0].value[listener])
+    assert np.all(u.incoming[0].value[listener] == 0.0)
 
 
 def test_zeroed_message_weights_silence_the_channel():
     sys_ = make_system(seed=2)
-    cell = sys_.cells[0]
+    cell = sys_.cells
     a, d = cell.n_actions, cell.msg_dim
-    cell.net.weights[-1].value[:, a:a + d] = 0.0
-    cell.net.biases[-1].value[:, a:a + d] = 0.0
+    cell.net.weights[-1].value[0, :, a:a + d] = 0.0
+    cell.net.biases[-1].value[0, :, a:a + d] = 0.0
     u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1])
-    assert np.all(u.messages[(0, 0)].value == 0.0)
-    assert np.all(u.incoming[(1, 1)].value == 0.0)
+    assert np.all(u.messages[0].value[0] == 0.0)
+    assert np.all(u.incoming[1].value[1] == 0.0)
 
 
 def test_loss_gradient_crosses_the_channel():
     sys_ = make_system(seed=3)
     u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 0, 1])
     loss = sys_.loss_tensor(u)
-    from marlab.ndiff import backward
-
     backward(u.graph, loss)
     speaker = relay().meta["speaker"]
-    cell = sys_.cells[speaker]
+    cell = sys_.cells
     a, d = cell.n_actions, cell.msg_dim
-    msg_grad = cell.net.weights[-1].grad[:, a:a + d]
+    msg_grad = cell.net.weights[-1].grad[speaker, :, a:a + d]
     assert np.max(np.abs(msg_grad)) > 0.0
 
 
@@ -72,13 +71,11 @@ def test_zeroed_channel_blocks_the_gradient():
     sys_ = make_system(seed=3, channel="zeroed")
     u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=[0, 1, 0, 1])
     loss = sys_.loss_tensor(u)
-    from marlab.ndiff import backward
-
     backward(u.graph, loss)
     speaker = relay().meta["speaker"]
-    cell = sys_.cells[speaker]
+    cell = sys_.cells
     a, d = cell.n_actions, cell.msg_dim
-    assert np.all(cell.net.weights[-1].grad[:, a:a + d] == 0.0)
+    assert np.all(cell.net.weights[-1].grad[speaker, :, a:a + d] == 0.0)
 
 
 def test_unrolled_graph_gradients_match_finite_differences():
@@ -234,10 +231,10 @@ def test_factored_greedy_equals_joint_argmax_of_sum():
 def test_epsilon_one_is_uniform_over_action_message_combos():
     sys_ = RialSystem(relay(), np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    x = sys_._input(0, 0, None)
+    x = sys_._input(0, None)
     counts = np.zeros((2, 2))
     for _ in range(10000):
-        a, m = sys_._choose(0, x, 1.0, rng)
+        a, m = sys_._choose(x, 1.0, rng)[0]
         counts[a, m] += 1
     chi2 = float((((counts - 2500.0) ** 2) / 2500.0).sum())
     assert chi2 < 11.34  # chi-square critical value, 3 dof, p=0.01
@@ -245,22 +242,23 @@ def test_epsilon_one_is_uniform_over_action_message_combos():
 
 def test_input_layout_carries_own_previous_message():
     sys_ = RialSystem(relay(), np.random.default_rng(11))
-    x0 = sys_._input(0, 0, None)
+    x0 = sys_._input(0, None)[0]
     assert x0.shape == (5,)
     assert np.array_equal(x0[1:], np.zeros(4))
-    x1 = sys_._input(0, 2, [1, 0])
+    x1 = sys_._input(2, [1, 0])[0]
     # layout: obs, other agent's message one-hot, own message one-hot
     assert np.array_equal(x1[1:3], [1.0, 0.0])
     assert np.array_equal(x1[3:5], [0.0, 1.0])
+    # agent 1 reads agent 0's message first, then its own
+    assert np.array_equal(sys_._input(2, [1, 0])[1], [0.0, 0.0, 1.0, 1.0, 0.0])
 
 
 def test_factored_td_terminal_loss_is_squared_reward():
     sys_ = RialSystem(relay(), np.random.default_rng(12), batch_size=1)
-    for opt, target in zip(sys_.opts, sys_.target_values):
-        opt.value[...] = 0.0
-        target[...] = 0.0
+    sys_.opt.value[...] = 0.0
+    sys_.target_value[...] = 0.0
     for i in range(2):
-        x = tuple(np.zeros(sys_.in_dims[i]))
+        x = tuple(np.zeros(sys_.in_dim))
         sys_.buffers[i].push(RialTransition(x, 0, 0, 1.0, x, True))
     loss = sys_.td_update(np.random.default_rng(0))
     assert loss == 2.0
@@ -273,7 +271,7 @@ def test_td_update_runs_one_backward_for_all_heads(monkeypatch):
         sys_.play_episode(rng, 0.5)
     calls = count_calls(monkeypatch, dial, ["backward", "adam_step"])
     sys_.td_update(rng)
-    assert calls == {"backward": 1, "adam_step": 2}
+    assert calls == {"backward": 1, "adam_step": 1}
 
 
 def test_rial_learns_to_signal():
@@ -295,3 +293,128 @@ def test_unroll_steps_all_episodes_together(monkeypatch):
     u = make_system(seed=4).unroll(Graph(), 32, np.random.default_rng(0))
     assert u.actions.shape == (2, 32, 2)
     assert calls == {"step": 0, "step_batch": 2}
+
+
+# -- one stack for all agents -------------------------------------------------
+
+@pytest.mark.parametrize("learner", [DialSystem, RialSystem])
+@pytest.mark.parametrize("edit", ["obs", "actions"])
+def test_comm_learners_refuse_unequal_agents(learner, edit):
+    env = relay()
+    if edit == "obs":
+        env.obs_tables = [env.obs_tables[0], np.zeros((env.n_states, 2))]
+    else:
+        env.action_space = [env.action_space[0], envs.Discrete(3)]
+    with pytest.raises(DialError, match="equal observation widths and action counts"):
+        learner(env, np.random.default_rng(0))
+
+
+def _per_agent_unroll(sys_, cells, bits):
+    """The unroll as per-agent cells run it, each agent's records apart; returns the loss
+    after its backward."""
+    env, n, g = sys_.env, sys_.n_agents, Graph()
+    index = np.asarray(bits)
+    h = [g.constant(np.zeros((len(bits), sys_.hidden_dim))) for _ in cells]
+    prev = None
+    for t in range(env.horizon):
+        scores, msgs = [], []
+        for i, cell in enumerate(cells):
+            if sys_.channel == "zeroed" or prev is None:
+                incoming = g.constant(np.zeros((len(bits), (n - 1) * sys_.msg_dim)))
+            else:
+                others = [prev[j] for j in range(n) if j != i]
+                incoming = others[0] if len(others) == 1 else g.concat(*others)
+            obs = g.constant(env.obs_tables[i][index])
+            score, msg, h[i] = cell.forward(g, obs, incoming, h[i])
+            scores.append(score)
+            msgs.append(msg)
+        joint = np.stack([s.value.argmax(axis=-1) for s in scores], axis=-1)
+        index, _, _ = env.step_batch(index, t, joint, np.random.default_rng(0))
+        prev = msgs
+    logp = g.log_softmax(scores[env.meta["listener"]])
+    loss = g.neg(g.mean(g.pick(logp, np.asarray(env.meta["bit_of_state"])[bits])))
+    backward(g, loss)
+    return loss
+
+
+@pytest.mark.parametrize("channel", CHANNEL_MODES)
+@pytest.mark.parametrize("net_hidden", [(), (16,)])
+def test_stacked_unroll_equals_per_agent_cells_bit_for_bit(channel, net_hidden):
+    rng = np.random.default_rng(31)
+    sys_ = DialSystem(relay(), rng, msg_dim=2, hidden_dim=3, net_hidden=net_hidden,
+                      channel=channel)
+    for p in sys_.params():
+        p.value[...] = rng.normal(scale=0.7, size=p.value.shape)
+    cells = [dial.CommAgentCell(1, 2, 2, 3, 2, net_hidden, rng, f"ref{i}") for i in range(2)]
+    for cell, views in zip(cells, sys_.checkpoint_tree()["cells"]):
+        for p, view in zip(cell.net.params, views):
+            p.value[...] = view.value
+    bits = rng.integers(2, size=16)
+    u = sys_.unroll(Graph(), None, np.random.default_rng(0), bits=bits)
+    loss = sys_.loss_tensor(u)
+    backward(u.graph, loss)
+    assert loss.value == _per_agent_unroll(sys_, cells, bits).value
+    for i, cell in enumerate(cells):
+        for stacked, p in zip(sys_.params(), cell.net.params):
+            assert stacked.grad[i].tobytes() == p.grad.tobytes()
+    assert np.any(sys_.params()[0].grad[relay().meta["listener"]])
+
+
+def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
+    sys_ = RialSystem(relay(), np.random.default_rng(14), batch_size=8, target_interval=7)
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        sys_.step(rng, 0.5)      # Adam moments, and a target synced at step 7, 14 ...
+    assert sys_.learn_steps % 7 and sys_.opt.step_count > 7
+    heads, opts, targets = [], [], []
+    for i, views in enumerate(sys_.checkpoint_tree()["heads"]):
+        head = dial.FactoredQHead(sys_.in_dim, 2, 2, (32,), np.random.default_rng(0), f"ref{i}")
+        for p, view in zip(head.net.params, views):
+            p.value[...] = view.value
+        opt = AdamState(head.net.params, lr=5e-3)
+        opt.m[...], opt.v[...] = np.split(sys_.opt.m, 2)[i], np.split(sys_.opt.v, 2)[i]
+        opt.step_count = sys_.opt.step_count
+        (vector,), target = target_graph([opt])
+        vector[...] = np.split(sys_.target_value, 2)[i]
+        heads.append(head)
+        opts.append(opt)
+        targets.append(target)
+
+    ref_rng = np.random.default_rng(3)
+    g, total = Graph(), None
+    for head, target, buffer in zip(heads, targets, sys_.buffers):
+        b = buffer.sample(sys_.batch_size, ref_rng)
+        qa2, qm2 = head.forward(target, b.x_next)
+        y = b.reward + sys_.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
+        qa, qm = head.forward(g, g.constant(b.x))
+        taken = g.add(g.pick(qa, b.action), g.pick(qm, b.message))
+        term = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
+        total = term if total is None else g.add(total, term)
+    backward(g, total)
+    for opt in opts:
+        adam_step(opt.params, opt)
+
+    rng = np.random.default_rng(3)
+    assert sys_.td_update(rng) == float(total.value)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for i, opt in enumerate(opts):
+        for mine, ref in ((sys_.opt.value, opt.value), (sys_.opt.m, opt.m), (sys_.opt.v, opt.v)):
+            assert np.split(mine, 2)[i].tobytes() == ref.tobytes()
+
+
+def test_one_update_records_one_stack_of_ops(monkeypatch):
+    sys_ = make_system(seed=9)
+    u = sys_.unroll(Graph(), 32, np.random.default_rng(0))
+    sys_.update(u)
+    assert len(u.graph.records) <= 22
+    assert [r.kind for r in u.graph.records].count("dense") == 2 * relay().horizon
+
+    rial = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
+    rng = np.random.default_rng(1)
+    while len(rial.buffers[0]) < 4:
+        rial.play_episode(rng, 0.5)
+    records = count_calls(monkeypatch, ndiff, ["forward_op"])
+    steps = count_calls(monkeypatch, dial, ["adam_step"])
+    rial.td_update(rng)
+    assert records["forward_op"] <= 12
+    assert steps["adam_step"] == 1

@@ -151,6 +151,8 @@ def _op_cases():
              ("concat", [x, rng.normal(size=(3, 2)), rng.normal(size=(3, 1))], {}),
              ("slice", [x], {"start": 1, "stop": 3}),
              ("pick", [x], {"index": [3, 0, 2]}),
+             ("take", [x], {"index": 1}),
+             ("take", [x], {"index": [2, 0, 2, 1]}),
              ("sum", [x], {}),
              ("sum", [x], {"axis": 1}),
              ("log", [rng.uniform(0.5, 2.0, size=(3, 4))], {})]
@@ -168,7 +170,8 @@ def _case_id(case):
     kind, arrays, attrs = case
     shapes = ",".join("x".join(map(str, a.shape)) or "scalar" for a in arrays)
     return f"{kind}[{shapes}]" + ("-axis1" if attrs.get("axis") else "") + (
-        f"-{attrs['act']}" if "act" in attrs else "")
+        f"-{attrs['act']}" if "act" in attrs else "") + (
+        "-int" if isinstance(attrs.get("index"), int) else "")
 
 
 @pytest.mark.parametrize("kind, arrays, attrs", _op_cases(),
@@ -374,7 +377,8 @@ def test_stacked_net_draws_its_nets_in_order_and_names_their_params_alike():
     out = stack.forward(EVAL, x)
     for i, net in enumerate(lone):
         assert np.array_equal(out[i], net.forward(EVAL, x))
-    views = stack.net_params()
+    assert [len(ps) for ps in stack.net_params()] == [4, 4]
+    views = [p for ps in stack.net_params() for p in ps]
     assert [p.name for p in views] == [p.name for net in lone for p in net.params]
     for view, p in zip(views, (p for net in lone for p in net.params)):
         assert np.array_equal(view.value, p.value)
@@ -386,7 +390,7 @@ def test_a_stack_is_laid_net_by_net_in_the_flat_vector():
     stack = DenseNet([3, 4, 2], ["relu", "identity"], np.random.default_rng(0), ["a", "b"])
     lone = DenseNet([2, 1], ["identity"], np.random.default_rng(1), "c")
     opt = AdamState([stack.params, lone.weights[0]], lr=0.1)
-    expect = np.concatenate([p.value.reshape(-1) for p in stack.net_params()]
+    expect = np.concatenate([p.value.reshape(-1) for ps in stack.net_params() for p in ps]
                             + [lone.weights[0].value.reshape(-1)])
     assert np.array_equal(opt.value, expect)
     for p in opt.params:
@@ -656,6 +660,9 @@ def _stacked_case(kind, rng, n, k):
         return [draw(n, k)], {"start": start, "stop": int(rng.integers(start + 1, k + 1))}
     if kind == "pick":
         return [draw(n, k)], {"index": rng.integers(k, size=n)}
+    if kind == "take":
+        # an int, or an index array that may repeat and reorder the rows
+        return [draw(n, k)], {"index": [int(rng.integers(n)), rng.integers(n, size=k)][k % 2]}
     return [draw(n, k)], {}
 
 
@@ -692,6 +699,37 @@ def test_stacked_op_slices_equal_eval_on_each_copy(kind, copies, n, k, mask, sha
         assert np.array_equal(out[c], expect)
 
 
+def test_take_routes_rows_and_sums_the_gradients_of_a_repeated_index():
+    rng = np.random.default_rng(12)
+    x = param(rng.normal(size=(3, 4, 2)))
+    weights = rng.normal(size=(4, 4, 2))
+    g = Graph()
+    routed = g.take(x, [2, 0, 2, 2])
+    picked = g.take(x, 1)
+    assert routed.shape == (4, 4, 2) and picked.shape == (4, 2)
+    assert np.array_equal(routed.value, x.value[[2, 0, 2, 2]])
+    backward(g, g.add(g.sum(g.mul(routed, g.constant(weights))), g.sum(picked)))
+    assert np.array_equal(x.grad, [weights[1], np.ones((4, 2)),
+                                   weights[0] + weights[2] + weights[3]])
+
+    def f(g):
+        both = g.mul(g.take(x, [0, 0, 1, 0]), g.constant(weights))
+        return g.add(g.sum(g.square(both)), g.sum(g.tanh(g.take(x, 0))))
+
+    assert grad_check(f, [x]) < 1e-6
+
+
+@pytest.mark.parametrize("shape,index", [
+    ((3, 2), 3), ((3, 2), -1), ((3, 2), [0, 3]), ((3, 2), [[0, 1]]), ((3, 2), [0.5]),
+    ((3, 2), [True, False, True]), ((3, 2), []), ((3, 2), [[0], [1, 2]]), ((), 0),
+])
+def test_take_rejects_a_malformed_index(shape, index):
+    x = param(np.ones(shape))
+    for g in (Graph(), EVAL, Stacked({x: np.ones((2,) + shape)})):
+        with pytest.raises(ShapeMismatch):
+            g.take(x, index)
+
+
 def test_stacked_unknown_op_raises_like_off_tape():
     x = param(np.zeros((2, 2)))
     g = Stacked({x: np.zeros((3, 2, 2))})
@@ -706,6 +744,8 @@ def test_stacked_unknown_op_raises_like_off_tape():
     lambda g, x: g.matmul(x, g.constant(np.ones((3, 1)))),
     lambda g, x: g.add(x, g.constant(np.ones((3, 2)))),
     lambda g, x: g.pick(x, [0, 1, 0]),
+    lambda g, x: g.take(x, 2),
+    lambda g, x: g.take(g.sum(x), 0),
 ])
 def test_stacked_rejects_each_copy_that_eval_rejects(build):
     # a stacked (S,) per-copy scalar or an (S, 2, 2) stack has shapes that
@@ -978,7 +1018,7 @@ def _with_targets(algo, share_params=False, seed=4, **kw):
                                        decentralized=algo == "maddpg_dec", **kw)
         return learner, learner.actor_opts + learner.critic_opts, learner.target_values
     system = dial.RialSystem(envs.signal_relay(), rng, **kw)
-    return system, system.opts, system.target_values
+    return system, [system.opt], [system.target_value]
 
 
 @pytest.mark.parametrize("algo,share_params", [("qmix", False), ("qmix", True),
