@@ -54,9 +54,11 @@ class ReplayBuffer:
         self._pushes += 1
 
     def sample(self, k, rng):
+        """k records, or a shape k of them, whose axes then lead every field; one
+        integers call draws the slots, as one call per row of k in row order would."""
         if not self._pushes:
             raise Empty("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self), size=int(k))
+        idx = rng.integers(0, len(self), size=k)
         return self._make(col[idx] for col in self._cols)
 
     def contents(self):

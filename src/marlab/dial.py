@@ -57,10 +57,13 @@ class CommAgentCell:
         self.net = DenseNet([self.in_dim, *net_hidden, out_dim],
                             ["relu"] * len(net_hidden) + ["identity"], rng, name)
 
-    def forward(self, g, obs_t, msg_t, h_t):
+    def forward(self, g, obs_t, msg_t, h_t, last=False):
+        """On the last step only the scores are recorded; message and hidden state are None."""
         out = self.net.forward(g, g.concat(obs_t, msg_t, h_t))
         a, d = self.n_actions, self.msg_dim
         scores = g.slice(out, 0, a)
+        if last:
+            return scores, None, None
         message = g.tanh(g.slice(out, a, a + d))
         hidden = g.tanh(g.slice(out, a + d, a + d + self.hidden_dim))
         return scores, message, hidden
@@ -71,7 +74,8 @@ class Unroll:
     """One batched on-policy rollout and the graph it ran on; `actions` and
     `rewards` hold each step's joint actions and rewards, (horizon, batch,
     n_agents), as one env.step_batch call per timestep returned them; `messages`
-    and `incoming`, each step's (n_agents, batch, .) messages sent and received."""
+    and `incoming`, the (n_agents, batch, .) messages sent at every step but the
+    last and received at every step."""
 
     graph: Graph
     actions: np.ndarray
@@ -134,7 +138,7 @@ class DialSystem:
                 parts = [g.take(messages[-1], col) for col in self._others]
                 incoming = parts[0] if len(parts) == 1 else g.concat(*parts)
             obs = g.constant(np.swapaxes(self._obs[index], -3, -2))
-            scores, message, h = self.cells.forward(g, obs, incoming, h)
+            scores, message, h = self.cells.forward(g, obs, incoming, h, last=t + 1 == env.horizon)
             messages.append(message)
             incomings.append(incoming)
             joint = np.swapaxes(value_of(scores).argmax(axis=-1), -2, -1)
@@ -147,7 +151,7 @@ class DialSystem:
 
         return Unroll(graph=g, actions=np.stack(actions_taken), rewards=np.stack(rewards_got),
                       bits=bits_arr, listener_scores=g.take(scores, env.meta["listener"]),
-                      messages=messages, incoming=incomings, version=self.version)
+                      messages=messages[:-1], incoming=incomings, version=self.version)
 
     def loss_tensor(self, unroll):
         """Cross-entropy of the listener's final-step action scores against
@@ -186,12 +190,14 @@ class DialSystem:
 # ---------------------------------------------------------------------------
 
 class RialTransition(typing.NamedTuple):
+    """One env step of every agent, each field led by the agent axis: inputs and next
+    inputs (n_agents, in_dim), actions, messages, rewards and done flags (n_agents,)."""
     x: np.ndarray
-    action: int
-    message: int
-    reward: float
+    action: np.ndarray
+    message: np.ndarray
+    reward: np.ndarray
     x_next: np.ndarray
-    done: bool
+    done: np.ndarray
 
 
 class FactoredQHead:
@@ -218,11 +224,12 @@ def greedy_factored(qa, qm):
 
 
 class RialSystem:
-    """Discrete-message baseline: each agent learns factored Q-heads by TD on
-    its own replay of (input, action, message) choices.  An agent's input is
-    its observation, the other agents' previous messages one-hot, and its own
-    previous message one-hot (needed so its value function can see what it
-    signalled).  The heads are one stack, one optimizer and one target."""
+    """Discrete-message baseline: each agent learns factored Q-heads by TD on replayed
+    (input, action, message) choices.  An agent's input is its observation, the other
+    agents' previous messages one-hot, and its own previous message one-hot (needed so
+    its value function can see what it signalled).  The heads are one stack, one
+    optimizer and one target; one replay holds every agent's records, one per env step;
+    training and evaluation play through one batched episode loop."""
 
     def __init__(self, env, rng, n_messages=2, net_hidden=(32,), lr=5e-3,
                  gamma=None, target_interval=100,
@@ -239,7 +246,7 @@ class RialSystem:
                                    net_hidden, rng, [f"rial{i}" for i in range(n)])
         self.opt = AdamState([self.heads.net.params], lr=lr)
         (self.target_value,), self.target = target_graph([self.opt])
-        self.buffers = [ReplayBuffer(buffer_capacity) for _ in range(n)]
+        self.buffer = ReplayBuffer(buffer_capacity)
         self._order = np.array([[j for j in range(n) if j != i] + [i] for i in range(n)])
         self._obs = np.stack(env.obs_tables)   # (agent, state, obs)
         self.learn_steps = 0
@@ -257,50 +264,49 @@ class RialSystem:
             blocks = blocks.reshape(blocks.shape[:-2] + (-1,)).swapaxes(0, -2)
         return np.concatenate([obs, blocks], axis=-1)
 
-    def _choose(self, x, epsilon, rng):
-        """Each agent's epsilon-greedy (action, message) at its row of x: one stacked
-        forward, then the draws agent by agent, the action's before the message's."""
-        return [tuple(int(rng.integers(len(q))) if rng.random() < epsilon else int(np.argmax(q))
-                      for q in (qa[0], qm[0]))
-                for qa, qm in zip(*self.heads.forward(EVAL, x[:, np.newaxis]))]
+    def rollout(self, episodes, rng, epsilon=None):
+        """Play fresh episodes together for the horizon, one step_batch call and one
+        stacked forward per step; given epsilon, each greedy choice is then made uniform
+        with that chance, drawn agent by agent, episode by episode, action before message;
+        without it, play is greedy.  Returns the episodes' bits and their transitions,
+        one RialTransition whose fields lead with (horizon, episodes)."""
+        env = self.env
+        index = env.reset_batch(episodes, rng)
+        bits = np.asarray(env.meta["bit_of_state"])[index]
+        xs, steps, msgs = [], [], None
+        for t in range(env.horizon):
+            xs.append(self._input(index, msgs))
+            qs = self.heads.forward(EVAL, xs[-1])
+            choice = np.stack(greedy_factored(*qs))    # (head, agent, episode)
+            if epsilon is not None:
+                for i, e, k in np.ndindex(self.n_agents, episodes, 2):
+                    if rng.random() < epsilon:
+                        choice[k, i, e] = rng.integers(qs[k].shape[-1])
+            actions, msgs = choice.swapaxes(1, 2)
+            index, rewards, done = env.step_batch(index, t, actions, rng)
+            steps.append((actions, msgs, rewards, np.broadcast_to(done[:, None], actions.shape)))
+        xs = np.stack(xs + [self._input(index, msgs)]).swapaxes(1, 2)
+        actions, msgs, rewards, done = map(np.stack, zip(*steps))
+        return bits, RialTransition(xs[:-1], actions, msgs, rewards, xs[1:], done)
 
     def play_episode(self, rng, epsilon):
-        """One env episode with per-head epsilon-greedy choices; pushes each
-        agent's transitions into its replay; returns the final shared reward."""
-        env = self.env
-        state = env.reset(rng)
-        prev_msgs = None
-        pending = [None] * self.n_agents
-        final_reward = 0.0
-        while not state.done:
-            xs = self._input(state.index, prev_msgs)
-            choices = self._choose(xs, epsilon, rng)
-            actions = tuple(c[0] for c in choices)
-            msgs = [c[1] for c in choices]
-            nxt, rewards, done = env.step(state, actions, rng)
-            for i in range(self.n_agents):
-                if pending[i] is not None:
-                    px, pa, pm, pr = pending[i]
-                    self.buffers[i].push(RialTransition(px, pa, pm, pr, xs[i], False))
-                pending[i] = (xs[i], actions[i], msgs[i], float(rewards[i]))
-            if done:
-                x_terminal = self._input(nxt.index, msgs)
-                for i in range(self.n_agents):
-                    px, pa, pm, pr = pending[i]
-                    self.buffers[i].push(RialTransition(px, pa, pm, pr, x_terminal[i], True))
-                final_reward = float(rewards[0])
-            state = nxt
-            prev_msgs = msgs
-        return final_reward
+        """One epsilon-greedy episode, a rollout of one; pushes one record per env
+        step into the replay and returns the final shared reward."""
+        _, steps = self.rollout(1, rng, epsilon)
+        for t in range(self.env.horizon):
+            self.buffer.push(RialTransition._make(field[t, 0] for field in steps))
+        return float(steps.reward[-1, 0, 0])
 
     def td_update(self, rng):
         """One factored TD step for every agent on one tape: each head's Qa[a] +
         Qm[m] regresses onto r + gamma (1-done) (max Qa' + max Qm') from its
-        target head, on a batch from its own replay, sampled in agent order before
-        any forward; one backward, one Adam step.  The root is n_agents times the
-        mean squared error; returns the per-agent means' sum, folded agent by agent."""
-        b = RialTransition._make(np.stack(col) for col in zip(
-            *[buffer.sample(self.batch_size, rng) for buffer in self.buffers]))
+        target head, on its own batch of the replay's records, all agents' indices
+        drawn in one (n_agents, batch) call before any forward; one backward, one
+        Adam step.  The root is n_agents times the mean squared error; returns the
+        per-agent means' sum, folded agent by agent."""
+        own = np.arange(self.n_agents)
+        b = RialTransition._make(col[own, :, own] for col in
+                                 self.buffer.sample((self.n_agents, self.batch_size), rng))
         qa2, qm2 = self.heads.forward(self.target, b.x_next)
         y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=2) + qm2.max(axis=2))
         g = Graph()
@@ -319,23 +325,16 @@ class RialSystem:
         copy_params(self.opt.value, self.target_value)
 
     def step(self, rng, epsilon):
-        """Collect one episode, then learn if the replays have a batch."""
+        """Collect one episode, then learn if the replay has a batch."""
         self.play_episode(rng, epsilon)
-        if len(self.buffers[0]) >= self.batch_size:
+        if len(self.buffer) >= self.batch_size:
             return self.td_update(rng)
         return None
 
     def evaluate(self, episodes, rng):
         """Greedy accuracy over fresh episodes, all stepped together."""
-        env = self.env
-        index = env.reset_batch(episodes, rng)
-        bits = np.asarray(env.meta["bit_of_state"])[index]
-        msgs = None
-        for t in range(env.horizon):
-            actions, msgs = (c.T for c in greedy_factored(*self.heads.forward(
-                EVAL, self._input(index, msgs))))
-            index, _, _ = env.step_batch(index, t, actions, rng)
-        return float((actions[:, env.meta["listener"]] == bits).mean())
+        bits, steps = self.rollout(episodes, rng)
+        return float((steps.action[-1, :, self.env.meta["listener"]] == bits).mean())
 
     def checkpoint_tree(self):
         return {"heads": self.heads.net.net_params()}

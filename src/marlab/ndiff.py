@@ -16,6 +16,8 @@ import base64
 
 import numpy as np
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NdiffError(Exception):
     pass
@@ -98,7 +100,8 @@ class _Record:
 # ---------------------------------------------------------------------------
 # op table: kind -> (forward, backward)
 # forward(values, attrs) -> (out_value, ctx); backward(ctx, values, out_grad)
-# -> per-input gradient arrays (None for inputs that need no gradient)
+# -> per-input gradient arrays (None for inputs that need no gradient); an op
+# whose backward reads its output (tanh, sigmoid, softmax, log_softmax) keeps it as ctx
 #
 # add and mul broadcast one way only: the operands match exactly, or one is a
 # scalar (size 1), or one is a (1, k) row repeated over the rows of an (n, k)
@@ -204,8 +207,8 @@ def _bw_elu(ctx, vals, g):
 
 
 def _fw_tanh(vals, attrs):
-    (x,) = vals
-    return np.tanh(x), None
+    y = np.tanh(vals[0])
+    return y, y
 
 
 def _bw_tanh(ctx, vals, g):
@@ -220,7 +223,7 @@ def _fw_sigmoid(vals, attrs):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out, None
+    return out, out
 
 
 def _bw_sigmoid(ctx, vals, g):
@@ -234,7 +237,8 @@ def _fw_softmax(vals, attrs):
         raise ShapeMismatch("softmax: rank >= 1 required")
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True), None
+    e /= e.sum(axis=-1, keepdims=True)
+    return e, e
 
 
 def _bw_softmax(ctx, vals, g):
@@ -247,7 +251,8 @@ def _fw_log_softmax(vals, attrs):
     # log(softmax(x)) without forming softmax: finite however far apart x's entries are
     (x,) = vals
     z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), None
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z, z
 
 
 def _bw_log_softmax(ctx, vals, g):
@@ -442,9 +447,6 @@ OPS = {
     "dense": (_fw_dense, _bw_dense),
     "take": (_fw_take, _bw_take),
 }
-
-# ops whose backward reads the output value rather than the inputs
-_CTX_IS_OUTPUT = {"tanh", "sigmoid", "softmax", "log_softmax"}
 
 
 class Graph:
@@ -704,8 +706,6 @@ def forward_op(graph, kind, inputs, **attrs):
     inputs = tuple(inputs)
     out_value, ctx = pair[0]([t.value for t in inputs], attrs)
     out = _wrap(out_value, any([t.requires_grad for t in inputs]))
-    if kind in _CTX_IS_OUTPUT:
-        ctx = out_value
     graph.records.append(_Record(kind, inputs, out, ctx))
     return out
 
@@ -833,16 +833,13 @@ def flatten(layout):
 
 
 class AdamState:
-    """Adam moments over one flat value vector and grad vector of its params (see flatten)."""
+    """Adam moments, at the ADAM_* rates, over one flat value and grad vector (see flatten)."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.layout = list(params)
         self.params = _tensors(self.layout)
         self.value, self.grad = flatten(self.layout)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
@@ -859,14 +856,14 @@ def adam_step(params, state):
     if not np.isfinite(state.grad).all():
         raise NonFiniteGradient(f"non-finite gradient at Adam step {state.step_count + 1}")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     m, v, g = state.m, state.v, state.grad
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    state.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    state.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     g[...] = 0.0
 
 

@@ -34,7 +34,7 @@ def check_selfplay_env(env):
 class SelfPlayRun:
     """Shared-policy training state: one logits row serves both seats."""
 
-    def __init__(self, env, rng=None, lr=0.05, batch_episodes=256):
+    def __init__(self, env, lr=0.05, batch_episodes=256):
         check_selfplay_env(env)
         self.env = env
         self.k = env.action_space[0].n

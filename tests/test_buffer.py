@@ -111,3 +111,15 @@ def test_value_its_column_cannot_hold_raises(bad):
         buf.push(bad)
     assert len(buf) == 1 and buf.contents().state.tolist() == [0]
     assert buf.contents().actions.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("pushes", [1, 5, 12])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_sample_of_a_shape_equals_one_call_per_row_in_order(pushes, batch):
+    buf = filled(7, range(pushes))
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = buf.sample((3, batch), rng).value
+        assert rows.shape == (3, batch)
+        assert np.array_equal(rows, [buf.sample(batch, ref).value for _ in range(3)])
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -230,12 +230,9 @@ def test_factored_greedy_equals_joint_argmax_of_sum():
 
 def test_epsilon_one_is_uniform_over_action_message_combos():
     sys_ = RialSystem(relay(), np.random.default_rng(9))
-    rng = np.random.default_rng(10)
-    x = sys_._input(0, None)
+    _, steps = sys_.rollout(10000, np.random.default_rng(10), 1.0)
     counts = np.zeros((2, 2))
-    for _ in range(10000):
-        a, m = sys_._choose(x, 1.0, rng)[0]
-        counts[a, m] += 1
+    np.add.at(counts, (steps.action[0, :, 0], steps.message[0, :, 0]), 1)
     chi2 = float((((counts - 2500.0) ** 2) / 2500.0).sum())
     assert chi2 < 11.34  # chi-square critical value, 3 dof, p=0.01
 
@@ -257,9 +254,8 @@ def test_factored_td_terminal_loss_is_squared_reward():
     sys_ = RialSystem(relay(), np.random.default_rng(12), batch_size=1)
     sys_.opt.value[...] = 0.0
     sys_.target_value[...] = 0.0
-    for i in range(2):
-        x = tuple(np.zeros(sys_.in_dim))
-        sys_.buffers[i].push(RialTransition(x, 0, 0, 1.0, x, True))
+    x, zero = np.zeros((2, sys_.in_dim)), np.zeros(2, dtype=int)
+    sys_.buffer.push(RialTransition(x, zero, zero, np.ones(2), x, np.ones(2, dtype=bool)))
     loss = sys_.td_update(np.random.default_rng(0))
     assert loss == 2.0
 
@@ -267,7 +263,7 @@ def test_factored_td_terminal_loss_is_squared_reward():
 def test_td_update_runs_one_backward_for_all_heads(monkeypatch):
     sys_ = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
     rng = np.random.default_rng(1)
-    while len(sys_.buffers[0]) < 4:
+    while len(sys_.buffer) < 4:
         sys_.play_episode(rng, 0.5)
     calls = count_calls(monkeypatch, dial, ["backward", "adam_step"])
     sys_.td_update(rng)
@@ -286,6 +282,31 @@ def test_rial_learns_to_signal():
             if acc >= 0.9:
                 break
     assert acc >= 0.9
+
+
+def test_rial_reaches_the_env_only_through_its_batched_calls(monkeypatch):
+    sys_ = RialSystem(relay(), np.random.default_rng(15), batch_size=4)
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["reset", "step", "reset_batch",
+                                                       "step_batch"])
+    rng = np.random.default_rng(4)
+    losses = [sys_.step(rng, 0.3) for _ in range(5)]
+    assert losses[0] is None and losses[-1] is not None
+    sys_.evaluate(50, rng)
+    horizon = relay().horizon
+    assert calls == {"reset": 0, "step": 0, "reset_batch": 6, "step_batch": 6 * horizon}
+
+
+def test_play_episode_pushes_one_record_per_env_step(monkeypatch):
+    sys_ = RialSystem(relay(), np.random.default_rng(16))
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["step_batch"])
+    pushes = count_calls(monkeypatch, dial.ReplayBuffer, ["push"])
+    reward = sys_.play_episode(np.random.default_rng(5), 0.5)
+    assert pushes["push"] == calls["step_batch"] == relay().horizon
+    b = sys_.buffer.contents()
+    assert b.x.shape == b.x_next.shape == (relay().horizon, 2, sys_.in_dim)
+    assert np.array_equal(b.x_next[0], b.x[1])
+    assert b.done.tolist() == [[False, False], [True, True]]
+    assert reward == b.reward[-1, 0]
 
 
 def test_unroll_steps_all_episodes_together(monkeypatch):
@@ -382,8 +403,9 @@ def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
 
     ref_rng = np.random.default_rng(3)
     g, total = Graph(), None
-    for head, target, buffer in zip(heads, targets, sys_.buffers):
-        b = buffer.sample(sys_.batch_size, ref_rng)
+    for i, (head, target) in enumerate(zip(heads, targets)):
+        # agent i's own size-B draw, in agent order, of its column of the replay
+        b = RialTransition._make(col[:, i] for col in sys_.buffer.sample(sys_.batch_size, ref_rng))
         qa2, qm2 = head.forward(target, b.x_next)
         y = b.reward + sys_.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
         qa, qm = head.forward(g, g.constant(b.x))
@@ -406,12 +428,13 @@ def test_one_update_records_one_stack_of_ops(monkeypatch):
     sys_ = make_system(seed=9)
     u = sys_.unroll(Graph(), 32, np.random.default_rng(0))
     sys_.update(u)
-    assert len(u.graph.records) <= 22
+    assert len(u.graph.records) <= 18
+    assert len(u.messages) == relay().horizon - 1
     assert [r.kind for r in u.graph.records].count("dense") == 2 * relay().horizon
 
     rial = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
     rng = np.random.default_rng(1)
-    while len(rial.buffers[0]) < 4:
+    while len(rial.buffer) < 4:
         rial.play_episode(rng, 0.5)
     records = count_calls(monkeypatch, ndiff, ["forward_op"])
     steps = count_calls(monkeypatch, dial, ["adam_step"])

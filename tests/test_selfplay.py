@@ -122,7 +122,7 @@ def test_exploit_of_skewed_mix_approaches_oracle_value():
 def test_exploit_never_mutates_frozen_policy():
     env = pennies()
     rng = np.random.default_rng(7)
-    run = SelfPlayRun(env, rng)
+    run = SelfPlayRun(env)
     for _ in range(50):
         selfplay_step(run, env, 256, rng)
     before = run.logits.value.tobytes()
@@ -137,7 +137,7 @@ def test_exploitability_trend_over_training():
     # where the medians order as required
     env = pennies()
     rng = np.random.default_rng(9)
-    run = SelfPlayRun(env, rng)
+    run = SelfPlayRun(env)
     probes = []
     for _ in range(10):
         _, value = exploit(run, env, 300, rng, eval_episodes=4000)
@@ -154,7 +154,7 @@ def test_history_is_deterministic_under_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(11)
-        run = SelfPlayRun(env, rng)
+        run = SelfPlayRun(env)
         for _ in range(20):
             selfplay_step(run, env, 128, rng)
         runs.append((run.history, run.policy()))
@@ -165,7 +165,7 @@ def test_history_is_deterministic_under_seed():
 def test_checkpoint_roundtrip():
     env = pennies()
     rng = np.random.default_rng(12)
-    run = SelfPlayRun(env, rng)
+    run = SelfPlayRun(env)
     for _ in range(30):
         selfplay_step(run, env, 128, rng)
     blob = tree_to_json(run.checkpoint_tree())
