@@ -312,7 +312,7 @@ def _key(default, check=None, rule="", **flag):
                              metadata={"check": check, "rule": rule, "flag": flag})
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE = (lambda v: 0 < v < float("inf"), "must be positive and finite")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 
@@ -335,7 +335,7 @@ class RunConfig:
     hidden_sizes: list = _key(None, lambda v: all(h > 0 for h in v), "must be positive",
                               help="comma-separated layer widths, e.g. 64,64")
     embed_dim: int = _key(8, *_POSITIVE)
-    beta: float = _key(0.01)
+    beta: float = _key(0.01, lambda v: abs(v) < float("inf"), "must be finite")
     eval_interval: int = _key(1000, *_POSITIVE)
     eval_episodes: int = _key(200, *_POSITIVE)
     out_dir: str = _key(None, bool, "must be a path")   # None: runs/<algo>-<env>-s<seed>
@@ -345,7 +345,7 @@ CONFIG_FIELDS = dataclasses.fields(RunConfig)
 
 
 def _as_int(name, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+    if type(v) not in (int, float) or type(v) is float and not v.is_integer():    # inf, NaN too
         raise InvalidConfig(f"{name} must be an integer, got {v!r}")
     return int(v)
 

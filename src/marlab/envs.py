@@ -120,12 +120,14 @@ class MarkovGame:
         self.obs_fns = obs_fns
         if self.horizon < 1:
             raise EnvError("horizon must be at least 1")
+        if not 0.0 <= self.gamma <= 1.0:    # NaN too
+            raise EnvError(f"gamma must be in [0, 1], got {self.gamma}")
 
         if init_dist is None:
             init_dist = np.zeros(self.n_states)
             init_dist[0] = 1.0
         self.init_dist = np.asarray(init_dist, dtype=np.float64)
-        if (self.init_dist.shape != (self.n_states,) or (self.init_dist < 0).any()
+        if (self.init_dist.shape != (self.n_states,) or not (self.init_dist >= 0).all()
                 or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL):
             raise EnvError("init_dist must be a distribution over states")
         self._init_cdf = _cdf(self.init_dist)
@@ -134,10 +136,12 @@ class MarkovGame:
             shape = (self.n_states,) + tuple(sp.n for sp in self.action_space)
             self.rewards = np.asarray(rewards, dtype=np.float64)
             self.transition = np.asarray(transition, dtype=np.float64)
-            if self.rewards.shape != shape + (self.n_agents,):
-                raise EnvError(f"rewards shape {self.rewards.shape}, expected {shape + (self.n_agents,)}")
-            if self.transition.shape != shape + (self.n_states,):
-                raise EnvError(f"transition shape {self.transition.shape}, expected {shape + (self.n_states,)}")
+            for field, table, last in (("rewards", self.rewards, self.n_agents),
+                                       ("transition", self.transition, self.n_states)):
+                if table.shape != shape + (last,):
+                    raise EnvError(f"{field} shape {table.shape}, expected {shape + (last,)}")
+                if not np.isfinite(table).all():
+                    raise EnvError(f"{field} must be finite")
             if (self.transition < 0).any():
                 raise EnvError("transition probabilities must be non-negative")
             rowsums = self.transition.sum(axis=-1)

@@ -425,6 +425,30 @@ def _bw_dense(ctx, vals, g):
     return gx, np.matmul(np.swapaxes(x, -1, -2), g), g.sum(axis=1, keepdims=True)
 
 
+def _fw_mix(vals, attrs, copy=None):
+    # per row |w2| . elu(|W1| q + b1) + b2, W1 the row's (e, n) block of w1, b1 and w2 hyper's
+    # two slices; leading axes broadcast, so Stacked copies run it, their shapes checked on one
+    q, w1, hyper, b2 = vals if copy is None else copy
+    if q.ndim != 2 or hyper.ndim != 3 or hyper.shape[:2] != (2, len(q)) or b2.shape != (len(q), 1) \
+            or w1.shape != (len(q), q.shape[1] * hyper.shape[2]):
+        raise ShapeMismatch(f"mix: q {q.shape}, w1 {w1.shape}, b1|w2 {hyper.shape}, b2 {b2.shape}")
+    q, w1, hyper, b2 = vals
+    a1 = np.abs(w1).reshape(w1.shape[:-1] + hyper.shape[-1:] + q.shape[-1:])
+    pre = (a1 * q[..., None, :]).sum(axis=-1) + hyper[..., 0, :, :]
+    hidden = _fw_elu((pre,), attrs)[0]
+    a2 = np.abs(hyper[..., 1, :, :])
+    return (a2 * hidden).sum(axis=-1, keepdims=True) + b2, (a1, pre, hidden, a2)
+
+
+def _bw_mix(ctx, vals, g):
+    q, w1, hyper, _ = vals
+    a1, pre, hidden, a2 = ctx
+    (gpre,) = _bw_elu(None, (pre,), g * a2)
+    gw1 = (gpre[:, :, None] * q[:, None, :]).reshape(w1.shape) * np.sign(w1)
+    return ((gpre[:, :, None] * a1).sum(axis=1), gw1,
+            np.stack([gpre, g * hidden * np.sign(hyper[1])]), g)
+
+
 OPS = {
     "matmul": (_fw_matmul, _bw_matmul),
     "add": (_fw_add, _bw_add),
@@ -446,6 +470,7 @@ OPS = {
     "log_softmax": (_fw_log_softmax, _bw_log_softmax),
     "dense": (_fw_dense, _bw_dense),
     "take": (_fw_take, _bw_take),
+    "mix": (_fw_mix, _bw_mix),
 }
 
 
@@ -615,15 +640,18 @@ def _stk_concat(vals, stacked, attrs):
 
 
 def _stk_pick(vals, stacked, attrs):
+    # one copy's pick, (B, 1) or a stack's (B, n), in every copy
     (x,) = vals
-    index = np.asarray(attrs["index"], dtype=np.intp)
-    if x.ndim != 3 or index.shape != (x.shape[1],):
-        raise ShapeMismatch(f"pick: index of shape {index.shape} on {x.shape[1:]}")
-    return x[:, np.arange(x.shape[1]), index][..., None]
+    out = x[(slice(None),) + _fw_pick((x[0],), attrs)[1]]
+    return out[..., None] if x.ndim == 3 else out
 
 
 def _stk_take(vals, stacked, attrs):
     return vals[0][:, _take_index(vals[0][0], attrs)]
+
+
+def _stk_mix(vals, stacked, attrs):
+    return _fw_mix(vals, attrs, _one_copy(vals, stacked))[0]
 
 
 def _stk_sum(vals, stacked, attrs):
@@ -647,6 +675,7 @@ _STACKED_FW = {
     "concat": _stk_concat,
     "pick": _stk_pick,
     "take": _stk_take,
+    "mix": _stk_mix,
     "sum": _stk_sum,
     "mean": _stk_mean,
 }

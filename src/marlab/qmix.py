@@ -4,7 +4,9 @@ mixing network whose weights come from hypernetworks.
 
 Greedy joint actions are taken per agent on the utility heads; the mixing
 network exists so that this decentralized argmax coincides with the argmax
-of the mixed joint value.
+of the mixed joint value.  The learner's inputs are one-hot states, so the TD
+targets bootstrap from a table of the target nets' value at every state,
+built off the tape at the first update after each target sync.
 """
 
 import numpy as np
@@ -38,38 +40,25 @@ class MixingNet:
 
     All multiplicative weights pass through |.|, which keeps every partial
     derivative of q_tot with respect to a utility nonnegative; biases are
-    unconstrained.  Weights are emitted per state by dense hypernetworks.
+    unconstrained.  Weights are emitted per state by dense hypernetworks: b1
+    and w2, of one shape, by a stack of two.  The mixer itself is one `mix`
+    op, which routes each row's utilities through its own (e, n) block W1.
     """
 
     def __init__(self, state_dim, n_agents, embed_dim, hyper_hidden, rng):
         self.n_agents = n_agents
         self.embed_dim = embed_dim
-        sizes = [state_dim, hyper_hidden]
-        self.hyper_w1 = DenseNet(sizes + [n_agents * embed_dim], ["relu", "identity"], rng, "hyper_w1")
-        self.hyper_b1 = DenseNet(sizes + [embed_dim], ["relu", "identity"], rng, "hyper_b1")
-        self.hyper_w2 = DenseNet(sizes + [embed_dim], ["relu", "identity"], rng, "hyper_w2")
-        self.hyper_b2 = DenseNet(sizes + [1], ["relu", "identity"], rng, "hyper_b2")
-        # constant routing matrices: tile repeats the agent axis per embedding
-        # row, group sums each embedding row back to one column
-        self._tile = np.tile(np.eye(n_agents), (1, embed_dim))
-        self._group = np.repeat(np.eye(embed_dim), n_agents, axis=0)
-
-    @property
-    def nets(self):
-        return [self.hyper_w1, self.hyper_b1, self.hyper_w2, self.hyper_b2]
+        self.nets = [DenseNet([state_dim, hyper_hidden, out], ["relu", "identity"], rng, name)
+                     for out, name in ((n_agents * embed_dim, "hyper_w1"),
+                                       (embed_dim, ["hyper_b1", "hyper_w2"]), (1, "hyper_b2"))]
+        self.hyper_w1, self.hyper_b1w2, self.hyper_b2 = self.nets
 
     @property
     def params(self):
         return [p for net in self.nets for p in net.params]
 
     def forward(self, g, q, s):
-        w1 = g.abs(self.hyper_w1.forward(g, s))
-        b1 = self.hyper_b1.forward(g, s)
-        w2 = g.abs(self.hyper_w2.forward(g, s))
-        b2 = self.hyper_b2.forward(g, s)
-        tiled = g.matmul(q, g.constant(self._tile))
-        hidden = g.elu(g.add(g.matmul(g.mul(w1, tiled), g.constant(self._group)), b1))
-        return g.add(g.sum(g.mul(w2, hidden), axis=1), b2)
+        return g.op("mix", (q, *(net.forward(g, s) for net in self.nets)))
 
 
 class QmixLearner:
@@ -109,13 +98,15 @@ class QmixLearner:
         if mode == "qmix":
             self.mixing = MixingNet(state_dim, self.n_agents, embed_dim, hyper_hidden, rng)
         # laid net by net, so the flat vector and its clip norm run agent by agent
-        self.opt = AdamState([h.params for h in self.heads] + self.checkpoint_tree()["theta"], lr)
+        nets = self.heads + (self.mixing.nets if self.mixing else [])
+        self.opt = AdamState(sum(([n.params] if n.stacked else n.params for n in nets), []), lr)
         (self.target_value,), self.target = target_graph([self.opt])
+        self._targets = None    # the target table, built at the first update after a sync
 
     def checkpoint_tree(self):
-        return {"mode": self.mode,
-                "psi": [p for net in self.heads for ps in net.net_params() for p in ps],
-                "theta": self.mixing.params if self.mixing else []}
+        psi, theta = ([p for net in nets for ps in net.net_params() for p in ps]
+                      for nets in (self.heads, self.mixing.nets if self.mixing else []))
+        return {"mode": self.mode, "psi": psi, "theta": theta}
 
     # -- acting ---------------------------------------------------------------
     def _encode(self, state):
@@ -167,39 +158,43 @@ class QmixLearner:
         return self.mixing.forward(g, q, s)
 
     # -- learning -------------------------------------------------------------
+    def target_table(self):
+        """The target nets' bootstrap value at every state, built off the tape once per sync:
+        each agent's greedy utility, (n_states, n_agents), or their mixed q_tot, (n_states, 1)."""
+        if self._targets is None:
+            best = np.hstack([u.max(axis=2).T for u in self._head_values(self.target, self._eye)])
+            self._targets = (best if self.mode == "independent"
+                             else self._mix(self.target, best, self._eye))
+        return self._targets
+
+    def td_loss(self, g, batch, y):
+        """The mean squared error of the live nets' taken values, mixed in the joint modes,
+        against the TD targets y, on graph g."""
+        s_t = g.constant(self._eye[batch.state])
+        taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
+                 for net, run in zip(self.heads, self.runs)]
+        q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
+        if self.mode != "independent":
+            q_taken = self._mix(g, q_taken, s_t)
+        return g.mean(g.square(g.sub(q_taken, g.constant(y))))
+
     def td_update(self, batch):
         """One optimization step on a stacked batch of joint transitions;
         returns the pre-step loss."""
         rewards, done = batch.rewards, batch.done
-        s_np = self._eye[batch.state]
-        s2_np = self._eye[batch.next_state]
-
         if self.mode != "independent":
             spread = np.abs(rewards - rewards[:, :1]).max()
             if spread > _COOP_TOL:
                 raise NonCooperative(f"joint modes need a shared reward (spread {spread:.3g})")
 
-        # targets are off the tape, on the target graph: greedy per-agent
-        # max of the heads, then the mixer on the next state
-        target_q = np.hstack([u.max(axis=2).T for u in self._head_values(self.target, s2_np)])
+        target = self.target_table()[batch.next_state]
         if self.mode == "independent":
-            y = rewards + self.gamma * (1.0 - done)[:, None] * target_q
+            y = rewards + self.gamma * (1.0 - done)[:, None] * target
         else:
-            tot2 = self._mix(self.target, target_q, s2_np)[:, 0]
-            y = (rewards[:, 0] + self.gamma * (1.0 - done) * tot2)[:, None]
+            y = (rewards[:, 0] + self.gamma * (1.0 - done) * target[:, 0])[:, None]
 
         g = Graph()
-        s_t = g.constant(s_np)
-        taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
-                 for net, run in zip(self.heads, self.runs)]
-        q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
-
-        if self.mode == "independent":
-            err = g.sub(q_taken, g.constant(y))
-        else:
-            err = g.sub(self._mix(g, q_taken, s_t), g.constant(y))
-        loss = g.mean(g.square(err))
-
+        loss = self.td_loss(g, batch, y)
         self.opt.grad[...] = 0.0
         ndiff.backward(g, loss)
         clip_grad_norm(self.opt.grad, MAX_GRAD_NORM)
@@ -212,6 +207,7 @@ class QmixLearner:
 
     def sync_targets(self):
         copy_params(self.opt.value, self.target_value)
+        self._targets = None
 
 
 def epsilon_at(step, start, end, decay_steps):

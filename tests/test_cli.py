@@ -65,6 +65,10 @@ def test_unknown_config_key_rejected():
     {"gamma": 1.5},
     {"algo": "ppo"},
     {"hidden_sizes": [0]},
+    {"total_steps": float("inf")},
+    {"embed_dim": float("nan")},
+    {"lr": float("inf")},
+    {"beta": float("nan")},
 ])
 def test_invalid_values_rejected(bad):
     base = {"algo": "qmix", "env": "two_step_coop"}
@@ -80,6 +84,22 @@ def test_config_file_unknown_key_exits_2(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "inf"), ("--lr", "nan"),
+                                        ("--total-steps", "inf")])
+def test_non_finite_flag_exits_2(tmp_path, flag, value):
+    assert cli.main(["train", flag, value, "--out-dir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_game_file_with_a_nan_reward_exits_2(tmp_path, capsys):
+    game = game_to_dict(two_step_coop())
+    game["rewards"][0][0][0][0] = float("nan")
+    path = tmp_path / "nan_game.json"
+    path.write_text(json.dumps(game))    # json writes NaN, and reads it back
+    assert cli.main(["train", "--env", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert "rewards must be finite" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -136,6 +136,30 @@ def test_negative_probabilities_rejected_at_construction():
         MarkovGame(**base, transition=transition)
 
 
+def _one_cell_game(**edits):
+    """A 2-state, 1-agent, 1-action game; edits replace its tables or gamma."""
+    tables = {"rewards": np.zeros((2, 1, 1)), "transition": np.full((2, 1, 2), 0.5),
+              "init_dist": np.array([0.5, 0.5]), "gamma": 0.9, **edits}
+    return MarkovGame(name="g", action_space=[Discrete(1)], horizon=1, cooperative=False,
+                      zero_sum=False, n_states=2, **tables)
+
+
+@pytest.mark.parametrize("field", ["init_dist", "transition", "rewards"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tables_rejected_naming_the_field(field, bad):
+    table = getattr(_one_cell_game(), field).copy()
+    table.reshape(-1)[0] = bad
+    with pytest.raises(EnvError, match=field):
+        _one_cell_game(**{field: table})
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1, 1.5])
+def test_gamma_outside_the_unit_interval_rejected(gamma):
+    assert _one_cell_game(gamma=1.0).gamma == 1.0 and _one_cell_game(gamma=0.0).gamma == 0.0
+    with pytest.raises(EnvError, match="gamma"):
+        _one_cell_game(gamma=gamma)
+
+
 def test_induced_mdp_uniform_opponent_on_pennies():
     g = fixture_by_name("matching_pennies")
     mdp = induce_mdp(g, 0, {1: np.array([[0.5, 0.5]])})

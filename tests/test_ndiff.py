@@ -162,6 +162,9 @@ def _op_cases():
                   (kind, [np.array(2.5), x], {})]
     cases += [("dense", [x, rng.normal(size=(4, 2)), rng.normal(size=(1, 2))], {"act": act})
               for act in ndiff._ACTIVATIONS]
+    # 3 rows of 4 utilities mixed through an embedding of 2
+    cases += [("mix", [x, rng.normal(size=(3, 8)), rng.normal(size=(2, 3, 2)),
+                       rng.normal(size=(3, 1))], {})]
     cases += [(kind, [x], {}) for kind in ndiff.OPS if kind not in {k for k, _, _ in cases}]
     return cases
 
@@ -660,6 +663,9 @@ def _stacked_case(kind, rng, n, k):
         return [draw(n, k)], {"start": start, "stop": int(rng.integers(start + 1, k + 1))}
     if kind == "pick":
         return [draw(n, k)], {"index": rng.integers(k, size=n)}
+    if kind == "mix":
+        # n rows of k utilities, an embedding of m
+        return [draw(n, k), draw(n, k * m), draw(2, n, m), draw(n, 1)], {}
     if kind == "take":
         # an int, or an index array that may repeat and reorder the rows
         return [draw(n, k)], {"index": [int(rng.integers(n)), rng.integers(n, size=k)][k % 2]}
@@ -668,7 +674,7 @@ def _stacked_case(kind, rng, n, k):
 
 @pytest.mark.parametrize("kind", sorted(ndiff.OPS))
 @given(copies=st.integers(1, 4), n=st.integers(1, 4), k=st.integers(1, 5),
-       mask=st.integers(1, 7), shared_as_tensor=st.booleans(), through_result=st.booleans(),
+       mask=st.integers(1, 15), shared_as_tensor=st.booleans(), through_result=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, derandomize=True, deadline=None)
 def test_stacked_op_slices_equal_eval_on_each_copy(kind, copies, n, k, mask, shared_as_tensor,
@@ -730,6 +736,39 @@ def test_take_rejects_a_malformed_index(shape, index):
             g.take(x, index)
 
 
+def test_mix_matches_the_per_row_mixer_and_finite_differences():
+    rng = np.random.default_rng(8)
+    b, n, e = 5, 3, 4
+    # every operand away from zero, where |.| has its kink
+    q, w1, hyper, b2 = (param(rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.2, 1.5, size=s))
+                        for s in ((b, n), (b, e * n), (2, b, e), (b, 1)))
+    out = EVAL.op("mix", (q, w1, hyper, b2))
+    for i in range(b):
+        pre = np.abs(w1.value[i]).reshape(e, n) @ q.value[i] + hyper.value[0, i]
+        hidden = np.where(pre >= 0.0, pre, np.expm1(pre))
+        assert np.isclose(out[i, 0], np.abs(hyper.value[1, i]) @ hidden + b2.value[i, 0],
+                          rtol=1e-13, atol=0.0)
+    weights = rng.normal(size=(b, 1))
+    assert grad_check(lambda g: g.sum(g.mul(g.op("mix", (q, w1, hyper, b2)),
+                                            g.constant(weights))), [q, w1, hyper, b2]) < 1e-6
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, 2), (3, 4), (2, 3, 2), (3,)), ((3, 2), (3, 5), (2, 3, 2), (3, 1)),
+    ((3, 2), (3, 4), (3, 3, 2), (3, 1)), ((3, 2), (3, 4), (2, 2, 2), (3, 1)),
+    ((3, 2), (2, 3, 4), (2, 3, 2), (3, 1)), ((2,), (3, 4), (2, 3, 2), (3, 1)),
+    ((2, 3, 2), (3, 4), (2, 3, 2), (3, 1)), ((3, 2), (3, 4), (2, 3, 2, 1), (3, 1)),
+])
+def test_mix_rejects_malformed_operands(shapes):
+    vals = [np.ones(shape) for shape in shapes]
+    g = Graph()
+    stacks = {param(v): np.ones((2,) + v.shape) for v in vals}    # two copies of each
+    for graph, inputs in ((EVAL, vals), (g, [g.constant(v) for v in vals]),
+                          (Stacked(stacks), list(stacks))):
+        with pytest.raises(ShapeMismatch):
+            graph.op("mix", inputs)
+
+
 def test_stacked_unknown_op_raises_like_off_tape():
     x = param(np.zeros((2, 2)))
     g = Stacked({x: np.zeros((3, 2, 2))})
@@ -746,6 +785,7 @@ def test_stacked_unknown_op_raises_like_off_tape():
     lambda g, x: g.pick(x, [0, 1, 0]),
     lambda g, x: g.take(x, 2),
     lambda g, x: g.take(g.sum(x), 0),
+    lambda g, x: g.op("mix", (x, x, g.constant(np.ones((2, 2, 1))), g.sum(x))),
 ])
 def test_stacked_rejects_each_copy_that_eval_rejects(build):
     # a stacked (S,) per-copy scalar or an (S, 2, 2) stack has shapes that

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlab import envs, ndiff, oracle, qmix
+from marlab import cli, envs, ndiff, oracle, qmix
 from marlab.buffer import JointTransition, ReplayBuffer
-from marlab.ndiff import EVAL, DenseNet, Graph, backward, param
+from marlab.ndiff import EVAL, DenseNet, Graph, backward, grad_check, param
 from marlab.qmix import (
     MODES,
     MixingNet,
@@ -34,16 +34,16 @@ def zero_all(learner):
     learner.sync_targets()
 
 
-def three_agent_coop(rng, arities=(2, 3, 2)):
+def three_agent_coop(rng, arities=(2, 3, 2), n_states=1):
     """Random shared-reward table game with three agents, of mixed arity by default."""
-    shape = (1, *arities)
+    shape = (n_states, *arities)
     base = rng.normal(size=shape)
     rewards = np.repeat(base[..., np.newaxis], 3, axis=-1)
-    transition = np.ones(shape + (1,))
+    transition = np.full(shape + (n_states,), 1.0 / n_states)
     return envs.MarkovGame(
         name="coop3", action_space=[envs.Discrete(k) for k in shape[1:]],
         horizon=1, gamma=1.0, cooperative=True, zero_sum=False,
-        n_states=1, rewards=rewards, transition=transition,
+        n_states=n_states, rewards=rewards, transition=transition,
         terminal_after=np.ones(shape, dtype=bool),
     )
 
@@ -84,7 +84,7 @@ def test_identity_hypernet_reproduces_vdn_on_nonnegative_utilities():
     mixing.hyper_w1.biases[-1].value[...] = w1_bias
     w2_bias = np.zeros(e)
     w2_bias[0] = 1.0
-    mixing.hyper_w2.biases[-1].value[...] = w2_bias
+    mixing.hyper_b1w2.biases[-1].value[1] = w2_bias    # the stack's second net emits w2
 
     vdn, _ = make("vdn")
     rng = np.random.default_rng(7)
@@ -105,8 +105,8 @@ def test_batched_mixer_matches_per_sample_loop():
     batched = mixing.forward(EVAL, q, s)
     for i in range(b):
         w1 = np.abs(mixing.hyper_w1.forward(EVAL, s[i : i + 1]))[0].reshape(mixing.embed_dim, 2)
-        b1 = mixing.hyper_b1.forward(EVAL, s[i : i + 1])[0]
-        w2 = np.abs(mixing.hyper_w2.forward(EVAL, s[i : i + 1]))[0]
+        b1, w2 = mixing.hyper_b1w2.forward(EVAL, s[i : i + 1])[:, 0]
+        w2 = np.abs(w2)
         b2 = mixing.hyper_b2.forward(EVAL, s[i : i + 1])[0, 0]
         pre = w1 @ q[i] + b1
         hidden = np.where(pre >= 0.0, pre, np.expm1(pre))
@@ -286,17 +286,19 @@ def _per_agent_loss(learner, batch, shared):
     gradient laid out as the learner's, and those heads."""
     live = _lone_heads(learner, lambda t: t.value)
     target = _lone_heads(learner, learner.target.reads.get)
-    n = len(batch.rewards)
-    s, s2 = learner._eye[batch.state], learner._eye[batch.next_state]
-    target_q = np.empty((n, learner.n_agents))
+    # the target table: each target net's greedy value at every state, mixed in joint modes
+    eye = learner._eye
+    best = np.empty((len(eye), learner.n_agents))
     for i, net in enumerate(target):
-        tu = net.forward(EVAL, s2)
-        target_q[:, i] = tu[np.arange(n), tu.argmax(axis=1)]
+        tu = net.forward(EVAL, eye)
+        best[:, i] = tu[np.arange(len(eye)), tu.argmax(axis=1)]
     if learner.mode == "independent":
+        target_q = best[batch.next_state]
         y = batch.rewards + learner.gamma * (1.0 - batch.done)[:, None] * target_q
     else:
-        tot2 = learner._mix(learner.target, target_q, s2)[:, 0]
+        tot2 = learner._mix(learner.target, best, eye)[batch.next_state, 0]
         y = (batch.rewards[:, 0] + learner.gamma * (1.0 - batch.done) * tot2)[:, None]
+    s = eye[batch.state]
     g = Graph()
     s_t = g.constant(s)
     taken = [g.pick(net.forward(g, s_t), batch.actions[:, i]) for i, net in enumerate(live)]
@@ -307,8 +309,9 @@ def _per_agent_loss(learner, batch, shared):
     heads = [[p.grad for p in net.params] for net in live]
     if shared:    # the shared head's adjoints, summed last agent first
         heads = [[functools.reduce(np.add, grads) for grads in zip(*heads[::-1])]]
-    theta = learner.checkpoint_tree()["theta"]
-    grad = np.concatenate([a.reshape(-1) for a in sum(heads, []) + [p.grad for p in theta]])
+    # the mixer's params are the learner's own, their adjoints already laid in its vector
+    heads = np.concatenate([a.reshape(-1) for a in sum(heads, [])])
+    grad = np.concatenate([heads, learner.opt.grad[heads.size:]])
     learner.opt.grad[...] = 0.0
     return float(loss.value), grad, live
 
@@ -350,6 +353,71 @@ def test_stacked_heads_match_per_agent_heads_bit_for_bit(monkeypatch, mode, arit
         assert np.array_equal(clipped[-1], grad) or share and np.allclose(clipped[-1], grad)
 
 
+def _random_batch(rng, env, size):
+    """A stacked batch of random joint transitions with a shared reward."""
+    return stacked([JointTransition(state=int(rng.integers(env.n_states)),
+                                    actions=tuple(int(rng.integers(a.n)) for a in env.action_space),
+                                    rewards=(float(rng.normal()),) * env.n_agents,
+                                    next_state=int(rng.integers(env.n_states)),
+                                    done=bool(rng.integers(2)))
+                    for _ in range(size)])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arities,share", [((2, 3, 2), False), ((3, 3, 3), True),
+                                           ((2, 2, 3), False)])
+def test_td_loss_gradients_match_finite_differences(mode, arities, share):
+    rng = np.random.default_rng(23)
+    env = three_agent_coop(rng, arities, n_states=3)
+    learner = QmixLearner(env, mode, rng, hidden=(4,), embed_dim=3, hyper_hidden=4,
+                          share_params=share)
+    # every parameter, biases too, away from zero: the hypernets' weights pass through |.|
+    for p in learner.opt.params:
+        p.value[...] = rng.choice([-1.0, 1.0], size=p.shape) * rng.uniform(0.2, 1.0, size=p.shape)
+    batch = _random_batch(rng, env, 8)
+    y = rng.normal(size=(8, 3 if mode == "independent" else 1))
+    err = grad_check(lambda g: learner.td_loss(g, batch, y), learner.opt.params)
+    assert err < cli.GRADCHECK_TOL
+
+
+def _target_forward(learner, index):
+    """The bootstrap values at a batch of next states, by the target graph's batch forward."""
+    s2 = learner._eye[index]
+    best = np.hstack([u.max(axis=2).T for u in learner._head_values(learner.target, s2)])
+    return best if learner.mode == "independent" else learner._mix(learner.target, best, s2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_target_table_equals_the_target_graph_forward_after_syncs(mode):
+    learner, env = make(mode, seed=12, target_interval=3)
+    rng = np.random.default_rng(3)
+    index = rng.integers(env.n_states, size=32)
+    tables = []
+    for updates in (0, 3, 6):    # 0, 1 and 3 syncs
+        for _ in range(updates):
+            learner.td_update(_random_batch(rng, env, 32))
+        table = learner.target_table()
+        assert table.shape == (env.n_states, env.n_agents if mode == "independent" else 1)
+        assert np.allclose(table[index], _target_forward(learner, index), rtol=1e-12, atol=0.0)
+        tables.append(table.copy())
+    assert not np.allclose(tables[0], tables[1]) and not np.allclose(tables[1], tables[2])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_td_update_runs_the_target_nets_only_after_a_sync(monkeypatch, mode):
+    learner, env = make(mode, seed=13, target_interval=3)
+    calls = count_calls(monkeypatch, learner.target, ["op"])
+    assert calls["op"] == 0    # a new learner builds no table until it learns
+    rng = np.random.default_rng(4)
+    counts = []
+    for _ in range(7):
+        learner.td_update(_random_batch(rng, env, 32))
+        counts.append(calls["op"])
+    per_build = counts[0]
+    assert per_build > 0
+    assert counts == [per_build] * 3 + [2 * per_build] * 3 + [3 * per_build]
+
+
 def test_td_update_moves_hypernet_parameters():
     learner, _ = make("qmix", seed=4)
     before = [p.value.copy() for p in learner.mixing.params]
@@ -359,7 +427,7 @@ def test_td_update_moves_hypernet_parameters():
     assert moved
 
 
-@pytest.mark.parametrize("mode,records", [("qmix", 25), ("vdn", 8), ("independent", 7)])
+@pytest.mark.parametrize("mode,records", [("qmix", 14), ("vdn", 8), ("independent", 7)])
 def test_td_update_tape_length(monkeypatch, mode, records):
     # the two agents' heads are one stack: one dense record per layer and one pick for both
     learner, _ = make(mode, seed=6)
