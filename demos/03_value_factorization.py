@@ -8,7 +8,7 @@ Run from the repo root:  python3 demos/03_value_factorization.py
 
 import numpy as np
 
-from marlab import envs, oracle, qmix
+from marlab import cli, envs, oracle, qmix
 from marlab.buffer import ReplayBuffer
 from marlab.ndiff import Graph, backward, param
 
@@ -18,25 +18,18 @@ print(f"oracle optimum from the start state: {optimum:.3f}\n")
 
 
 def greedy_return(learner, episodes, rng):
-    total = 0.0
-    for _ in range(episodes):
-        state = env.reset(rng)
-        disc = 1.0
-        while not state.done:
-            state, rewards, _ = env.step(state, learner.greedy_joint([state.index])[0], rng)
-            total += disc * rewards[0]
-            disc *= learner.gamma
-    return total / episodes
+    returns = cli.rollout_returns(env, learner.greedy_joint, episodes, learner.gamma, rng)
+    return returns[:, 0].mean()
 
 
 def train(mode, seed, steps=2000):
     rng = np.random.default_rng(seed)
     learner = qmix.QmixLearner(env, mode, rng, hidden=(32,), lr=5e-3)
     buf = ReplayBuffer(5000)
-    state = env.reset(rng)
+    live = (env.reset_batch(1, rng), 0)    # the live episode: (state index array, timestep)
     for step in range(steps):
         eps = qmix.epsilon_at(step, 1.0, 0.05, 1500)
-        tr, state = qmix.collect_step(env, learner, state, eps, rng)
+        tr, live = qmix.collect_step(env, lambda index: learner.act(index, rng, eps), live, rng)
         buf.push(tr)
         if len(buf) >= 32:
             learner.td_update(buf.sample(32, rng))

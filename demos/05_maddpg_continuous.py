@@ -8,7 +8,7 @@ Run from the repo root:  python3 demos/05_maddpg_continuous.py
 
 import numpy as np
 
-from marlab import envs, maddpg
+from marlab import envs, maddpg, qmix
 from marlab.buffer import JointTransition, ReplayBuffer
 from marlab.ndiff import EVAL
 
@@ -19,18 +19,15 @@ learner = maddpg.MaddpgLearner(env, rng, hidden=(32,), lr=2e-3, tau=0.02)
 buf = ReplayBuffer(5000)
 
 print("step   a1      a2      |a1+a2-1|")
-state = env.reset(rng)
+live = (env.reset_batch(1, rng), 0)    # the live episode: (state index array, timestep)
 for step in range(1, 3001):
-    joint = learner.act([state.index], rng, explore=True)[0]     # tanh mean + noise
-    nxt, rewards, done = env.step(state, joint, rng)
-    buf.push(JointTransition(state=state.index, actions=joint,
-                             rewards=tuple(float(r) for r in rewards),
-                             next_state=nxt.index, done=done))
-    state = env.reset(rng) if done else nxt
+    # tanh mean + noise; collect_step steps the game and starts a new episode when it ends
+    tr, live = qmix.collect_step(env, lambda index: learner.act(index, rng), live, rng)
+    buf.push(tr)
     if len(buf) >= 64:
         learner.learner_step(buf.sample(64, rng), rng)
     if step % 500 == 0:
-        a = learner.act([env.reset(rng).index], rng, explore=False)[0]
+        a = learner.act(env.reset_batch(1, rng), rng, explore=False)[0]
         print(f"{step:5d}  {a[0]:+.3f}  {a[1]:+.3f}  {abs(a[0] + a[1] - 1.0):.4f}")
 
 # -- execution without the other agent's wires --------------------------------
@@ -45,16 +42,16 @@ eye = np.eye(env2.n_states)
 script = np.stack([dec.actors[1].probs_np(dec.target, eye[[s]])[0]
                    for s in range(env2.n_states)])
 
-buf2 = ReplayBuffer(4000)
-state = env2.reset(rng2)
+
+def scripted(index):    # agent 0 samples its live actor, agent 1 the frozen script
+    a0 = dec.actors[0].sample_np(EVAL, eye[index], rng2)[0]
+    return np.array([[a0, rng2.choice(2, p=script[index[0]])]])
+
+
+buf2, live = ReplayBuffer(4000), (env2.reset_batch(1, rng2), 0)
 for _ in range(4000):
-    a0 = int(dec.actors[0].sample_np(EVAL, eye[[state.index]], rng2)[0])
-    a1 = int(rng2.choice(2, p=script[state.index]))
-    nxt, rewards, done = env2.step(state, (a0, a1), rng2)
-    buf2.push(JointTransition(state=state.index, actions=(a0, a1),
-                              rewards=tuple(map(float, rewards)),
-                              next_state=nxt.index, done=done))
-    state = env2.reset(rng2) if done else nxt
+    tr, live = qmix.collect_step(env2, scripted, live, rng2)
+    buf2.push(tr)
 
 for _ in range(800):
     dec.opponent_model_update(buf2.sample(256, rng2))

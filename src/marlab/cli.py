@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dial as dialmod
 from . import envs, maddpg, ndiff, oracle, qmix, selfplay
-from .buffer import JointTransition, ReplayBuffer
+from .buffer import ReplayBuffer
 from .ndiff import DenseNet, grad_check
 
 
@@ -191,20 +191,31 @@ def _rollout(env, gamma, policy):
     return evaluate
 
 
+def _replay_step(cfg, env, rng, act, learn, epsilon=lambda t: None):
+    """Training step t of a replay learner: one qmix.collect_step of the live episode,
+    acting by act(index, epsilon(t)), one push, then, once the replay holds a batch,
+    learn(batch), which returns (loss, extra)."""
+    buf, live = ReplayBuffer(cfg.buffer_capacity), (env.reset_batch(1, rng), 0)
+
+    def step(t):
+        nonlocal live
+        eps = epsilon(t)
+        tr, live = qmix.collect_step(env, lambda index: act(index, eps), live, rng)
+        buf.push(tr)
+        if len(buf) < cfg.batch_size:
+            return int(tr.done), None, eps, {}
+        loss, extra = learn(buf.sample(cfg.batch_size, rng))
+        return int(tr.done), loss, eps, extra
+    return step
+
+
 def _q_start(mode, cfg, env, rng):
     learner = qmix.QmixLearner(
         env, mode, rng, hidden=tuple(cfg.hidden_sizes), embed_dim=cfg.embed_dim,
         gamma=cfg.gamma, lr=cfg.lr, target_interval=cfg.target_update_interval)
-    buf, state = ReplayBuffer(cfg.buffer_capacity), env.reset(rng)
-
-    def step(t):
-        nonlocal state
-        eps = _epsilon(cfg, t)
-        tr, state = qmix.collect_step(env, learner, state, eps, rng)
-        buf.push(tr)
-        if len(buf) < cfg.batch_size:
-            return int(tr.done), None, eps, {}
-        return int(tr.done), learner.td_update(buf.sample(cfg.batch_size, rng)), eps, {}
+    step = _replay_step(cfg, env, rng, lambda index, eps: learner.act(index, rng, eps),
+                        lambda batch: (learner.td_update(batch), {}),
+                        functools.partial(_epsilon, cfg))
     return learner, step, _rollout(env, learner.gamma, learner.greedy_joint)
 
 
@@ -212,20 +223,11 @@ def _maddpg_start(decentralized, cfg, env, rng):
     learner = maddpg.MaddpgLearner(
         env, rng, hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
         tau=cfg.tau, beta=cfg.beta, decentralized=decentralized)
-    buf, state = ReplayBuffer(cfg.buffer_capacity), env.reset(rng)
 
-    def step(t):
-        nonlocal state
-        joint = learner.act([state.index], rng, explore=True)[0]
-        nxt, rewards, done = env.step(state, joint, rng)
-        buf.push(JointTransition(state=state.index, actions=joint,
-                                 rewards=tuple(float(r) for r in rewards),
-                                 next_state=nxt.index, done=done))
-        state = env.reset(rng) if done else nxt
-        if len(buf) < cfg.batch_size:
-            return int(done), None, None, {}
-        out = learner.learner_step(buf.sample(cfg.batch_size, rng), rng)
-        return int(done), out["critic_loss"], None, out
+    def learn(batch):
+        out = learner.learner_step(batch, rng)
+        return out["critic_loss"], out
+    step = _replay_step(cfg, env, rng, lambda index, _: learner.act(index, rng), learn)
     return learner, step, _rollout(env, learner.gamma,
                                    lambda index: learner.act(index, None, explore=False))
 

@@ -310,16 +310,22 @@ class RialSystem:
         qa2, qm2 = self.heads.forward(self.target, b.x_next)
         y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=2) + qm2.max(axis=2))
         g = Graph()
-        qa, qm = self.heads.forward(g, g.constant(b.x))
-        taken = g.add(g.pick(qa, b.action.T), g.pick(qm, b.message.T))
-        sq = g.square(g.sub(taken, g.constant(y.T)))
-        loss = g.mul(g.mean(sq), g.constant(float(self.n_agents)))
+        loss, sq = self.td_loss(g, b, y)
         backward(g, loss)
         adam_step(self.opt.params, self.opt)
         self.learn_steps += 1
         if self.learn_steps % self.target_interval == 0:
             self.sync_targets()
         return float(sum(col.mean() for col in sq.value.T))
+
+    def td_loss(self, g, b, y):
+        """The root of td_update on graph g, n_agents times the mean squared error of the
+        live heads' taken Qa[a] + Qm[m] against the TD targets y, (n_agents, batch), for
+        the agent-stacked batch b; and the squared errors, (batch, n_agents)."""
+        qa, qm = self.heads.forward(g, g.constant(b.x))
+        taken = g.add(g.pick(qa, b.action.T), g.pick(qm, b.message.T))
+        sq = g.square(g.sub(taken, g.constant(y.T)))
+        return g.mul(g.mean(sq), g.constant(float(self.n_agents))), sq
 
     def sync_targets(self):
         copy_params(self.opt.value, self.target_value)

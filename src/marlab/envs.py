@@ -1,14 +1,13 @@
 """Small Markov games: tabular dynamics, fixtures, and induced MDPs.
 
-Games are immutable; episode state (current state index, timestep, done)
-lives in the caller.  Stateless matrix games are wrapped as one-state,
-horizon-1 games.  Rewards are always a vector with one entry per agent.
+Games are immutable; episodes (state index arrays and a shared timestep) live
+in the caller.  Stateless matrix games are wrapped as one-state, horizon-1
+games.  Rewards are always a vector with one entry per agent.
 """
 
 import itertools
 import json
 import pathlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +17,6 @@ class EnvError(Exception):
 
 
 class InvalidAction(EnvError):
-    pass
-
-
-class SteppedTerminal(EnvError):
     pass
 
 
@@ -65,13 +60,6 @@ class Box1D:
         return isinstance(other, Box1D) and (other.lo, other.hi) == (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class EpisodeState:
-    index: int
-    t: int
-    done: bool = False
-
-
 _FLAG_TOL = 1e-12
 
 
@@ -98,11 +86,11 @@ class MarkovGame:
     single state; actions[i] is agent i's action, a number or an (n,) column
     of n episodes, and the result stacks the per-agent rewards on axis 0.
 
-    One transition path serves every caller: reset_batch/step_batch move
-    arrays of episodes by table lookups, over cumulative transition rows
-    and per-agent observation tables (obs_tables[agent][s], the one-hot
-    state when there are no obs_fns) built once here; reset/step are a
-    batch of one.
+    reset_batch/step_batch are the only transition path: they move arrays
+    of episodes, a training step's live episode being an array of one, by
+    table lookups over cumulative transition rows built once here.  Agent
+    observations are the tables obs_tables[agent][s], the one-hot state
+    when there are no obs_fns.
     """
 
     def __init__(self, name, action_space, horizon, gamma, cooperative, zero_sum,
@@ -230,18 +218,6 @@ class MarkovGame:
         done = self._terminal_rows[row] | (t + 1 >= self.horizon)
         return nxt, self._reward_rows[row], done
 
-    def reset(self, rng):
-        return EpisodeState(index=int(self.reset_batch(1, rng)[0]), t=0, done=False)
-
-    def step(self, state, actions, rng):
-        """Advance one episode, as a batch of one; returns (next_state,
-        reward_vector, done)."""
-        if state.done:
-            raise SteppedTerminal(f"episode already finished at t={state.t}")
-        nxt, rewards, done = self.step_batch([state.index], state.t, [actions], rng)
-        done = bool(done[0])
-        return EpisodeState(index=int(nxt[0]), t=state.t + 1, done=done), rewards[0], done
-
     def _joint_row(self, index, a):
         """Row of each episode's (state, joint action) in the flattened
         tables; ravel_multi_index checks the range of integer actions."""
@@ -266,16 +242,6 @@ class MarkovGame:
     @property
     def state_dim(self):
         return self.n_states
-
-    def encode_state(self, state):
-        index = state.index if isinstance(state, EpisodeState) else int(state)
-        vec = np.zeros(self.n_states)
-        vec[index] = 1.0
-        return vec
-
-    def obs(self, agent, state):
-        index = state.index if isinstance(state, EpisodeState) else int(state)
-        return self.obs_tables[agent][index]
 
     def obs_dim(self, agent):
         return self.obs_tables[agent].shape[1]

@@ -259,8 +259,8 @@ class MaddpgLearner:
         self._descend(g, total, self.model_opts.values())
         return nll_value
 
-    def model_probs(self, owner, j, state):
-        s = self._encode_states([state.index if hasattr(state, "index") else state])
+    def model_probs(self, owner, j, index):
+        s = self._encode_states([index])
         return EVAL.softmax(self.opponent_models[(owner, j)].forward(EVAL, s))[0]
 
     # -- full step ----------------------------------------------------------

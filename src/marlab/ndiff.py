@@ -1017,16 +1017,20 @@ def tree_to_json(tree, path="payload"):
 
 def tree_from_json(obj, tree, path="payload"):
     """Load obj, a checkpoint tree's JSON form, into the tree's tensors. obj must hold exactly
-    the tree's keys, list lengths, strings and tensor sizes; an error names where it differs.
+    the tree's keys, list lengths, strings and tensor sizes, and only finite values; an error
+    names where it differs.
     A tensor is read from base64 float64 bytes, or from a list of floats as v1 files hold."""
     tree = _named(tree, path)
     if isinstance(tree, Tensor):
         try:
             if isinstance(obj, str):    # binascii.Error is a ValueError, as is a ragged buffer
                 obj = np.frombuffer(base64.b64decode(obj, validate=True), "<f8")
-            tree.value[...] = np.asarray(obj, dtype=np.float64).reshape(tree.value.shape)
+            value = np.asarray(obj, dtype=np.float64).reshape(tree.value.shape)
         except (TypeError, ValueError):
             raise ShapeMismatch(f"{path}: does not fill shape {tree.value.shape}")
+        if not np.isfinite(value).all():
+            raise NdiffError(f"{path}: holds a NaN or infinite value")
+        tree.value[...] = value
     elif isinstance(tree, str):
         if obj != tree:
             raise NdiffError(f"{path}: {obj!r:.40}, expected {tree!r}")

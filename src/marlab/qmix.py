@@ -109,20 +109,15 @@ class QmixLearner:
         return {"mode": self.mode, "psi": psi, "theta": theta}
 
     # -- acting ---------------------------------------------------------------
-    def _encode(self, state):
-        index = state.index if hasattr(state, "index") else int(state)
-        return self._eye[index]
-
     def _head_values(self, g, x):
         """Per run, the (n, B, k) utilities of its n agents at encoded states x, off the tape."""
         for net, run in zip(self.heads, self.runs):
             u = net.forward(g, x)
             yield u if len(u) == len(run) else np.broadcast_to(u, (len(run),) + u.shape[1:])
 
-    def utilities(self, state):
-        """Per-agent utility vectors at one state, from the current heads."""
-        x = self._encode(state)[np.newaxis, :]
-        return [u for us in self._head_values(EVAL, x) for u in us[:, 0]]
+    def utilities(self, index):
+        """Per-agent utility vectors at one state index, from the current heads."""
+        return [u for us in self._head_values(EVAL, self._eye[[index]]) for u in us[:, 0]]
 
     def greedy_joint(self, index):
         """Per-agent argmax of the current heads at an (n,) array of state
@@ -130,24 +125,24 @@ class QmixLearner:
         x = self._eye[np.asarray(index)]
         return np.hstack([u.argmax(axis=2).T for u in self._head_values(EVAL, x)])
 
-    def act_epsilon_greedy(self, state, epsilon, rng):
-        joint = []
-        utils = self.utilities(state)
-        for k, u in zip(self.n_actions, utils):
-            if rng.random() < epsilon:
-                joint.append(int(rng.integers(k)))
-            else:
-                joint.append(int(np.argmax(u)))
-        return tuple(joint)
+    def act(self, index, rng, epsilon):
+        """Epsilon-greedy joint actions at an (n,) array of state indices, (n, n_agents):
+        the greedy joint, each choice then made uniform with chance epsilon, one uniform
+        per choice and one integer per replaced choice, drawn agent by agent, row by row."""
+        joint = self.greedy_joint(index)
+        for i, k in enumerate(self.n_actions):
+            for row in range(len(joint)):
+                if rng.random() < epsilon:
+                    joint[row, i] = rng.integers(k)
+        return joint
 
     # -- mixing ---------------------------------------------------------------
-    def mix(self, q_taken, state):
-        """Scalar q_tot for given per-agent utilities at one state."""
+    def mix(self, q_taken, index):
+        """Scalar q_tot for given per-agent utilities at one state index."""
         q = np.asarray(q_taken, dtype=np.float64)[np.newaxis, :]
         if q.shape[1] != self.n_agents:
             raise QmixError(f"need {self.n_agents} utilities, got {q.shape[1]}")
-        s = self._encode(state)[np.newaxis, :]
-        return float(self._mix(EVAL, q, s)[0, 0])
+        return float(self._mix(EVAL, q, self._eye[[index]])[0, 0])
 
     def _mix(self, g, q, s):
         """(n, 1) q_tot of the utility columns q at encoded states s."""
@@ -218,14 +213,13 @@ def epsilon_at(step, start, end, decay_steps):
     return start + (end - start) * frac
 
 
-def collect_step(env, learner, state, epsilon, rng, scripted=None):
-    """Act epsilon-greedily (optionally overriding some seats with scripted
-    policies), step the env, and return (transition, next_state)."""
-    joint = list(learner.act_epsilon_greedy(state, epsilon, rng))
-    if scripted:
-        for seat, policy in scripted.items():
-            joint[seat] = int(rng.choice(len(policy[state.index]), p=policy[state.index]))
-    nxt, rewards, done = env.step(state, tuple(joint), rng)
-    tr = JointTransition(state=state.index, actions=tuple(joint),
-                         rewards=tuple(rewards), next_state=nxt.index, done=bool(done))
-    return tr, (env.reset(rng) if done else nxt)
+def collect_step(env, act, live, rng):
+    """One env step of the live episode (index, t), index a (1,) state index array, by
+    act(index)'s (1, n_agents) joint actions.  Returns the transition and the live
+    episode after it, a fresh one from reset_batch(1, rng) when this one ended."""
+    index, t = live
+    joint = act(index)
+    nxt, rewards, done = env.step_batch(index, t, joint, rng)
+    tr = JointTransition(state=index[0], actions=joint[0], rewards=rewards[0],
+                         next_state=nxt[0], done=done[0])
+    return tr, ((env.reset_batch(1, rng), 0) if tr.done else (nxt, t + 1))

@@ -24,39 +24,28 @@ def _report(tag, ok, detail):
 # A1: value factorization learns a multi-step cooperative optimum
 # ---------------------------------------------------------------------------
 
-def _qmix_greedy_return(learner, env, episodes, rng):
-    total = 0.0
-    for _ in range(episodes):
-        state = env.reset(rng)
-        disc = 1.0
-        while not state.done:
-            state, rewards, _ = env.step(state, learner.greedy_joint([state.index])[0], rng)
-            total += disc * rewards[0]
-            disc *= learner.gamma
-    return total / episodes
-
-
 def _train_qmix_until(env, seed, target, tol, max_steps, eval_every=500,
                       eval_episodes=500):
     rng = np.random.default_rng(seed)
     learner = qmix.QmixLearner(env, "qmix", rng, hidden=(32,), embed_dim=8,
                                lr=5e-3, target_interval=200)
     buf = ReplayBuffer(5000)
-    state = env.reset(rng)
+    live = (env.reset_batch(1, rng), 0)
+
+    def greedy_return(step):
+        return cli.rollout_returns(env, learner.greedy_joint, eval_episodes, learner.gamma,
+                                   np.random.default_rng([seed, step]))[:, 0].mean()
     for step in range(1, max_steps + 1):
         eps = qmix.epsilon_at(step - 1, 1.0, 0.05, 10000)
-        tr, state = qmix.collect_step(env, learner, state, eps, rng)
+        tr, live = qmix.collect_step(env, lambda index: learner.act(index, rng, eps), live, rng)
         buf.push(tr)
         if len(buf) >= 32:
             learner.td_update(buf.sample(32, rng))
         if step % eval_every == 0:
-            ret = _qmix_greedy_return(learner, env, eval_episodes,
-                                      np.random.default_rng([seed, step]))
+            ret = greedy_return(step)
             if abs(ret - target) <= tol:
                 return ret, step, learner
-    ret = _qmix_greedy_return(learner, env, eval_episodes,
-                              np.random.default_rng([seed, max_steps]))
-    return ret, max_steps, learner
+    return greedy_return(max_steps), max_steps, learner
 
 
 def test_A1_qmix_reaches_multistep_cooperative_optimum():
@@ -154,13 +143,17 @@ def test_A4_iql_converges_to_induced_mdp_values():
     rng = np.random.default_rng(11)
     learner = qmix.QmixLearner(env, "independent", rng, hidden=(32,), lr=1e-3)
     buf = ReplayBuffer(5000)
-    state = env.reset(rng)
+
+    def act(index):    # seat 1 plays opp after the learner's epsilon draws
+        joint = learner.act(index, rng, 0.5)
+        joint[:, 1] = rng.choice(2, p=opp[index[0]])
+        return joint
+    live = (env.reset_batch(1, rng), 0)
     steps_used = 6000
     for step in range(1, steps_used + 1):
         if step == 4000:
             learner.opt.lr = 1e-4
-        tr, state = qmix.collect_step(env, learner, state, 0.5, rng,
-                                      scripted={1: opp})
+        tr, live = qmix.collect_step(env, act, live, rng)
         # the opponent-marginalized process rewards the expected payoff of
         # the chosen arm; training on it removes the sampling-noise floor
         tr = tr._replace(rewards=(float(mdp.reward[tr.state, tr.actions[0]]), 0.0))
@@ -247,19 +240,15 @@ def _train_maddpg_gap(seed, max_steps=30000):
     rng = np.random.default_rng(seed)
     learner = maddpg.MaddpgLearner(env, rng, hidden=(32,), lr=2e-3, tau=0.02)
     buf = ReplayBuffer(5000)
-    state = env.reset(rng)
+    live = (env.reset_batch(1, rng), 0)
     gap = np.inf
     for step in range(1, max_steps + 1):
-        joint = learner.act([state.index], rng, explore=True)[0]
-        nxt, rewards, done = env.step(state, joint, rng)
-        buf.push(JointTransition(state=state.index, actions=joint,
-                                 rewards=tuple(float(r) for r in rewards),
-                                 next_state=nxt.index, done=done))
-        state = env.reset(rng) if done else nxt
+        tr, live = qmix.collect_step(env, lambda index: learner.act(index, rng), live, rng)
+        buf.push(tr)
         if len(buf) >= 64:
             learner.learner_step(buf.sample(64, rng), rng)
         if step % 500 == 0:
-            a = learner.act([env.reset(rng).index], rng, explore=False)[0]
+            a = learner.act(env.reset_batch(1, rng), rng, explore=False)[0]
             gap = abs(a[0] + a[1] - 1.0)
             if gap < 0.1:
                 return gap, step
@@ -305,19 +294,12 @@ def test_A9_decentralized_target_matches_ctde_with_trained_models():
     script = np.stack([learner.actors[1].probs_np(learner.target, eye[[s]])[0]
                        for s in range(env.n_states)])
 
-    collected = []
-    state = env.reset(rng)
-    while len(collected) < 20000:
-        a0 = int(learner.actors[0].sample_np(EVAL, eye[[state.index]], rng)[0])
-        a1 = int(rng.choice(2, p=script[state.index]))
-        nxt, rewards, done = env.step(state, (a0, a1), rng)
-        collected.append(JointTransition(state=state.index, actions=(a0, a1),
-                                         rewards=tuple(map(float, rewards)),
-                                         next_state=nxt.index, done=done))
-        state = env.reset(rng) if done else nxt
-
-    buf = ReplayBuffer(len(collected))
-    for tr in collected:
+    def act(index):    # agent 0 samples its live actor, agent 1 the frozen script
+        a0 = learner.actors[0].sample_np(EVAL, eye[index], rng)[0]
+        return np.array([[a0, rng.choice(2, p=script[index[0]])]])
+    buf, live = ReplayBuffer(20000), (env.reset_batch(1, rng), 0)
+    for _ in range(20000):
+        tr, live = qmix.collect_step(env, act, live, rng)
         buf.push(tr)
     for _ in range(1500):
         learner.opponent_model_update(buf.sample(256, rng))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marlab import dial, envs, ndiff
+from marlab import cli, dial, envs, ndiff
 from marlab.dial import (
     CHANNEL_MODES,
     DialError,
@@ -286,14 +286,13 @@ def test_rial_learns_to_signal():
 
 def test_rial_reaches_the_env_only_through_its_batched_calls(monkeypatch):
     sys_ = RialSystem(relay(), np.random.default_rng(15), batch_size=4)
-    calls = count_calls(monkeypatch, envs.MarkovGame, ["reset", "step", "reset_batch",
-                                                       "step_batch"])
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["reset_batch", "step_batch"])
     rng = np.random.default_rng(4)
     losses = [sys_.step(rng, 0.3) for _ in range(5)]
     assert losses[0] is None and losses[-1] is not None
     sys_.evaluate(50, rng)
     horizon = relay().horizon
-    assert calls == {"reset": 0, "step": 0, "reset_batch": 6, "step_batch": 6 * horizon}
+    assert calls == {"reset_batch": 6, "step_batch": 6 * horizon}
 
 
 def test_play_episode_pushes_one_record_per_env_step(monkeypatch):
@@ -310,10 +309,10 @@ def test_play_episode_pushes_one_record_per_env_step(monkeypatch):
 
 
 def test_unroll_steps_all_episodes_together(monkeypatch):
-    calls = count_calls(monkeypatch, envs.MarkovGame, ["step", "step_batch"])
+    calls = count_calls(monkeypatch, envs.MarkovGame, ["step_batch"])
     u = make_system(seed=4).unroll(Graph(), 32, np.random.default_rng(0))
     assert u.actions.shape == (2, 32, 2)
-    assert calls == {"step": 0, "step_batch": 2}
+    assert calls == {"step_batch": 2}
 
 
 # -- one stack for all agents -------------------------------------------------
@@ -379,6 +378,22 @@ def test_stacked_unroll_equals_per_agent_cells_bit_for_bit(channel, net_hidden):
         for stacked, p in zip(sys_.params(), cell.net.params):
             assert stacked.grad[i].tobytes() == p.grad.tobytes()
     assert np.any(sys_.params()[0].grad[relay().meta["listener"]])
+
+
+def test_rial_td_loss_gradients_match_finite_differences():
+    rng = np.random.default_rng(21)
+    sys_ = RialSystem(relay(), rng, net_hidden=(6,), batch_size=6)
+    for _ in range(4):
+        sys_.play_episode(rng, 0.5)
+    # every parameter, biases too, away from zero: at their initial zero biases, all-zero
+    # input rows put relu inputs at the kink, where finite differences straddle it
+    for p in sys_.opt.params:
+        p.value[...] = rng.choice([-1.0, 1.0], size=p.shape) * rng.uniform(0.2, 1.0, size=p.shape)
+    own = np.arange(sys_.n_agents)
+    b = RialTransition._make(col[own, :, own] for col in sys_.buffer.sample((2, 6), rng))
+    y = rng.normal(size=(sys_.n_agents, 6))
+    err = grad_check(lambda g: sys_.td_loss(g, b, y)[0], sys_.opt.params)
+    assert err < cli.GRADCHECK_TOL
 
 
 def test_stacked_td_update_equals_per_head_updates_bit_for_bit():

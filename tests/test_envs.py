@@ -13,7 +13,6 @@ from marlab.envs import (
     InvalidAction,
     MarkovGame,
     NonDiscrete,
-    SteppedTerminal,
     enumerate_joint_actions,
     fixture_by_name,
     game_from_dict,
@@ -30,10 +29,9 @@ def rng():
 
 def test_matching_pennies_payoffs():
     g = fixture_by_name("matching_pennies")
-    s = g.reset(rng())
-    nxt, r, done = g.step(s, (0, 0), rng())
-    assert np.array_equal(r, [1.0, -1.0])
-    assert done and nxt.done
+    _, r, done = g.step_batch(g.reset_batch(1, rng()), 0, [[0, 0]], rng())
+    assert np.array_equal(r, [[1.0, -1.0]])
+    assert done.tolist() == [True]
     for joint in enumerate_joint_actions(g):
         r = g.reward_vector(0, joint)
         assert r.sum() == 0.0
@@ -51,50 +49,46 @@ def test_coop_climb_payoffs():
 
 def test_coop_cts_reward_surface():
     g = fixture_by_name("coop_cts")
-    s = g.reset(rng())
-    _, r, done = g.step(s, (0.5, 0.5), rng())
-    assert np.array_equal(r, [0.0, 0.0])
-    assert done
-    s = g.reset(rng())
-    _, r, _ = g.step(s, (1.0, 1.0), rng())
-    assert np.allclose(r, [-1.0, -1.0])
+    _, r, done = g.step_batch(g.reset_batch(1, rng()), 0, [[0.5, 0.5]], rng())
+    assert np.array_equal(r, [[0.0, 0.0]])
+    assert done.tolist() == [True]
+    _, r, _ = g.step_batch(g.reset_batch(1, rng()), 0, [[1.0, 1.0]], rng())
+    assert np.allclose(r, [[-1.0, -1.0]])
 
 
 def test_box_action_validation():
     g = fixture_by_name("coop_cts")
     with pytest.raises(InvalidAction):
-        g.step(g.reset(rng()), (1.5, 0.0), rng())
+        g.step_batch(g.reset_batch(1, rng()), 0, [[1.5, 0.0]], rng())
 
 
 def test_two_step_coop_dynamics():
     g = fixture_by_name("two_step_coop")
     r0 = rng()
-    s = g.reset(r0)
-    assert s.index == 0
-    s1, r, done = g.step(s, (0, 0), r0)
-    assert s1.index == 1 and not done and np.array_equal(r, [0.0, 0.0])
-    s2, r, done = g.step(s1, (1, 1), r0)
-    assert done and np.array_equal(r, [10.0, 10.0])
-    with pytest.raises(SteppedTerminal):
-        g.step(s2, (0, 0), r0)
+    s = g.reset_batch(1, r0)
+    assert s.tolist() == [0]
+    s1, r, done = g.step_batch(s, 0, [[0, 0]], r0)
+    assert s1.tolist() == [1] and not done[0] and np.array_equal(r, [[0.0, 0.0]])
+    _, r, done = g.step_batch(s1, 1, [[1, 1]], r0)
+    assert done[0] and np.array_equal(r, [[10.0, 10.0]])
 
 
 def test_two_step_coop_horizon_caps_episodes():
     g = fixture_by_name("two_step_coop")
     r0 = rng()
-    s = g.reset(r0)
-    s, _, done = g.step(s, (0, 1), r0)   # stay in s0
-    assert s.index == 0 and not done
-    s, _, done = g.step(s, (0, 1), r0)   # horizon 2 reached
-    assert done
+    s = g.reset_batch(1, r0)
+    s, _, done = g.step_batch(s, 0, [[0, 1]], r0)   # stay in s0
+    assert s.tolist() == [0] and not done[0]
+    s, _, done = g.step_batch(s, 1, [[0, 1]], r0)   # horizon 2 reached
+    assert done[0]
 
 
 def test_discrete_action_validation():
     g = fixture_by_name("matching_pennies")
     with pytest.raises(InvalidAction):
-        g.step(g.reset(rng()), (0, 2), rng())
+        g.step_batch(g.reset_batch(1, rng()), 0, [[0, 2]], rng())
     with pytest.raises(InvalidAction):
-        g.step(g.reset(rng()), (0,), rng())
+        g.step_batch(g.reset_batch(1, rng()), 0, [[0]], rng())
 
 
 def test_enumerate_joint_actions_orders():
@@ -211,8 +205,8 @@ def test_signal_relay_observation_split():
     g = fixture_by_name("signal_relay")
     bits = g.meta["bit_of_state"]
     for s in range(4):
-        assert g.obs(0, s)[0] == bits[s]
-        assert g.obs(1, s)[0] == 0.0
+        assert g.obs_tables[0][s, 0] == bits[s]
+        assert g.obs_tables[1][s, 0] == 0.0
     assert g.obs_dim(0) == g.obs_dim(1) == 1
 
 
@@ -220,30 +214,30 @@ def test_signal_relay_reward_grades_listener():
     g = fixture_by_name("signal_relay")
     r0 = rng()
     for bit in (0, 1):
-        start = envs.EpisodeState(index=bit, t=0)
-        mid, r, done = g.step(start, (0, 0), r0)
-        assert not done and np.array_equal(r, [0.0, 0.0])
-        assert mid.index == 2 + bit
-        _, r, done = g.step(mid, (1, bit), r0)
-        assert done and np.array_equal(r, [1.0, 1.0])
-        mid2, _, _ = g.step(start, (1, 1), r0)
-        _, r, _ = g.step(mid2, (0, 1 - bit), r0)
-        assert np.array_equal(r, [0.0, 0.0])
+        mid, r, done = g.step_batch([bit], 0, [[0, 0]], r0)
+        assert not done[0] and np.array_equal(r, [[0.0, 0.0]])
+        assert mid.tolist() == [2 + bit]
+        _, r, done = g.step_batch(mid, 1, [[1, bit]], r0)
+        assert done[0] and np.array_equal(r, [[1.0, 1.0]])
+        mid2, _, _ = g.step_batch([bit], 0, [[1, 1]], r0)
+        _, r, _ = g.step_batch(mid2, 1, [[0, 1 - bit]], r0)
+        assert np.array_equal(r, [[0.0, 0.0]])
 
 
 def test_signal_relay_init_distribution():
     g = fixture_by_name("signal_relay")
     r0 = np.random.default_rng(123)
-    starts = [g.reset(r0).index for _ in range(2000)]
+    starts = g.reset_batch(2000, r0).tolist()
     assert set(starts) == {0, 1}
     assert 0.45 < np.mean([s == 1 for s in starts]) < 0.55
 
 
-def test_encode_state_one_hot():
+def test_observations_default_to_one_hot_states():
     g = fixture_by_name("two_step_coop")
-    assert np.array_equal(g.encode_state(1), [0.0, 1.0])
-    assert np.array_equal(g.encode_state(envs.EpisodeState(0, 0)), [1.0, 0.0])
-    assert np.array_equal(fixture_by_name("coop_cts").encode_state(0), [1.0])
+    assert g.state_dim == 2
+    for table in g.obs_tables:
+        assert np.array_equal(table, [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(fixture_by_name("coop_cts").obs_tables[1], [[1.0]])
 
 
 @st.composite
@@ -318,16 +312,6 @@ def test_rock_paper_scissors_is_antisymmetric():
         assert g.reward_vector(0, (a, b))[0] == -g.reward_vector(0, (b, a))[0]
 
 
-def test_reset_ignores_done_state_reuse():
-    g = fixture_by_name("matching_pennies")
-    r0 = rng()
-    s = g.reset(r0)
-    _, _, done = g.step(s, (1, 1), r0)
-    assert done
-    fresh = g.reset(r0)
-    assert fresh.t == 0 and not fresh.done
-
-
 # -- the batched transition path ----------------------------------------------
 
 def _episodes(g, seed, n=6):
@@ -355,12 +339,12 @@ def test_step_batch_equals_table_lookups_and_sequential_steps(g, seed):
         assert done[e] == (g.terminal_after[key] or t + 1 >= g.horizon)
     assert rb.bit_generator.state == rc.bit_generator.state
 
-    # the scalar path, one episode after the other
+    # batches of one, one episode after the other, as a training step's live episode steps
     rs = np.random.default_rng(seed)
-    for e, (s, joint) in enumerate(zip(index, actions)):
-        state, r, d = g.step(envs.EpisodeState(index=int(s), t=t), tuple(joint), rs)
-        assert (state.index, state.t, state.done, d) == (nxt[e], t + 1, done[e], done[e])
-        assert np.array_equal(r, rewards[e])
+    for e in range(len(index)):
+        n1, r1, d1 = g.step_batch(index[e:e + 1], t, actions[e:e + 1], rs)
+        assert (n1.tolist(), d1.tolist()) == ([nxt[e]], [done[e]])
+        assert np.array_equal(r1, rewards[e:e + 1])
     assert rs.bit_generator.state == rb.bit_generator.state
 
 
@@ -387,14 +371,18 @@ def test_batched_rollout_equals_episode_by_episode_loop(g, seed):
     rb = np.random.default_rng(seed)
     totals = cli.rollout_returns(g, lambda index: table[index], episodes, g.gamma, rb)
 
+    # brute force: episode by episode, table lookups and one Generator.choice per draw
     rs = np.random.default_rng(seed)
     expect = np.zeros((episodes, g.n_agents))
     for e in range(episodes):
-        state, disc = g.reset(rs), 1.0
-        while not state.done:
-            state, rewards, _ = g.step(state, tuple(table[state.index]), rs)
-            expect[e] += disc * rewards
+        s, disc = rs.choice(g.n_states, p=g.init_dist), 1.0
+        for _ in range(g.horizon):
+            key = (s, *table[s])
+            expect[e] += disc * g.rewards[key]
             disc *= g.gamma
+            s = rs.choice(g.n_states, p=g.transition[key])
+            if g.terminal_after[key]:
+                break
     assert np.array_equal(totals, expect)
     assert rb.bit_generator.state == rs.bit_generator.state
 

@@ -26,10 +26,10 @@ def disc_learner(env_name="matching_pennies", seed=0, **kw):
 def cts_batch(env, rng, n, explore=lambda rng: rng.uniform(-1.0, 1.0, size=2)):
     out = []
     for _ in range(n):
-        st = env.reset(rng)
+        index = env.reset_batch(1, rng)
         a = tuple(float(x) for x in explore(rng))
-        nxt, r, done = env.step(st, a, rng)
-        out.append(JointTransition(st.index, a, tuple(r), nxt.index, bool(done)))
+        nxt, r, done = env.step_batch(index, 0, [a], rng)
+        out.append(JointTransition(index[0], a, tuple(r[0]), nxt[0], bool(done[0])))
     return stacked(out)
 
 
@@ -370,12 +370,12 @@ def test_live_vector_moves_reach_targets_only_on_sync():
 def test_act_explores_inside_box_and_greedy_is_deterministic():
     learner, env = cts_learner(seed=17)
     rng = np.random.default_rng(12)
-    st = env.reset(rng)
+    index = env.reset_batch(1, rng)
     for _ in range(100):
-        a = learner.act([st.index], rng, explore=True)[0]
+        a = learner.act(index, rng, explore=True)[0]
         assert all(-1.0 <= x <= 1.0 for x in a)
-    g1 = learner.act([st.index], rng, explore=False)
-    g2 = learner.act([st.index], rng, explore=False)
+    g1 = learner.act(index, rng, explore=False)
+    g2 = learner.act(index, rng, explore=False)
     assert np.array_equal(g1, g2)
 
 

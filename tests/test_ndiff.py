@@ -995,11 +995,16 @@ _EDGE_BITS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072004e-308, 2.22
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_tree_json_keeps_every_float64_bit(bits, rows):
     bits = np.array((_EDGE_BITS + bits) * rows, dtype=np.uint64)
-    value = bits.view(np.float64).reshape(rows, -1)
+    finite = bits[np.isfinite(bits.view(np.float64))]
+    value = finite.view(np.float64).reshape(rows, -1)
     tree = {"t": [param(value, name="t")]}
     twin = {"t": [param(np.zeros_like(value), name="t")]}
     tree_from_json(json.loads(json.dumps(tree_to_json(tree))), twin)
-    assert np.array_equal(twin["t"][0].value.view(np.uint64).reshape(-1), bits)
+    assert np.array_equal(twin["t"][0].value.view(np.uint64).reshape(-1), finite)
+    # every bit pattern of an infinity or a NaN is refused
+    blob = json.loads(json.dumps(tree_to_json({"t": [param(bits.view(np.float64), name="t")]})))
+    with pytest.raises(NdiffError, match="payload/t/t: holds a NaN or infinite value"):
+        tree_from_json(blob, {"t": [param(np.zeros(len(bits)), name="t")]})
 
 
 def test_tree_rejects_a_duplicate_tensor_name():
@@ -1036,6 +1041,14 @@ def _edited(blob, edit):
      r"payload/inner/scalar/s: does not fill shape \(1, 1\)", ShapeMismatch),
     (lambda b: b["nets"][1].update({"net1/b0": "abc"}),
      r"payload/nets/1/net1/b0: does not fill shape \(1, 3\)", ShapeMismatch),
+    (lambda b: b["nets"][1].update({"net1/b0": tree_to_json(param([[0.0, np.nan, 0.0]]))}),
+     "payload/nets/1/net1/b0: holds a NaN or infinite value", NdiffError),
+    (lambda b: b["nets"][0].update({"net0/W0": tree_to_json(param(np.full((2, 3), np.inf)))}),
+     "payload/nets/0/net0/W0: holds a NaN or infinite value", NdiffError),
+    (lambda b: b["nets"][1].update({"net1/b0": [[0.0, 0.0, np.nan]]}),
+     "payload/nets/1/net1/b0: holds a NaN or infinite value", NdiffError),
+    (lambda b: b["inner"]["scalar"].update(s=[[-np.inf]]),
+     "payload/inner/scalar/s: holds a NaN or infinite value", NdiffError),
 ])
 def test_tree_from_json_names_the_path_that_does_not_fit(edit, path, error):
     tree = _tree(5)

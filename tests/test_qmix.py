@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from marlab import cli, envs, ndiff, oracle, qmix
 from marlab.buffer import JointTransition, ReplayBuffer
+from marlab.maddpg import MaddpgLearner
 from marlab.ndiff import EVAL, DenseNet, Graph, backward, grad_check, param
 from marlab.qmix import (
     MODES,
@@ -60,9 +61,8 @@ def test_continuous_actions_rejected():
 
 
 def test_vdn_mix_is_plain_sum():
-    learner, env = make("vdn")
-    s = env.reset(np.random.default_rng(0))
-    assert learner.mix([0.5, -0.25], s) == 0.25
+    learner, _ = make("vdn")
+    assert learner.mix([0.5, -0.25], 0) == 0.25
     assert learner.mix([3.0, 4.0], 1) == 7.0
 
 
@@ -220,23 +220,19 @@ def test_nonterminal_target_uses_target_net_max():
 def test_greedy_ties_break_to_lowest_index():
     learner, env = make("vdn")
     zero_all(learner)
-    assert learner.greedy_joint([env.reset(np.random.default_rng(0)).index]).tolist() == [[0, 0]]
+    assert learner.greedy_joint(env.reset_batch(1, np.random.default_rng(0))).tolist() == [[0, 0]]
 
 
 def test_epsilon_extremes():
     learner, env = make("vdn", seed=2)
     zero_all(learner)
     learner.heads[0].biases[-1].value[...] = np.array([0.0, 2.0])
-    s = env.reset(np.random.default_rng(0))
+    index = env.reset_batch(1, np.random.default_rng(0))
     rng = np.random.default_rng(123)
-    assert learner.act_epsilon_greedy(s, 0.0, rng) == (1, 1)
+    assert learner.act(index, rng, 0.0).tolist() == [[1, 1]]
 
-    counts = np.zeros(2)
-    for _ in range(4000):
-        a = learner.act_epsilon_greedy(s, 1.0, rng)
-        counts[a[0]] += 1
-    freq = counts / counts.sum()
-    assert 0.45 < freq[0] < 0.55
+    a = learner.act(np.repeat(index, 4000), rng, 1.0)
+    assert 0.45 < np.mean(a[:, 0] == 0) < 0.55
 
 
 def test_epsilon_schedule_endpoints():
@@ -347,7 +343,7 @@ def test_stacked_heads_match_per_agent_heads_bit_for_bit(monkeypatch, mode, arit
         expect_joint = tuple(int(ref.integers(k)) if ref.random() < 0.5
                              else int(net.forward(EVAL, x).argmax())
                              for k, net in zip(arities, live))
-        assert learner.act_epsilon_greedy(0, 0.5, joint) == expect_joint
+        assert learner.act(np.array([0]), joint, 0.5).tolist() == [list(expect_joint)]
         assert learner.td_update(batch) == expect
         # a shared head sums its agents' adjoints in another order than separate records do
         assert np.array_equal(clipped[-1], grad) or share and np.allclose(clipped[-1], grad)
@@ -446,8 +442,7 @@ def test_acting_runs_one_off_tape_dense_per_layer(monkeypatch, mode):
     calls = count_calls(monkeypatch, ndiff.OffTape, ["op"])
     learner.greedy_joint(np.arange(env.n_states))
     assert calls["op"] == 3
-    learner.act_epsilon_greedy(env.reset(np.random.default_rng(0)), 0.5,
-                               np.random.default_rng(1))
+    learner.act(env.reset_batch(1, np.random.default_rng(0)), np.random.default_rng(1), 0.5)
     assert calls["op"] == 6
 
 
@@ -467,15 +462,14 @@ def test_target_nets_sync_on_interval():
 
 
 def test_shared_parameters_tie_agent_heads():
-    learner, env = make("vdn", env_name="coop_climb", seed=6, share_params=True)
-    s = env.reset(np.random.default_rng(0))
-    u = learner.utilities(s)
+    learner, _ = make("vdn", env_name="coop_climb", seed=6, share_params=True)
+    u = learner.utilities(0)
     assert np.array_equal(u[0], u[1])
     psi = learner.checkpoint_tree()["psi"]
     assert psi and all(p.name.startswith("agents_shared/") for p in psi)
     tr = JointTransition(state=0, actions=(0, 1), rewards=(-30.0, -30.0), next_state=0, done=True)
     learner.td_update(stacked([tr] * 4))
-    u2 = learner.utilities(s)
+    u2 = learner.utilities(0)
     assert np.array_equal(u2[0], u2[1])
 
 
@@ -484,17 +478,22 @@ def test_independent_learner_recovers_value_against_scripted_coin():
     rng = np.random.default_rng(42)
     learner = QmixLearner(env, "independent", rng, hidden=(16,), lr=1e-3)
     buf = ReplayBuffer(5000)
-    scripted = {1: np.array([[0.7, 0.3]])}
-    state = env.reset(rng)
+    coin = np.array([[0.7, 0.3]])
+
+    def act(index):    # seat 1 plays the coin after the learner's epsilon draws
+        joint = learner.act(index, rng, 0.5)
+        joint[:, 1] = rng.choice(2, p=coin[index[0]])
+        return joint
+    live = (env.reset_batch(1, rng), 0)
     for step in range(5000):
-        tr, state = collect_step(env, learner, state, 0.5, rng, scripted=scripted)
+        tr, live = collect_step(env, act, live, rng)
         buf.push(tr)
         if step == 3500:
             learner.opt.lr = 1e-4
         if step >= 128:
             learner.td_update(buf.sample(64, rng))
     q0 = learner.utilities(0)[0]
-    mdp = envs.induce_mdp(env, 0, {1: scripted[1]})
+    mdp = envs.induce_mdp(env, 0, {1: coin})
     expect = oracle.tabular_q_iteration(mdp).q[0]
     # sampled +/-1 rewards leave a sampling-noise floor of about 0.013 on
     # each arm after 5000 steps, so raw play is checked at 3e-2; the
@@ -525,14 +524,13 @@ def test_live_vector_moves_reach_targets_only_on_sync():
 
 
 def test_checkpoint_roundtrip_restores_utilities():
-    learner, env = make("qmix", seed=8)
-    s = env.reset(np.random.default_rng(0))
+    learner, _ = make("qmix", seed=8)
     blob = ndiff.tree_to_json(learner.checkpoint_tree())
-    before = [u.copy() for u in learner.utilities(s)]
+    before = [u.copy() for u in learner.utilities(0)]
     for p in learner.opt.params:
         p.value[...] += 1.0
     ndiff.tree_from_json(blob, learner.checkpoint_tree())
-    after = learner.utilities(s)
+    after = learner.utilities(0)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
     assert blob["mode"] == "qmix"
@@ -540,3 +538,76 @@ def test_checkpoint_roundtrip_restores_utilities():
     other, _ = make("vdn", seed=8)
     with pytest.raises(ndiff.NdiffError, match="payload/mode"):
         ndiff.tree_from_json(blob, other.checkpoint_tree())
+
+
+# -- the collector ----------------------------------------------------------------
+
+def _collector_case(algo, env_name, epsilon=0.5):
+    """The game, a learner's behaviour act(index, rng) and, for a value learner, the same
+    actions drawn by a per-agent epsilon-greedy loop: per agent one uniform, then one
+    integer if it explores."""
+    env = envs.fixture_by_name(env_name)
+    if algo == "maddpg":
+        learner = MaddpgLearner(env, np.random.default_rng(1), hidden=(8,))
+        return env, learner.act, learner.act
+    mode = {"iql": "independent", "qmix": "qmix"}[algo]
+    learner = QmixLearner(env, mode, np.random.default_rng(1), hidden=(8,))
+
+    def loop(index, rng):
+        u = learner.utilities(index[0])
+        return np.array([[rng.integers(k) if rng.random() < epsilon else u_i.argmax()
+                          for k, u_i in zip(learner.n_actions, u)]])
+    return env, lambda index, rng: learner.act(index, rng, epsilon), loop
+
+
+def _reference_collect(env, act, n, rng):
+    """n transitions by table lookups and Generator.choice: the start state's one uniform,
+    then per step act's draws, the transition's one uniform (none in a continuous game),
+    and a fresh start's one uniform when the episode ends."""
+    out, s, t = [], rng.choice(env.n_states, p=env.init_dist), 0
+    for _ in range(n):
+        joint = act(np.array([s]), rng)[0]
+        if env.all_discrete():
+            key = (s, *joint)
+            nxt, r = rng.choice(env.n_states, p=env.transition[key]), env.rewards[key]
+            done = env.terminal_after[key] or t + 1 >= env.horizon
+        else:
+            nxt, r, done = 0, env.reward_fn(joint), True
+        out.append(JointTransition(s, joint, r, nxt, done))
+        s, t = (rng.choice(env.n_states, p=env.init_dist), 0) if done else (nxt, t + 1)
+    return out
+
+
+@pytest.mark.parametrize("algo,env_name", [("iql", "two_step_coop"), ("iql", "coop_climb"),
+                                           ("qmix", "two_step_coop"), ("maddpg", "two_step_coop"),
+                                           ("maddpg", "coop_cts")])
+def test_collect_step_keeps_the_reference_draw_order(algo, env_name):
+    env, act, loop = _collector_case(algo, env_name)
+    rng = np.random.default_rng(9)
+    live, got = (env.reset_batch(1, rng), 0), []
+    for _ in range(40):
+        tr, live = collect_step(env, lambda index: act(index, rng), live, rng)
+        got.append(tr)
+    ref = np.random.default_rng(9)
+    expect = _reference_collect(env, loop, 40, ref)
+    for tr, want in zip(got, expect):
+        for field, a, b in zip(JointTransition._fields, tr, want):
+            assert np.array_equal(a, b), (field, a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert sum(tr.done for tr in got) >= 10    # every horizon-1 step, half the two-step ones
+
+
+@pytest.mark.parametrize("algo", ["iql", "qmix", "maddpg"])
+def test_collect_step_cycles_the_timestep_and_resets_with_one_uniform(algo):
+    env, act, _ = _collector_case(algo, "two_step_coop", epsilon=0.0)
+    rng = np.random.default_rng(2)
+    live, ts = (env.reset_batch(1, rng), 0), []
+    for _ in range(6):
+        ts.append(live[1])
+        _, live = collect_step(env, lambda index: act(index, rng), live, rng)
+    assert ts == [0, 1] * 3
+    # one uniform per agent's action (no exploring integer at epsilon 0) and per
+    # transition, and one per reset: the start and the three finished episodes
+    ref = np.random.default_rng(2)
+    ref.random(6 * (env.n_agents + 1) + 4)
+    assert rng.bit_generator.state == ref.bit_generator.state
