@@ -179,6 +179,17 @@ class MaddpgLearner:
         return self._bootstrap(batch, owner, s2, a2)
 
     # -- updates ----------------------------------------------------------
+    def critic_loss(self, g, batch, y):
+        """The critics' mean squared errors against the targets y, one (B,) row per agent,
+        summed in agent order on graph g."""
+        cols = [self._encode_action_col(i, batch.actions[:, i]) for i in range(self.n_agents)]
+        x = g.constant(self.critic_input(self._encode_states(batch.state), cols))
+        loss = None
+        for critic, y_i in zip(self.critics, y):
+            term = g.mean(g.square(g.sub(critic.forward(g, x), g.constant(y_i[:, None]))))
+            loss = term if loss is None else g.add(loss, term)
+        return loss
+
     def critic_update(self, batch, rng):
         """One TD regression step on every critic, on one graph; y bootstraps
         through the target actors, or when decentralized through each owner's
@@ -187,13 +198,8 @@ class MaddpgLearner:
             y = [self.target_decentralized(batch, i, rng) for i in range(self.n_agents)]
         else:
             y = self.target_ctde(batch, rng).T
-        cols = [self._encode_action_col(i, batch.actions[:, i]) for i in range(self.n_agents)]
         g = Graph()
-        x = g.constant(self.critic_input(self._encode_states(batch.state), cols))
-        loss = None
-        for critic, y_i in zip(self.critics, y):
-            term = g.mean(g.square(g.sub(critic.forward(g, x), g.constant(y_i[:, None]))))
-            loss = term if loss is None else g.add(loss, term)
+        loss = self.critic_loss(g, batch, y)
         self._descend(g, loss, self.critic_opts)
         return float(loss.value)
 
@@ -203,6 +209,20 @@ class MaddpgLearner:
             adam_step(opt.params, opt)
         for opt in self.opts:    # backward also reached nets that did not step
             opt.grad[...] = 0.0
+
+    def box_actor_loss(self, g, batch, i, cols):
+        """Minus critic i's batch mean, with box actor i's action on graph g and the
+        co-actors' encoded actions cols[j] fixed."""
+        s_t = g.constant(self._encode_states(batch.state))
+        a_i = self.actors[i].forward(g, s_t)
+        parts = [g.constant(cols[j]) if j != i else a_i for j in range(self.n_agents)]
+        return g.neg(g.mean(self.critics[i].forward(g, g.concat(s_t, *parts))))
+
+    def cat_actor_loss(self, g, batch, i, a_i, adv):
+        """The score-function loss of categorical actor i on graph g: minus the batch mean
+        of log pi_i(a_i | s) times the advantages adv."""
+        logp = g.log_softmax(self.actors[i].forward(g, g.constant(self._encode_states(batch.state))))
+        return g.neg(g.mean(g.mul(g.pick(logp, a_i), g.constant(adv[:, None]))))
 
     def actor_update(self, batch, i, rng):
         """One ascent step on agent i's objective; co-actions come from the
@@ -215,28 +235,35 @@ class MaddpgLearner:
                                            else self.actors[j].co_action_np(EVAL, s, rng))
                 for j in range(self.n_agents) if j != i}
 
+        g = Graph()
         if actor.kind == "box":
-            g = Graph()
-            s_t = g.constant(s)
-            a_i = actor.forward(g, s_t)
-            parts = [g.constant(cols[j]) if j != i else a_i for j in range(self.n_agents)]
-            q = self.critics[i].forward(g, g.concat(s_t, *parts))
-            objective = g.mean(q)
-            loss = g.neg(objective)
+            loss = self.box_actor_loss(g, batch, i, cols)
+            objective = -float(loss.value)
         else:
             a_i = actor.sample_np(EVAL, s, rng)
             parts = [cols[j] if j != i else self._encode_action_col(i, a_i)
                      for j in range(self.n_agents)]
             q = self.critics[i].forward(EVAL, self.critic_input(s, parts))[:, 0]
-            adv = q - q.mean()
-            g = Graph()
-            logp = g.log_softmax(actor.forward(g, g.constant(s)))
-            picked = g.pick(logp, a_i)
-            objective_value = float(q.mean())
-            loss = g.neg(g.mean(g.mul(picked, g.constant(adv[:, None]))))
-
+            objective = float(q.mean())
+            loss = self.cat_actor_loss(g, batch, i, a_i, q - q.mean())
         self._descend(g, loss, [self.actor_opts[i]])
-        return float(objective.value) if actor.kind == "box" else objective_value
+        return objective
+
+    def model_loss(self, g, batch):
+        """Every opponent model's NLL of the batch's co-actions minus beta times its
+        entropy, summed in (owner, co-actor) order on graph g; returns the root and the
+        models' NLL nodes."""
+        s_t = g.constant(self._encode_states(batch.state))
+        total, nlls = None, []
+        for (_, j), model in self.opponent_models.items():
+            logits = model.forward(g, s_t)
+            logp = g.log_softmax(logits)
+            nll = g.neg(g.mean(g.pick(logp, batch.actions[:, j])))
+            entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
+            term = g.sub(nll, g.mul(g.constant(np.asarray(self.beta)), entropy))
+            total = term if total is None else g.add(total, term)
+            nlls.append(nll)
+        return total, nlls
 
     def opponent_model_update(self, batch):
         """Max-likelihood step of every opponent model, all on one graph, with
@@ -245,19 +272,9 @@ class MaddpgLearner:
         if not self.opponent_models:
             raise MaddpgError("a CTDE learner models no opponents")
         g = Graph()
-        s_t = g.constant(self._encode_states(batch.state))
-        total = None
-        nll_value = 0.0
-        for (_, j), model in self.opponent_models.items():
-            logits = model.forward(g, s_t)
-            logp = g.log_softmax(logits)
-            nll = g.neg(g.mean(g.pick(logp, batch.actions[:, j])))
-            entropy = g.neg(g.mean(g.sum(g.mul(g.softmax(logits), logp), axis=1)))
-            term = g.sub(nll, g.mul(g.constant(np.asarray(self.beta)), entropy))
-            total = term if total is None else g.add(total, term)
-            nll_value += float(nll.value)
+        total, nlls = self.model_loss(g, batch)
         self._descend(g, total, self.model_opts.values())
-        return nll_value
+        return sum(float(nll.value) for nll in nlls)
 
     def model_probs(self, owner, j, index):
         s = self._encode_states([index])

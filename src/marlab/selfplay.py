@@ -61,12 +61,16 @@ def play_batch(env, probs_a, probs_b, n, rng):
     return a, b, r1, r2
 
 
+def policy_gradient_loss(g, logits, weights, scale):
+    """Minus E[log pi . weights] / scale on graph g, pi the softmax of the logits row."""
+    logp = g.log_softmax(logits)
+    return g.neg(g.mean(g.matmul(logp, g.constant(weights[:, None] / scale))))
+
+
 def _policy_gradient_step(logits, lr, weights, scale):
     """Ascend E[log pi . weights] / scale by one SGD step; returns the loss."""
     g = Graph()
-    logp = g.log_softmax(logits)
-    objective = g.mean(g.matmul(logp, g.constant(weights[:, None] / scale)))
-    loss = g.neg(objective)
+    loss = policy_gradient_loss(g, logits, weights, scale)
     backward(g, loss)
     sgd_step([logits], lr)
     return float(loss.value)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from marlab import envs, maddpg
+from marlab import cli, envs, maddpg
 from marlab.buffer import JointTransition
 from marlab.maddpg import Actor, ContinuousOpponent, MaddpgError, MaddpgLearner
-from marlab.ndiff import (EVAL, AdamState, Graph, adam_step, backward, copy_params,
+from marlab.ndiff import (EVAL, AdamState, Graph, adam_step, backward, copy_params, grad_check,
                           tree_from_json, tree_to_json)
 
 from batches import stacked
@@ -389,3 +389,39 @@ def test_checkpoint_roundtrip_restores_behavior():
     tree_from_json(blob, learner.checkpoint_tree())
     assert np.array_equal(learner.actors[0].probs_np(EVAL, np.ones((1, 1))), p_before)
     assert set(blob["opponent_models"]) == {"0_1", "1_0"}
+
+
+def _gradcheck_case(name, seed=31):
+    """A learner on the named game with every parameter, biases too, drawn away from zero
+    (at zero biases one-hot inputs put relu inputs at the kink), and a random batch."""
+    rng = np.random.default_rng(seed)
+    env = three_agent_game() if name == "coop3" else envs.fixture_by_name(name)
+    learner = MaddpgLearner(env, rng, hidden=(6,), decentralized=env.all_discrete())
+    for opt in learner.opts:
+        opt.value[...] = rng.choice([-1.0, 1.0], size=opt.value.shape) \
+            * rng.uniform(0.2, 1.0, size=opt.value.shape)
+    if env.all_discrete():
+        return learner, random_batch(env, rng, 8), rng
+    return learner, cts_batch(env, rng, 8), rng
+
+
+@pytest.mark.parametrize("name", ["coop_cts", "two_step_coop", "coop3"])
+def test_update_losses_gradients_match_finite_differences(name):
+    learner, batch, rng = _gradcheck_case(name)
+    n, size = learner.n_agents, len(batch.done)
+    critic = [p for opt in learner.critic_opts for p in opt.params]
+    y = rng.normal(size=(n, size))
+    errs = [grad_check(lambda g: learner.critic_loss(g, batch, y), critic)]
+    for i, actor in enumerate(learner.actors):
+        if actor.kind == "box":
+            cols = {j: rng.normal(size=(size, 1)) for j in range(n) if j != i}
+            loss = lambda g: learner.box_actor_loss(g, batch, i, cols)
+        else:
+            a_i, adv = rng.integers(actor.space.n, size=size), rng.normal(size=size)
+            loss = lambda g: learner.cat_actor_loss(g, batch, i, a_i, adv)
+        errs.append(grad_check(loss, actor.net.params))
+    if learner.decentralized:
+        models = [p for opt in learner.model_opts.values() for p in opt.params]
+        errs.append(grad_check(lambda g: learner.model_loss(g, batch)[0], models))
+    assert len(errs) == 1 + n + learner.decentralized
+    assert max(errs) < cli.GRADCHECK_TOL, errs

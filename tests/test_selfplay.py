@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from marlab import envs, oracle
+from marlab import cli, envs, oracle
 from marlab.envs import NotSymmetric, NotZeroSum
-from marlab.ndiff import tree_from_json, tree_to_json
+from marlab.ndiff import grad_check, tree_from_json, tree_to_json
 from marlab.selfplay import (
     SelfPlayRun,
     check_selfplay_env,
     exploit,
+    policy_gradient_loss,
     selfplay_step,
     total_variation,
 )
@@ -173,3 +174,13 @@ def test_checkpoint_roundtrip():
     run.logits.value[...] = 9.0
     tree_from_json(blob, run.checkpoint_tree())
     assert np.array_equal(run.policy(), saved)
+
+
+@pytest.mark.parametrize("name", ["matching_pennies", "rock_paper_scissors"])
+def test_policy_gradient_loss_gradients_match_finite_differences(name):
+    run = SelfPlayRun(envs.fixture_by_name(name))
+    rng = np.random.default_rng(5)
+    run.logits.value[...] = rng.choice([-1.0, 1.0], size=run.k) * rng.uniform(0.2, 1.0, size=run.k)
+    weights = rng.normal(size=run.k)
+    err = grad_check(lambda g: policy_gradient_loss(g, run.logits, weights, 512.0), [run.logits])
+    assert err < cli.GRADCHECK_TOL
