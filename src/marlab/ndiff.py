@@ -809,15 +809,18 @@ class DenseNet:
     def params(self):
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def net_params(self):
-        """Each net's list of params, named as a lone net's: a stack's are views into its slices."""
+    def net_params(self, params=None):
+        """Each net's list of params, or of tensors standing in for them, named as a lone
+        net's: a stack's are views into its slices."""
         return [[_wrap(p.value[i], False, f"{net}/{p.name.split('/')[-1]}") if self.stacked else p
-                 for p in self.params] for i, net in enumerate(self.names)]
+                 for p in params or self.params] for i, net in enumerate(self.names)]
 
-    def forward(self, g, x):
-        """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x."""
+    def forward(self, g, x, params=None):
+        """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x;
+        given one net's net_params(), that net's (B, out) alone, its params read-only."""
         h = x
-        for act, w, b in zip(self.activations, self.weights, self.biases):
+        ws, bs = (self.weights, self.biases) if params is None else (params[::2], params[1::2])
+        for act, w, b in zip(self.activations, ws, bs):
             h = g.op("dense", (h, w, b), act=act)
         return h
 
@@ -1028,6 +1031,8 @@ def tree_from_json(obj, tree, path="payload"):
             value = np.asarray(obj, dtype=np.float64).reshape(tree.value.shape)
         except (TypeError, ValueError):
             raise ShapeMismatch(f"{path}: does not fill shape {tree.value.shape}")
+        except OverflowError:    # an integer past float64's range, as a v1 list may hold
+            value = np.inf
         if not np.isfinite(value).all():
             raise NdiffError(f"{path}: holds a NaN or infinite value")
         tree.value[...] = value

@@ -1,5 +1,7 @@
 import ast
+import base64
 import copy
+import functools
 import gc
 import importlib
 import inspect
@@ -1057,6 +1059,83 @@ def test_tree_from_json_names_the_path_that_does_not_fit(edit, path, error):
         tree_from_json(_edited(blob, edit), _tree(5))
 
 
+def _json_paths(node, path=()):
+    """Every path into a JSON tree, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, path + (k,))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=5)
+
+
+def _edited_leaf(text, data):
+    """A base64 tensor leaf made bad base64, a byte or a float short or long, or holding a
+    NaN or an infinity; or the v1 list of its floats, as is or holding a NaN, an infinity
+    or an integer past float64's range."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+        values = np.frombuffer(raw, "<f8").copy()
+    except ValueError:    # an earlier edit broke it: replace it
+        return data.draw(_JSON)
+    if not values.size:    # an earlier edit emptied it
+        return data.draw(_JSON)
+    at = data.draw(st.integers(0, len(values) - 1))
+    edit = data.draw(st.sampled_from(["bad", "byte", "short", "long", "non-finite", "list",
+                                      "v1"]))
+    if edit == "bad":
+        cut = data.draw(st.integers(0, len(text) - 1))
+        return text[:cut] + data.draw(st.sampled_from(["*", "", "=", " "])) + text[cut + 1:]
+    if edit == "byte":
+        return base64.b64encode(raw[:-1] if data.draw(st.booleans()) else raw + b"\0").decode()
+    if edit in ("list", "v1"):
+        values = values.tolist()
+        if edit == "list":
+            values[at] = data.draw(st.sampled_from([np.nan, np.inf, -(10 ** 400)]))
+        return values
+    if edit == "non-finite":
+        values[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        values = values[:-1] if edit == "short" else np.append(values, 0.5)
+    return base64.b64encode(values.astype("<f8").tobytes()).decode()
+
+
+@given(data=st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_tree_from_json_loads_a_mutated_maddpg_dec_payload_finite_or_refuses_it(data):
+    # the decentralized learner's critics and models are stacks, loaded through slice views
+    learner = maddpg.MaddpgLearner(envs.two_step_coop(), np.random.default_rng(0), hidden=(3,),
+                                   decentralized=True)
+    blob = tree_to_json(learner.checkpoint_tree())
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_json_paths(blob))[1:]
+        leaves = [p for p in paths if isinstance(functools.reduce(lambda n, k: n[k], p, blob), str)]
+        edit = data.draw(st.sampled_from(["leaf", "leaf", "drop", "extra", "replace"]))
+        path = data.draw(st.sampled_from(leaves if edit == "leaf" and leaves else paths))
+        parent = functools.reduce(lambda node, k: node[k], path[:-1], blob)
+        node = parent[path[-1]]
+        if edit == "drop":
+            del parent[path[-1]]
+        elif edit == "extra" and isinstance(node, dict):
+            node[data.draw(st.text(max_size=6))] = data.draw(_JSON)
+        elif edit == "extra" and isinstance(node, list):
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(_JSON))
+        elif edit == "leaf" and isinstance(node, str):
+            parent[path[-1]] = _edited_leaf(node, data)
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    try:
+        tree_from_json(blob, learner.checkpoint_tree())
+    except NdiffError:
+        return
+    for vector in [opt.value for opt in learner.opts] + learner.target_values:
+        assert np.isfinite(vector).all()
+
+
 def _with_targets(algo, share_params=False, seed=4, **kw):
     """A learner, the optimizers whose value vectors its target graph lags,
     and those lagged vectors."""
@@ -1069,7 +1148,7 @@ def _with_targets(algo, share_params=False, seed=4, **kw):
         env = envs.coop_cts() if algo == "maddpg_ctde" else envs.two_step_coop()
         learner = maddpg.MaddpgLearner(env, rng, hidden=(8,),
                                        decentralized=algo == "maddpg_dec", **kw)
-        return learner, learner.actor_opts + learner.critic_opts, learner.target_values
+        return learner, learner.actor_opts + [learner.critic_opt], learner.target_values
     system = dial.RialSystem(envs.signal_relay(), rng, **kw)
     return system, [system.opt], [system.target_value]
 
