@@ -59,7 +59,7 @@ class Actor:
         return out
 
     def greedy(self, table, index):
-        """Deterministic action at each index into forward's rows: tanh mean or argmax."""
+        """Deterministic action at each index into forward's rows: the box action or argmax."""
         return table[index, 0] if self.kind == "box" else table.argmax(axis=1)[index]
 
     def sample(self, table, index, rng):
@@ -122,7 +122,6 @@ class MaddpgLearner:
         self.actor_opts = [AdamState(a.net.params, lr=lr) for a in self.actors]
         self.critic_opt = AdamState([self.critics.params], lr=lr)
         self.model_opt = AdamState([net.params for net in self.opponent_models], lr=lr)
-        self.opts = [*self.actor_opts, self.critic_opt, self.model_opt]
         self._critic_views = self.critics.net_params()    # each critic alone, for its actor
         # target value vectors of the actors in agent order, then of the critic stack
         self.target_values, self.target = target_graph(self.actor_opts + [self.critic_opt])

@@ -23,6 +23,10 @@ def disc_learner(env_name="matching_pennies", seed=0, **kw):
     return MaddpgLearner(env, np.random.default_rng(seed), **kw), env
 
 
+def optimizers(learner):
+    return [*learner.actor_opts, learner.critic_opt, learner.model_opt]
+
+
 def cts_batch(env, rng, n, explore=lambda rng: rng.uniform(-1.0, 1.0, size=2)):
     out = []
     for _ in range(n):
@@ -118,7 +122,7 @@ def test_actor_update_isolates_other_parameters():
         assert np.array_equal(b, c)
     assert any(np.max(np.abs(p.value - b)) > 0
                for p, b in zip(learner.actors[0].net.params, own_before))
-    for opt in learner.opts:
+    for opt in optimizers(learner):
         assert np.all(opt.grad == 0.0)
 
 
@@ -147,6 +151,7 @@ def test_score_function_ascent_prefers_dominant_action():
     rng = np.random.default_rng(4)
     # supervised fit of critic 0 to Q = 1 when its own action is 1, else 0
     critic, opt = learner.critics, learner.critic_opt
+    opt.lr = 1e-2
     for _ in range(500):
         a0 = rng.integers(2, size=64)
         a1 = rng.integers(2, size=64)
@@ -339,7 +344,7 @@ def test_decentralized_updates_equal_per_owner_graphs():
     for opt, ref_value, kept in zip([merged.critic_opt, merged.model_opt], lone, start):
         assert np.array_equal(opt.value, ref_value)
         assert not np.array_equal(opt.value, kept)
-    for opt in merged.opts:
+    for opt in optimizers(merged):
         assert np.all(opt.grad == 0.0)
 
 
@@ -386,7 +391,7 @@ def test_learner_step_moves_targets_by_polyak():
 def test_live_vector_moves_reach_targets_only_on_sync():
     learner, _ = disc_learner("two_step_coop", seed=19, tau=0.25, decentralized=True)
     before = [target.copy() for target in learner.target_values]
-    for opt in learner.opts:
+    for opt in optimizers(learner):
         opt.value += 1.0
     for target, kept in zip(learner.target_values, before):
         assert np.array_equal(target, kept)
@@ -414,30 +419,34 @@ def test_checkpoint_roundtrip_restores_behavior():
     rng = np.random.default_rng(13)
     blob = tree_to_json(learner.checkpoint_tree())
     p_before = learner.actors[0].probs_np(EVAL, np.ones((1, 1))).copy()
-    for opt in learner.opts:
-        opt.value += 0.25
+    saved = [v.copy() for v in [opt.value for opt in optimizers(learner)] + learner.target_values]
+    for v in [opt.value for opt in optimizers(learner)] + learner.target_values:
+        v += 0.25
     tree_from_json(blob, learner.checkpoint_tree())
     assert np.array_equal(learner.actors[0].probs_np(EVAL, np.ones((1, 1))), p_before)
+    # the critic and model stacks load through views of their slices, targets too
+    for v, kept in zip([opt.value for opt in optimizers(learner)] + learner.target_values, saved):
+        assert np.array_equal(v, kept)
     assert set(blob["opponent_models"]) == {"0_1", "1_0"}
 
 
-def _gradcheck_case(name, seed=31):
-    """A learner on the named game with every parameter, biases too, drawn away from zero
-    (at zero biases one-hot inputs put relu inputs at the kink), and a random batch."""
+def random_case(name, seed, hidden, size):
+    """A learner on the named game, decentralized when its actions are discrete, with every
+    parameter, biases too, drawn away from zero (at zero biases one-hot inputs put relu
+    inputs at the kink), and a random batch of the given size."""
     rng = np.random.default_rng(seed)
     env = three_agent_game() if name == "coop3" else envs.fixture_by_name(name)
-    learner = MaddpgLearner(env, rng, hidden=(6,), decentralized=env.all_discrete())
-    for opt in learner.opts:
+    learner = MaddpgLearner(env, rng, hidden=hidden, decentralized=env.all_discrete())
+    for opt in optimizers(learner):
         opt.value[...] = rng.choice([-1.0, 1.0], size=opt.value.shape) \
             * rng.uniform(0.2, 1.0, size=opt.value.shape)
-    if env.all_discrete():
-        return learner, random_batch(env, rng, 8), rng
-    return learner, cts_batch(env, rng, 8), rng
+    batch = random_batch(env, rng, size) if env.all_discrete() else cts_batch(env, rng, size)
+    return learner, batch, rng
 
 
 @pytest.mark.parametrize("name", ["coop_cts", "two_step_coop", "coop3"])
 def test_update_losses_gradients_match_finite_differences(name):
-    learner, batch, rng = _gradcheck_case(name)
+    learner, batch, rng = random_case(name, 31, (6,), 8)
     n, size = learner.n_agents, len(batch.done)
     critic = learner.critic_opt.params
     y = rng.normal(size=(n, size))
@@ -460,16 +469,6 @@ def test_update_losses_gradients_match_finite_differences(name):
 # Each net that reads only the state runs once on every state, and a batch row reads its
 # state's row.  The batch-row forms below run the same nets on every row's one-hot state.
 
-def _table_case(name, seed=41):
-    rng = np.random.default_rng(seed)
-    env = three_agent_game() if name == "coop3" else envs.fixture_by_name(name)
-    learner = MaddpgLearner(env, rng, hidden=(8,), decentralized=env.all_discrete())
-    for opt in learner.opts:    # relu inputs away from the kink, so rows differ from zero
-        opt.value[...] = rng.choice([-1.0, 1.0], size=opt.value.shape) \
-            * rng.uniform(0.2, 1.0, size=opt.value.shape)
-    return learner, env, random_batch(env, rng, 48) if env.all_discrete() else cts_batch(env, rng, 48)
-
-
 def _grads(params, g, root):
     for p in params:
         p.grad[...] = 0.0
@@ -486,7 +485,7 @@ def _assert_close(a, b):
 
 @pytest.mark.parametrize("name", ["coop_cts", "two_step_coop", "coop3"])
 def test_actor_tables_give_the_batch_rows_greedy_and_sampled_actions(name):
-    learner, env, batch = _table_case(name)
+    learner, batch, _ = random_case(name, 41, (8,), 48)
     index, rows = batch.state, learner._eye[batch.state]
     for graph in (EVAL, learner.target):
         for actor in learner.actors:
@@ -506,7 +505,7 @@ def test_actor_tables_give_the_batch_rows_greedy_and_sampled_actions(name):
 
 @pytest.mark.parametrize("name", ["two_step_coop", "coop3"])
 def test_model_tables_give_the_batch_rows_draws_loss_and_gradients(name):
-    learner, env, batch = _table_case(name)
+    learner, batch, _ = random_case(name, 41, (8,), 48)
     rows, params = learner._eye[batch.state], learner.model_opt.params
     tables = learner._model_tables()
     got, ref = np.random.default_rng(4), np.random.default_rng(4)
@@ -539,7 +538,7 @@ def test_model_tables_give_the_batch_rows_draws_loss_and_gradients(name):
 
 @pytest.mark.parametrize("name", ["coop_cts", "two_step_coop", "coop3"])
 def test_actor_losses_from_tables_equal_the_batch_rows_losses_and_gradients(name):
-    learner, env, batch = _table_case(name)
+    learner, batch, _ = random_case(name, 41, (8,), 48)
     rng = np.random.default_rng(5)
     s, size, n = batch.state, len(batch.state), learner.n_agents
     for i, actor in enumerate(learner.actors):

@@ -1132,7 +1132,8 @@ def test_tree_from_json_loads_a_mutated_maddpg_dec_payload_finite_or_refuses_it(
         tree_from_json(blob, learner.checkpoint_tree())
     except NdiffError:
         return
-    for vector in [opt.value for opt in learner.opts] + learner.target_values:
+    for vector in [opt.value for opt in [*learner.actor_opts, learner.critic_opt,
+                                         learner.model_opt]] + learner.target_values:
         assert np.isfinite(vector).all()
 
 
