@@ -817,7 +817,7 @@ class DenseNet:
 
     def forward(self, g, x, params=None):
         """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x;
-        given one net's net_params(), that net's (B, out) alone, its params read-only."""
+        given one net's net_params(), that net's (B, out) alone, by views taking no gradient."""
         h = x
         ws, bs = (self.weights, self.biases) if params is None else (params[::2], params[1::2])
         for act, w, b in zip(self.activations, ws, bs):
