@@ -355,7 +355,10 @@ def _as_int(name, v):
 def _as_float(name, v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InvalidConfig(f"{name} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:    # an integer past float64's range
+        raise InvalidConfig(f"{name} must be finite") from None
 
 
 def _as_str(name, v):
@@ -779,7 +782,7 @@ def _config_from_args(args):
             raise InvalidConfig(f"config file not found: {path}")
         try:
             file_dict = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:     # ValueError: JSONDecodeError, an over-long integer
             raise InvalidConfig(f"cannot parse config file: {e}")
         if not isinstance(file_dict, dict):
             raise InvalidConfig("config file must hold a JSON object")

@@ -76,6 +76,14 @@ def _draw(cdf, rng):
     return (cdf > rng.random((len(cdf), 1))).argmax(axis=1)
 
 
+def _float64(field, value):
+    """value as a float64 array; an integer past float64's range is not finite."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise EnvError(f"{field} must be finite") from None
+
+
 class MarkovGame:
     """N-agent Markov game over a finite state set.
 
@@ -101,7 +109,7 @@ class MarkovGame:
         self.n_agents = len(self.action_space)
         self.n_states = int(n_states)
         self.horizon = int(horizon)
-        self.gamma = float(gamma)
+        self.gamma = float(_float64("gamma", gamma))
         self.cooperative = bool(cooperative)
         self.zero_sum = bool(zero_sum)
         self.meta = dict(meta or {})
@@ -114,7 +122,7 @@ class MarkovGame:
         if init_dist is None:
             init_dist = np.zeros(self.n_states)
             init_dist[0] = 1.0
-        self.init_dist = np.asarray(init_dist, dtype=np.float64)
+        self.init_dist = _float64("init_dist", init_dist)
         if (self.init_dist.shape != (self.n_states,) or not (self.init_dist >= 0).all()
                 or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL):
             raise EnvError("init_dist must be a distribution over states")
@@ -122,8 +130,8 @@ class MarkovGame:
 
         if self.all_discrete():
             shape = (self.n_states,) + tuple(sp.n for sp in self.action_space)
-            self.rewards = np.asarray(rewards, dtype=np.float64)
-            self.transition = np.asarray(transition, dtype=np.float64)
+            self.rewards = _float64("rewards", rewards)
+            self.transition = _float64("transition", transition)
             for field, table, last in (("rewards", self.rewards, self.n_agents),
                                        ("transition", self.transition, self.n_states)):
                 if table.shape != shape + (last,):

@@ -11,8 +11,10 @@ rather than policy quality.
 
 import numpy as np
 
-from .envs import Discrete, NotSymmetric, NotZeroSum
+from .envs import Discrete, NotSymmetric, NotZeroSum, _cdf, _draw
 from .ndiff import EVAL, Graph, backward, param, sgd_step
+
+_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)    # Generator.choice's bound on |sum(p) - 1|
 
 
 def check_selfplay_env(env):
@@ -52,19 +54,21 @@ class SelfPlayRun:
 
 
 def play_batch(env, probs_a, probs_b, n, rng):
-    """Sample n one-shot episodes; returns (a, b, r1, r2) arrays."""
-    k = env.action_space[0].n
-    a = rng.choice(k, size=n, p=probs_a)
-    b = rng.choice(k, size=n, p=probs_b)
-    r1 = env.rewards[0, a, b, 0]
-    r2 = env.rewards[0, a, b, 1]
-    return a, b, r1, r2
+    """Sample n one-shot episodes; returns (a, b, r1, r2) arrays.  The seats
+    draw as two Generator.choice(k, size=n, p=...) calls would, seat a first,
+    and a row that choice refuses raises ValueError."""
+    probs = np.array((probs_a, probs_b), dtype=np.float64)
+    if (probs.shape != (2, env.action_space[0].n) or not probs.min() >= 0.0
+            or not abs(probs.sum(axis=1) - 1.0).max() <= _SUM_TOL):    # NaN fails both
+        raise ValueError("each seat needs a probability row over its actions")
+    a, b = _draw(np.repeat(_cdf(probs), n, axis=0), rng).reshape(2, n)
+    r = env.rewards[0, a, b]
+    return a, b, r[:, 0], r[:, 1]
 
 
 def policy_gradient_loss(g, logits, weights, scale):
     """Minus E[log pi . weights] / scale on graph g, pi the softmax of the logits row."""
-    logp = g.log_softmax(logits)
-    return g.neg(g.mean(g.matmul(logp, g.constant(weights[:, None] / scale))))
+    return g.matmul(g.log_softmax(logits), g.constant(-(weights[:, None] / scale)))
 
 
 def _policy_gradient_step(logits, lr, weights, scale):
@@ -73,7 +77,7 @@ def _policy_gradient_step(logits, lr, weights, scale):
     loss = policy_gradient_loss(g, logits, weights, scale)
     backward(g, loss)
     sgd_step([logits], lr)
-    return float(loss.value)
+    return loss.item()
 
 
 def selfplay_step(run, env, batch_episodes, rng):
@@ -86,9 +90,7 @@ def selfplay_step(run, env, batch_episodes, rng):
     coin = rng.random(batch_episodes) < 0.5
     reported = float(np.where(coin, r1, r2).mean())
 
-    weights = np.zeros(run.k)
-    np.add.at(weights, a, r1)
-    np.add.at(weights, b, r2)
+    weights = np.bincount(np.concatenate((a, b)), np.concatenate((r1, r2)), run.k)
     run.last_loss = _policy_gradient_step(run.logits, run.lr, weights, 2.0 * batch_episodes)
 
     run.history.append(reported)
@@ -123,8 +125,7 @@ def exploit(frozen, env, train_steps, rng, lr=0.05, batch_episodes=256,
         q = responder.policy()
         _, b, _, r2 = play_batch(env, probs, q, batch_episodes, rng)
         advantage = r2 - r2.mean()
-        weights = np.zeros(responder.k)
-        np.add.at(weights, b, advantage)
+        weights = np.bincount(b, advantage, responder.k)
         _policy_gradient_step(responder.logits, lr, weights, float(batch_episodes))
 
     q = responder.policy()

@@ -1,11 +1,14 @@
 import base64
 import dataclasses
 import json
+import math
+import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marlab import cli, envs, ndiff
@@ -74,6 +77,80 @@ def test_invalid_values_rejected(bad):
     base = {"algo": "qmix", "env": "two_step_coop"}
     with pytest.raises(InvalidConfig):
         build_config({**base, **bad})
+
+
+_HUGE = 10 ** 400    # a JSON integer past float64's range
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-_HUGE, _HUGE),
+    st.sampled_from([_HUGE, -_HUGE]), st.floats(), st.floats(0.0, 1.0), st.text(max_size=4),
+    st.sampled_from(list(cli.ALGOS) + ["two_step_coop", "matching_pennies"]),
+    st.lists(st.one_of(st.integers(-2, 64), st.floats(), st.just(_HUGE)), max_size=3))
+
+
+@given(algo=st.sampled_from(cli.ALGOS),
+       rest=st.dictionaries(st.sampled_from([f.name for f in cli.CONFIG_FIELDS]),
+                            _CONFIG_VALUES, max_size=6))
+@example(algo="qmix", rest={"lr": _HUGE})
+@example(algo="dial", rest={"beta": -_HUGE})
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_build_config_gives_finite_in_range_values_or_refuses_them(algo, rest):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MARLAB_SEED", None)
+        try:
+            cfg = build_config({"algo": algo, **rest})
+        except InvalidConfig:
+            return
+    for f in cli.CONFIG_FIELDS:
+        v = getattr(cfg, f.name)
+        if v is None:
+            assert f.name == "gamma"
+            continue
+        if f.type is float:
+            assert type(v) is float and math.isfinite(v), f.name
+        elif f.type is list:
+            assert all(type(h) is int for h in v), f.name
+        else:
+            assert type(v) is f.type, f.name
+        check = f.metadata["check"]
+        assert check is None or check(v), f.name
+
+
+@pytest.mark.parametrize("key", ["lr", "gamma", "tau", "beta", "epsilon_start", "epsilon_end"])
+def test_config_file_number_past_float_range_exits_2_naming_the_key(tmp_path, capsys, key):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: _HUGE}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"lr": ' + "9" * 5000 + "}")
+    assert cli.main(["train", "--config", str(cfgfile), "--out-dir", str(tmp_path / "run")]) == 2
+    assert "cannot parse config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,path", [("gamma", ()), ("init_dist", (0,)),
+                                        ("rewards", (0, 0, 0, 0)), ("transition", (1, 1, 1, 0))])
+def test_game_file_number_past_float_range_exits_2_naming_the_field(
+        tmp_path, capsys, field, path):
+    game = game_to_dict(two_step_coop())
+    if path:
+        cell = game[field]
+        for i in path[:-1]:
+            cell = cell[i]
+        cell[path[-1]] = _HUGE
+    else:
+        game[field] = _HUGE
+    game_file = tmp_path / "game.json"
+    game_file.write_text(json.dumps(game))
+    for argv in (["train", "--env", str(game_file), "--out-dir", str(tmp_path / "run")],
+                 ["oracle", "qiter", str(game_file)]):
+        assert cli.main(argv) == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_unknown_key_exits_2(tmp_path):
@@ -469,6 +546,8 @@ def _poison_leaf(tensors, value, as_list=False):
      "payload/critics/1/critic1/W0: holds a NaN or infinite value"),
     ("dial", lambda p: _poison_leaf(p["cells"][1], -np.inf),
      "payload/cells/1/cell1/W0: holds a NaN or infinite value"),
+    ("qmix", lambda p: p["config"].update(lr=_HUGE), "error: lr must be finite"),
+    ("dial", lambda p: p["config"].update(beta=-_HUGE), "error: beta must be finite"),
 ])
 def test_eval_rejects_a_checksummed_payload_that_does_not_fit_its_learner(
         tmp_path, capsys, trained, algo, edit, path):

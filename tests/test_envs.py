@@ -306,6 +306,74 @@ def test_game_from_dict_rejects_missing_keys():
         game_from_dict({"n_agents": 2})
 
 
+_HUGE = 10 ** 400    # a JSON integer past float64's range
+_FILE_FIXTURES = ["coop_climb", "matching_pennies", "rock_paper_scissors", "two_step_coop"]
+# small counts only: a game file's "states" sizes tables before they are checked
+_GAME_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([_HUGE, -_HUGE]),
+    st.floats(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+def _paths(node, prefix=()):
+    """The path of every dict entry and list item under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@given(name=st.sampled_from(_FILE_FIXTURES),
+       edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.sampled_from(["set", "drop", "append"]), _GAME_VALUES),
+                      min_size=1, max_size=4))
+@example(name="two_step_coop", edits=[(0.0, "set", _HUGE)])
+@example(name="matching_pennies", edits=[(0.99, "set", -_HUGE)])
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_game_from_dict_loads_a_mutated_game_valid_or_refuses_it(name, edits):
+    game = game_to_dict(fixture_by_name(name))
+    for where, how, value in edits:
+        paths = list(_paths(game))
+        if not paths:
+            break
+        *parent, key = paths[int(where * len(paths))]
+        node = game
+        for k in parent:
+            node = node[k]
+        if how == "drop":
+            del node[key]
+        elif how == "append" and isinstance(node[key], list):
+            node[key].append(value)
+        else:
+            node[key] = value
+    try:
+        g = game_from_dict(game)
+    except EnvError:
+        return
+    shape = (g.n_states,) + tuple(sp.n for sp in g.action_space)
+    assert g.rewards.shape == shape + (g.n_agents,)
+    assert g.transition.shape == g.terminal_after.shape + (g.n_states,) == shape + (g.n_states,)
+    assert np.isfinite(g.rewards).all() and (g.transition >= 0).all()
+    assert np.allclose(g.transition.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert g.init_dist.shape == (g.n_states,) and (g.init_dist >= 0).all()
+    assert abs(g.init_dist.sum() - 1.0) <= 1e-12 and 0.0 <= g.gamma <= 1.0
+
+
+@pytest.mark.parametrize("field", ["gamma", "init_dist", "rewards", "transition"])
+def test_game_from_dict_refuses_an_integer_past_float_range_naming_the_field(field):
+    game = game_to_dict(two_step_coop())
+    if field == "gamma":
+        game["gamma"] = _HUGE
+    else:
+        cell = game[field]
+        while isinstance(cell[0], list):
+            cell = cell[0]
+        cell[0] = -_HUGE
+    with pytest.raises(EnvError, match=f"{field} must be finite"):
+        game_from_dict(game)
+
+
 def test_rock_paper_scissors_is_antisymmetric():
     g = fixture_by_name("rock_paper_scissors")
     for a, b in itertools.product(range(3), range(3)):

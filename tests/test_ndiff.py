@@ -211,6 +211,16 @@ def test_no_model_keeps_a_second_forward():
                 assert not twins & set(vars(cls)), f"{mod.__name__}.{name}"
 
 
+def test_no_module_draws_with_generator_choice():
+    # every categorical draw goes through envs._cdf/envs._draw, which match
+    # Generator.choice's draws without re-checking p and rebuilding its CDF per call
+    for info in pkgutil.iter_modules(marlab.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"marlab.{info.name}")))
+        calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "choice"]
+        assert not calls, f"{info.name}: .choice( at lines {calls}"
+
+
 def test_no_module_imports_copy():
     # a target is a copy of a value vector that the live model's forward reads,
     # never a second model object

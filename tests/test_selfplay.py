@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab import cli, envs, oracle
 from marlab.envs import NotSymmetric, NotZeroSum
-from marlab.ndiff import grad_check, tree_from_json, tree_to_json
+from marlab.ndiff import Graph, backward, grad_check, sgd_step, tree_from_json, tree_to_json
 from marlab.selfplay import (
     SelfPlayRun,
     check_selfplay_env,
     exploit,
+    play_batch,
     policy_gradient_loss,
     selfplay_step,
     total_variation,
@@ -184,3 +187,105 @@ def test_policy_gradient_loss_gradients_match_finite_differences(name):
     weights = rng.normal(size=run.k)
     err = grad_check(lambda g: policy_gradient_loss(g, run.logits, weights, 512.0), [run.logits])
     assert err < cli.GRADCHECK_TOL
+
+
+def antisymmetric_game(k, seed):
+    """A symmetric zero-sum k x k matrix game with non-integer payoffs: seat 1
+    gets M[a, b], seat 2 gets -M[a, b] = M[b, a]."""
+    x = np.random.default_rng(seed).normal(size=(k, k))
+    m = x - x.T
+    return envs.MarkovGame(
+        name=f"antisymmetric{k}", action_space=[envs.Discrete(k)] * 2, horizon=1,
+        gamma=1.0, cooperative=False, zero_sum=True, n_states=1,
+        rewards=np.stack([m, -m], axis=-1)[None], transition=np.ones((1, k, k, 1)),
+        terminal_after=np.ones((1, k, k), dtype=bool))
+
+
+def _distribution(k, rng):
+    w = rng.random(k)
+    w[rng.random(k) < 0.3] = 0.0
+    w[rng.integers(k)] += 0.1      # at least one entry above zero
+    return w / w.sum()
+
+
+@given(k=st.integers(2, 5), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_play_batch_draws_as_two_generator_choice_calls(k, n, seed):
+    env = antisymmetric_game(k, seed)
+    prng = np.random.default_rng(seed + 1)
+    p, q = _distribution(k, prng), _distribution(k, prng)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b, r1, r2 = play_batch(env, p, q, n, rng)
+    a_ref, b_ref = ref.choice(k, size=n, p=p), ref.choice(k, size=n, p=q)
+    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+    assert a.dtype == a_ref.dtype
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(r1, env.rewards[0, a_ref, b_ref, 0])
+    assert np.array_equal(r2, env.rewards[0, a_ref, b_ref, 1])
+
+
+_BAD_ROWS = {
+    "nan": [np.nan, 0.5, 0.5],
+    "inf": [np.inf, 0.0, 0.0],
+    "minus_inf": [-np.inf, 1.0, 1.0],
+    "negative": [-0.2, 0.6, 0.6],
+    "short": [0.5, 0.5],
+    "long": [0.25, 0.25, 0.25, 0.25],
+    "off_sum": [0.4, 0.4, 0.4],
+    "just_off_sum": [1.0 / 3, 1.0 / 3, 1.0 / 3 + 1e-7],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_ROWS))
+def test_play_batch_refuses_the_rows_generator_choice_refuses(name):
+    env = envs.fixture_by_name("rock_paper_scissors")
+    bad, good = np.array(_BAD_ROWS[name]), np.full(3, 1.0 / 3)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, size=4, p=bad)
+    for probs in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            play_batch(env, *probs, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        exploit(bad, env, 2, np.random.default_rng(0), eval_episodes=4)
+
+
+def test_play_batch_accepts_a_row_within_generator_choice_tolerance():
+    env = envs.fixture_by_name("rock_paper_scissors")
+    p = np.array([1.0 / 3, 1.0 / 3, 1.0 / 3 + 1e-9])
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    a, b, _, _ = play_batch(env, p, p, 50, rng)
+    assert np.array_equal(a, ref.choice(3, size=50, p=p))
+    assert np.array_equal(b, ref.choice(3, size=50, p=p))
+
+
+def _reference_step(run, env, n, rng):
+    """The step as two Generator.choice draws, np.add.at pooling and a
+    neg-of-mean loss: the formulation play_batch and the two-op loss replace."""
+    p = run.policy()
+    a, b = rng.choice(run.k, size=n, p=p), rng.choice(run.k, size=n, p=p)
+    r1, r2 = env.rewards[0, a, b, 0], env.rewards[0, a, b, 1]
+    reported = float(np.where(rng.random(n) < 0.5, r1, r2).mean())
+    weights = np.zeros(run.k)
+    np.add.at(weights, a, r1)
+    np.add.at(weights, b, r2)
+    g = Graph()
+    logp = g.log_softmax(run.logits)
+    loss = g.neg(g.mean(g.matmul(logp, g.constant(weights[:, None] / (2.0 * n)))))
+    backward(g, loss)
+    sgd_step([run.logits], run.lr)
+    run.last_loss = float(loss.value)
+    run.history.append(reported)
+
+
+def test_selfplay_step_equals_the_reference_formulation_bit_for_bit():
+    env = antisymmetric_game(3, 17)
+    runs = [SelfPlayRun(env, lr=0.3), SelfPlayRun(env, lr=0.3)]
+    rngs = [np.random.default_rng(21), np.random.default_rng(21)]
+    for _ in range(50):
+        selfplay_step(runs[0], env, 256, rngs[0])
+        _reference_step(runs[1], env, 256, rngs[1])
+        assert runs[0].logits.value.tobytes() == runs[1].logits.value.tobytes()
+        assert np.float64(runs[0].last_loss).tobytes() == np.float64(runs[1].last_loss).tobytes()
+    assert runs[0].history == runs[1].history
+    assert not np.allclose(runs[0].logits.value, 0.0)    # the policy moved
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
