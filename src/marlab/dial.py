@@ -4,7 +4,7 @@ Two training regimes over the same two-step relay environment: real-valued
 messages carried between agents inside one computation graph, so the loss
 gradient flows backward through the channel (the differentiable regime), and
 a non-differentiable baseline that treats a discrete message as a second
-action learned by factored Q-heads.
+action learned by factored Q-heads, each input a row of one table.
 
 All agents run as one stack of nets, on (n_agents, batch, width) arrays.
 Messages are pure communication: the take op routes them between the agents'
@@ -108,6 +108,7 @@ class DialSystem:
         # column k: the k-th other agent of each agent, in agent order
         self._others = np.array([[j for j in range(n) if j != i] for i in range(n)]).T
         self._obs = np.stack(env.obs_tables, axis=1)   # (state, agent, obs)
+        self._bit_of_state = np.asarray(env.meta["bit_of_state"])
         self.opt = AdamState([self.params()], lr=lr)
         self.version = 0
 
@@ -127,7 +128,7 @@ class DialSystem:
         else:
             index = np.asarray(bits, dtype=int)
             batch_size = len(index)
-        bits_arr = np.asarray(env.meta["bit_of_state"])[index]
+        bits_arr = self._bit_of_state[index]
 
         n = self.n_agents
         h = g.constant(np.zeros((n, batch_size, self.hidden_dim)))
@@ -143,13 +144,13 @@ class DialSystem:
             incomings.append(incoming)
             joint = np.swapaxes(value_of(scores).argmax(axis=-1), -2, -1)
             episodes = joint.shape[:-1]
-            index, rewards, _ = env.step_batch(np.broadcast_to(index, episodes).reshape(-1), t,
-                                               joint.reshape(-1, n), rng)
+            flat = (index if index.shape == episodes else np.broadcast_to(index, episodes)).ravel()
+            index, rewards, _ = env.step_batch(flat, t, joint.reshape(-1, n), rng)
             index = index.reshape(episodes)
             actions_taken.append(joint)
             rewards_got.append(rewards.reshape(joint.shape))
 
-        return Unroll(graph=g, actions=np.stack(actions_taken), rewards=np.stack(rewards_got),
+        return Unroll(graph=g, actions=np.array(actions_taken), rewards=np.array(rewards_got),
                       bits=bits_arr, listener_scores=g.take(scores, env.meta["listener"]),
                       messages=messages[:-1], incoming=incomings, version=self.version)
 
@@ -190,13 +191,13 @@ class DialSystem:
 # ---------------------------------------------------------------------------
 
 class RialTransition(typing.NamedTuple):
-    """One env step of every agent, each field led by the agent axis: inputs and next
-    inputs (n_agents, in_dim), actions, messages, rewards and done flags (n_agents,)."""
-    x: np.ndarray
+    """One env step of every agent, each field (n_agents,): the input-table rows read at
+    the step and after it, actions, messages, rewards and done flags."""
+    row: np.ndarray
     action: np.ndarray
     message: np.ndarray
     reward: np.ndarray
-    x_next: np.ndarray
+    row_next: np.ndarray
     done: np.ndarray
 
 
@@ -227,9 +228,9 @@ class RialSystem:
     """Discrete-message baseline: each agent learns factored Q-heads by TD on replayed
     (input, action, message) choices.  An agent's input is its observation, the other
     agents' previous messages one-hot, and its own previous message one-hot (needed so
-    its value function can see what it signalled).  The heads are one stack, one
-    optimizer and one target; one replay holds every agent's records, one per env step;
-    training and evaluation play through one batched episode loop."""
+    its value function can see what it signalled), a row of one table (see _row).  The
+    heads are one stack, one optimizer and one target; one replay holds every agent's
+    records by row, one per env step; one batched episode loop trains and evaluates."""
 
     def __init__(self, env, rng, n_messages=2, net_hidden=(32,), lr=5e-3,
                  gamma=None, target_interval=100,
@@ -249,6 +250,11 @@ class RialSystem:
         self.buffer = ReplayBuffer(buffer_capacity)
         self._order = np.array([[j for j in range(n) if j != i] + [i] for i in range(n)])
         self._obs = np.stack(env.obs_tables)   # (agent, state, obs)
+        states, msgs = np.arange(env.n_states), np.indices((self.n_messages,) * n).reshape(n, -1).T
+        self.table = np.concatenate([self._input(states, None), self._input(
+            np.tile(states, len(msgs)), np.repeat(msgs, len(states), axis=0))], axis=1)
+        self._radix = env.n_states * self.n_messages ** np.arange(n)[::-1]
+        self._targets = None    # the target table, built at the first update after a sync
         self.learn_steps = 0
 
     def _input(self, index, prev_msgs):
@@ -264,30 +270,35 @@ class RialSystem:
             blocks = blocks.reshape(blocks.shape[:-2] + (-1,)).swapaxes(0, -2)
         return np.concatenate([obs, blocks], axis=-1)
 
+    def _row(self, index, msgs):
+        """Each episode's input row, index + n_states * (1 + code) after the (n, n_agents)
+        previous messages msgs, code their base-n_messages number, or index at t=0."""
+        return index if msgs is None else index + self.env.n_states + msgs @ self._radix
+
     def rollout(self, episodes, rng, epsilon=None):
-        """Play fresh episodes together for the horizon, one step_batch call and one
-        stacked forward per step; given epsilon, each greedy choice is then made uniform
-        with that chance, drawn agent by agent, episode by episode, action before message;
-        without it, play is greedy.  Returns the episodes' bits and their transitions,
-        one RialTransition whose fields lead with (horizon, episodes)."""
+        """Play fresh episodes together for the horizon, one step_batch call per step,
+        each greedy choice read by row from one forward over the table; given epsilon,
+        each is then made uniform with that chance, drawn agent by agent, episode by
+        episode, action before message.  Returns the episodes' bits and their
+        transitions, one RialTransition whose fields lead with (horizon, episodes)."""
         env = self.env
         index = env.reset_batch(episodes, rng)
         bits = np.asarray(env.meta["bit_of_state"])[index]
-        xs, steps, msgs = [], [], None
+        greedy = np.array(greedy_factored(*self.heads.forward(EVAL, self.table)))
+        rows, steps, msgs = [], [], None
         for t in range(env.horizon):
-            xs.append(self._input(index, msgs))
-            qs = self.heads.forward(EVAL, xs[-1])
-            choice = np.stack(greedy_factored(*qs))    # (head, agent, episode)
+            rows.append(self._row(index, msgs))
+            choice = greedy[:, :, rows[-1]]    # (head, agent, episode)
             if epsilon is not None:
                 for i, e, k in np.ndindex(self.n_agents, episodes, 2):
                     if rng.random() < epsilon:
-                        choice[k, i, e] = rng.integers(qs[k].shape[-1])
+                        choice[k, i, e] = rng.integers((self.heads.n_actions, self.n_messages)[k])
             actions, msgs = choice.swapaxes(1, 2)
             index, rewards, done = env.step_batch(index, t, actions, rng)
-            steps.append((actions, msgs, rewards, np.broadcast_to(done[:, None], actions.shape)))
-        xs = np.stack(xs + [self._input(index, msgs)]).swapaxes(1, 2)
-        actions, msgs, rewards, done = map(np.stack, zip(*steps))
-        return bits, RialTransition(xs[:-1], actions, msgs, rewards, xs[1:], done)
+            steps.append((actions, msgs, rewards, done[:, None].repeat(self.n_agents, axis=1)))
+        rows = np.array(rows + [self._row(index, msgs)])[..., None].repeat(self.n_agents, axis=2)
+        actions, msgs, rewards, done = map(np.array, zip(*steps))
+        return bits, RialTransition(rows[:-1], actions, msgs, rewards, rows[1:], done)
 
     def play_episode(self, rng, epsilon):
         """One epsilon-greedy episode, a rollout of one; pushes one record per env
@@ -300,15 +311,14 @@ class RialSystem:
     def td_update(self, rng):
         """One factored TD step for every agent on one tape: each head's Qa[a] +
         Qm[m] regresses onto r + gamma (1-done) (max Qa' + max Qm') from its
-        target head, on its own batch of the replay's records, all agents' indices
+        target table, on its own batch of the replay's records, all agents' indices
         drawn in one (n_agents, batch) call before any forward; one backward, one
         Adam step.  The root is n_agents times the mean squared error; returns the
         per-agent means' sum, folded agent by agent."""
         own = np.arange(self.n_agents)
         b = RialTransition._make(col[own, :, own] for col in
                                  self.buffer.sample((self.n_agents, self.batch_size), rng))
-        qa2, qm2 = self.heads.forward(self.target, b.x_next)
-        y = b.reward + self.gamma * (1.0 - b.done) * (qa2.max(axis=2) + qm2.max(axis=2))
+        y = b.reward + self.gamma * (1.0 - b.done) * self.target_table()[own[:, None], b.row_next]
         g = Graph()
         loss, sq = self.td_loss(g, b, y)
         backward(g, loss)
@@ -318,17 +328,26 @@ class RialSystem:
             self.sync_targets()
         return float(sum(col.mean() for col in sq.value.T))
 
+    def target_table(self):
+        """Target max Qa + max Qm at every table row, (n_agents, rows), built once per sync."""
+        if self._targets is None:
+            qa, qm = self.heads.forward(self.target, self.table)
+            self._targets = qa.max(axis=2) + qm.max(axis=2)
+        return self._targets
+
     def td_loss(self, g, b, y):
         """The root of td_update on graph g, n_agents times the mean squared error of the
-        live heads' taken Qa[a] + Qm[m] against the TD targets y, (n_agents, batch), for
-        the agent-stacked batch b; and the squared errors, (batch, n_agents)."""
-        qa, qm = self.heads.forward(g, g.constant(b.x))
-        taken = g.add(g.pick(qa, b.action.T), g.pick(qm, b.message.T))
+        live heads' taken Qa[a] + Qm[m], two picks of one output, against the TD targets
+        y, (n_agents, batch), of stacked batch b; and the (batch, n_agents) squared errors."""
+        x = self.table[np.arange(self.n_agents)[:, None], b.row]
+        out = self.heads.net.forward(g, g.constant(x))
+        taken = g.add(g.pick(out, b.action.T), g.pick(out, b.message.T + self.heads.n_actions))
         sq = g.square(g.sub(taken, g.constant(y.T)))
         return g.mul(g.mean(sq), g.constant(float(self.n_agents))), sq
 
     def sync_targets(self):
         copy_params(self.opt.value, self.target_value)
+        self._targets = None
 
     def step(self, rng, epsilon):
         """Collect one episode, then learn if the replay has a batch."""

@@ -119,15 +119,6 @@ class MarkovGame:
         if not 0.0 <= self.gamma <= 1.0:    # NaN too
             raise EnvError(f"gamma must be in [0, 1], got {self.gamma}")
 
-        if init_dist is None:
-            init_dist = np.zeros(self.n_states)
-            init_dist[0] = 1.0
-        self.init_dist = _float64("init_dist", init_dist)
-        if (self.init_dist.shape != (self.n_states,) or not (self.init_dist >= 0).all()
-                or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL):
-            raise EnvError("init_dist must be a distribution over states")
-        self._init_cdf = _cdf(self.init_dist)
-
         if self.all_discrete():
             shape = (self.n_states,) + tuple(sp.n for sp in self.action_space)
             self.rewards = _float64("rewards", rewards)
@@ -165,6 +156,15 @@ class MarkovGame:
             self.terminal_after = None
             self._check_flags_grid()
 
+        if init_dist is None:
+            init_dist = np.zeros(self.n_states)
+            init_dist[0] = 1.0
+        self.init_dist = _float64("init_dist", init_dist)
+        if (self.init_dist.shape != (self.n_states,) or not (self.init_dist >= 0).all()
+                or abs(self.init_dist.sum() - 1.0) > _FLAG_TOL):
+            raise EnvError("init_dist must be a distribution over states")
+        self._init_cdf = _cdf(self.init_dist)
+
         self.obs_tables = ([np.eye(self.n_states)] * self.n_agents if obs_fns is None else
                            [np.array([f(s) for s in range(self.n_states)], dtype=np.float64)
                             for f in obs_fns])
@@ -199,8 +199,8 @@ class MarkovGame:
 
     # -- episode interface ---------------------------------------------------
     def reset_batch(self, n, rng):
-        """Initial state indices of n episodes, one uniform draw each."""
-        return _draw(np.broadcast_to(self._init_cdf, (n, self.n_states)), rng)
+        """Initial state indices of n episodes, one uniform draw each, as _draw makes it."""
+        return (self._init_cdf > rng.random((n, 1))).argmax(axis=1)
 
     def step_batch(self, index, t, actions, rng):
         """Advance n live episodes, all at timestep t, from (n,) state indices

@@ -475,7 +475,7 @@ OPS = {
 
 
 class Graph:
-    """Append-only tape of op records."""
+    """Append-only tape of the records of ops that need a gradient."""
 
     def __init__(self):
         self.records = []
@@ -728,33 +728,34 @@ class Stacked(OffTape):
 
 
 def forward_op(graph, kind, inputs, **attrs):
-    """Execute one op eagerly, appending its record to the graph."""
+    """Execute one op eagerly, recording it on the graph if an input needs a gradient."""
     pair = OPS.get(kind)
     if pair is None:
         raise UnknownOp(kind)
     inputs = tuple(inputs)
     out_value, ctx = pair[0]([t.value for t in inputs], attrs)
     out = _wrap(out_value, any([t.requires_grad for t in inputs]))
-    graph.records.append(_Record(kind, inputs, out, ctx))
+    if out.requires_grad:
+        graph.records.append(_Record(kind, inputs, out, ctx))
     return out
 
 
 def backward(graph, root):
     """Accumulate d(root)/d(leaf) into .grad of every requires_grad leaf.
 
-    The root must be scalar-sized and the output of one of the graph's
-    records.  The tape is swept once in reverse, so each op is visited exactly
+    The root must be scalar-sized and a recorded output (not of constants
+    alone).  The tape is swept once in reverse, so each op is visited exactly
     once and fan-out contributions sum into one adjoint per tensor; a leaf's
     summed adjoint is then added to its .grad.
     """
     if not any(rec.output is root for rec in reversed(graph.records)):
-        raise NdiffError("root does not belong to this graph")
+        raise NdiffError("root is not recorded on this graph")
     if root.value.size != 1:
         raise NonScalarRoot(f"root has shape {root.shape}")
     acc = {root: np.ones_like(root.value)}
     for rec in reversed(graph.records):
         g = acc.get(rec.output)
-        if g is None or not rec.output.requires_grad:
+        if g is None:
             continue
         _, bw = OPS[rec.kind]
         vals = tuple(t.value for t in rec.inputs)

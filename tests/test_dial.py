@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,12 +252,43 @@ def test_input_layout_carries_own_previous_message():
     assert np.array_equal(sys_._input(2, [1, 0])[1], [0.0, 0.0, 1.0, 1.0, 0.0])
 
 
+def test_every_input_table_row_is_the_input_it_stands_for():
+    sys_ = RialSystem(relay(), np.random.default_rng(11), n_messages=3)
+    n_states = relay().n_states
+    assert sys_.table.shape == (2, n_states * (1 + 3 ** 2), sys_.in_dim)
+    rows = []
+    for s in range(n_states):
+        rows.append(sys_._row(np.array([s]), None)[0])
+        assert np.array_equal(sys_.table[:, rows[-1]], sys_._input(s, None))
+        for msgs in itertools.product(range(3), repeat=2):
+            rows.append(sys_._row(np.array([s]), np.array([msgs]))[0])
+            assert np.array_equal(sys_.table[:, rows[-1]], sys_._input(s, list(msgs)))
+    assert sorted(rows) == list(range(len(sys_.table[0])))
+
+
+def test_td_update_runs_the_target_heads_only_after_a_sync(monkeypatch):
+    sys_ = RialSystem(relay(), np.random.default_rng(17), batch_size=4, target_interval=3)
+    rng = np.random.default_rng(6)
+    while len(sys_.buffer) < 4:
+        sys_.play_episode(rng, 0.5)
+    calls = count_calls(monkeypatch, sys_.target, ["op"])
+    counts = []
+    for _ in range(7):
+        sys_.td_update(rng)
+        counts.append(calls["op"])
+    per_build = counts[0]
+    assert per_build > 0
+    assert counts == [per_build] * 3 + [2 * per_build] * 3 + [3 * per_build]
+    qa, qm = sys_.heads.forward(sys_.target, sys_.table)
+    assert np.array_equal(sys_.target_table(), qa.max(axis=2) + qm.max(axis=2))
+
+
 def test_factored_td_terminal_loss_is_squared_reward():
     sys_ = RialSystem(relay(), np.random.default_rng(12), batch_size=1)
     sys_.opt.value[...] = 0.0
     sys_.target_value[...] = 0.0
-    x, zero = np.zeros((2, sys_.in_dim)), np.zeros(2, dtype=int)
-    sys_.buffer.push(RialTransition(x, zero, zero, np.ones(2), x, np.ones(2, dtype=bool)))
+    zero = np.zeros(2, dtype=int)    # row 0: state 0 at t=0
+    sys_.buffer.push(RialTransition(zero, zero, zero, np.ones(2), zero, np.ones(2, dtype=bool)))
     loss = sys_.td_update(np.random.default_rng(0))
     assert loss == 2.0
 
@@ -302,8 +335,10 @@ def test_play_episode_pushes_one_record_per_env_step(monkeypatch):
     reward = sys_.play_episode(np.random.default_rng(5), 0.5)
     assert pushes["push"] == calls["step_batch"] == relay().horizon
     b = sys_.buffer.contents()
-    assert b.x.shape == b.x_next.shape == (relay().horizon, 2, sys_.in_dim)
-    assert np.array_equal(b.x_next[0], b.x[1])
+    assert b.row.shape == b.row_next.shape == (relay().horizon, 2)
+    assert b.row.dtype.kind == "i" and (b.row == b.row[:, :1]).all()
+    assert np.array_equal(b.row_next[0], b.row[1])
+    assert b.row[0, 0] < relay().n_states <= b.row[1, 0]    # no messages yet, then some
     assert b.done.tolist() == [[False, False], [True, True]]
     assert reward == b.reward[-1, 0]
 
@@ -421,9 +456,9 @@ def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
     for i, (head, target) in enumerate(zip(heads, targets)):
         # agent i's own size-B draw, in agent order, of its column of the replay
         b = RialTransition._make(col[:, i] for col in sys_.buffer.sample(sys_.batch_size, ref_rng))
-        qa2, qm2 = head.forward(target, b.x_next)
-        y = b.reward + sys_.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))
-        qa, qm = head.forward(g, g.constant(b.x))
+        qa2, qm2 = head.forward(target, sys_.table[i])
+        y = b.reward + sys_.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))[b.row_next]
+        qa, qm = head.forward(g, g.constant(sys_.table[i][b.row]))
         taken = g.add(g.pick(qa, b.action), g.pick(qm, b.message))
         term = g.mean(g.square(g.sub(taken, g.constant(y[:, None]))))
         total = term if total is None else g.add(total, term)
@@ -443,7 +478,7 @@ def test_one_update_records_one_stack_of_ops(monkeypatch):
     sys_ = make_system(seed=9)
     u = sys_.unroll(Graph(), 32, np.random.default_rng(0))
     sys_.update(u)
-    assert len(u.graph.records) <= 18
+    assert len(u.graph.records) <= 17    # t=0 concatenates constants alone: no record
     assert len(u.messages) == relay().horizon - 1
     assert [r.kind for r in u.graph.records].count("dense") == 2 * relay().horizon
 
@@ -454,5 +489,5 @@ def test_one_update_records_one_stack_of_ops(monkeypatch):
     records = count_calls(monkeypatch, ndiff, ["forward_op"])
     steps = count_calls(monkeypatch, dial, ["adam_step"])
     rial.td_update(rng)
-    assert records["forward_op"] <= 12
+    assert records["forward_op"] <= 10
     assert steps["adam_step"] == 1

@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ def test_game_from_dict_rejects_missing_keys():
 
 _HUGE = 10 ** 400    # a JSON integer past float64's range
 _FILE_FIXTURES = ["coop_climb", "matching_pennies", "rock_paper_scissors", "two_step_coop"]
-# small counts only: a game file's "states" sizes tables before they are checked
+# small counts, so that a mutated count can still fit the tables
 _GAME_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([_HUGE, -_HUGE]),
     st.floats(), st.text(max_size=3), st.lists(st.floats(), max_size=3),
@@ -374,6 +375,20 @@ def test_game_from_dict_refuses_an_integer_past_float_range_naming_the_field(fie
         game_from_dict(game)
 
 
+def test_a_huge_state_count_is_refused_by_the_table_shapes_before_any_state_array():
+    game = game_to_dict(fixture_by_name("matching_pennies"))
+    game["states"] = 10 ** 6
+    del game["init_dist"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvError, match="rewards"):
+            game_from_dict(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20    # a default init_dist and its CDF would take 24 MB
+
+
 def test_rock_paper_scissors_is_antisymmetric():
     g = fixture_by_name("rock_paper_scissors")
     for a, b in itertools.product(range(3), range(3)):
@@ -414,6 +429,15 @@ def test_step_batch_equals_table_lookups_and_sequential_steps(g, seed):
         assert (n1.tolist(), d1.tolist()) == ([nxt[e]], [done[e]])
         assert np.array_equal(r1, rewards[e:e + 1])
     assert rs.bit_generator.state == rb.bit_generator.state
+
+
+@given(small_games(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_reset_batch_draws_as_generator_choice_from_init_dist(g, seed, n):
+    rb, rc = np.random.default_rng(seed), np.random.default_rng(seed)
+    index = g.reset_batch(n, rb)
+    assert index.tolist() == [rc.choice(g.n_states, p=g.init_dist) for _ in range(n)]
+    assert rb.bit_generator.state == rc.bit_generator.state
 
 
 def _deterministic(g):

@@ -505,6 +505,31 @@ def test_op_outputs_carry_no_grad_buffer():
     assert c.grad is None
 
 
+def test_an_op_of_constants_alone_runs_without_a_record():
+    g = Graph()
+    a, b = np.array([[1.0, -2.0]]), np.array([[3.0], [0.5]])
+    out = g.matmul(g.constant(a), g.constant(b))
+    assert np.array_equal(out.value, a @ b) and not out.requires_grad
+    assert g.records == []
+    x = param(np.array([[2.0]]))
+    y = g.sum(g.mul(out, x))
+    assert [r.kind for r in g.records] == ["mul", "sum"]
+    backward(g, y)
+    assert np.array_equal(x.grad, out.value)
+
+
+def test_backward_refuses_a_root_of_constants_alone():
+    # it has no record to start the sweep from, and no parameter it could move
+    x = param(np.array([1.0, 2.0]))
+    g = Graph()
+    g.sum(g.square(x))
+    root = g.sum(g.square(g.constant([1.0, 2.0])))
+    assert root.item() == 5.0 and len(g.records) == 2
+    with pytest.raises(NdiffError, match="not recorded"):
+        backward(g, root)
+    assert np.array_equal(x.grad, [0.0, 0.0])
+
+
 def test_backward_rejects_a_root_off_the_graph():
     x = param(np.array([1.0, 2.0]))
     g1 = Graph()

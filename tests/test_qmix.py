@@ -423,7 +423,7 @@ def test_td_update_moves_hypernet_parameters():
     assert moved
 
 
-@pytest.mark.parametrize("mode,records", [("qmix", 14), ("vdn", 8), ("independent", 7)])
+@pytest.mark.parametrize("mode,records", [("qmix", 13), ("vdn", 7), ("independent", 6)])
 def test_td_update_tape_length(monkeypatch, mode, records):
     # the two agents' heads are one stack: one dense record per layer and one pick for both
     learner, _ = make(mode, seed=6)
