@@ -12,7 +12,7 @@ from marlab import envs, oracle, selfplay
 env = envs.matching_pennies()
 rng = np.random.default_rng(5)
 
-run = selfplay.SelfPlayRun(env, lr=0.05, batch_episodes=256)
+run = selfplay.SelfPlayRun(env, lr=0.05)
 print("steps  policy(heads)  window mean payoff")
 for block in range(8):
     for _ in range(250):

@@ -10,6 +10,7 @@ Run from the repo root:  python3 demos/06_learning_to_signal.py
 import numpy as np
 
 from marlab import dial, envs
+from marlab.buffer import ReplayBuffer
 
 env = envs.signal_relay()
 
@@ -37,12 +38,18 @@ for step in range(1, 401):
 
 # -- discrete messages, learned by TD ------------------------------------------
 # sending becomes just another action with its own Q-head; no gradient crosses
-# between agents, so learning rides on replayed reward alone
+# between agents, so learning rides on replayed reward alone.  Each step plays
+# one episode into the replay, then, once it holds a batch, runs one TD update
+# in which each agent learns on its own 32 records, as `marlab train` does.
 rng1 = np.random.default_rng(8)
 rial = dial.RialSystem(env, rng1)
+replay = ReplayBuffer(5000)
 print("discrete messages (TD on factored Q-heads):")
 for step in range(1, 2001):
-    rial.step(rng1, epsilon=0.1)
+    for record in rial.play_episode(rng1, epsilon=0.1):
+        replay.push(record)
+    if len(replay) >= 32:
+        rial.td_update(replay.sample((rial.n_agents, 32), rng1))
     if step % 500 == 0:
         acc = rial.evaluate(1000, np.random.default_rng([8, step]))
         print(f"  step {step:4d}  listener accuracy {acc:.3f}")

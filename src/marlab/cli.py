@@ -126,14 +126,6 @@ def _fmt(x):
     return "" if x is None else repr(float(x))
 
 
-def _row(step, episodes, loss, eps, per_agent, extra):
-    per_agent = [float(v) for v in per_agent]
-    return [step, episodes, _fmt(loss), _fmt(eps),
-            _fmt(float(np.mean(per_agent))),
-            json.dumps(per_agent),
-            json.dumps(extra, sort_keys=True) if extra else ""]
-
-
 def _eval_rng(seed, step):
     return np.random.default_rng([seed, step])
 
@@ -159,14 +151,14 @@ def rollout_returns(env, policy, episodes, gamma, rng):
 # ---------------------------------------------------------------------------
 
 class AlgoSpec(typing.NamedTuple):
-    """start(cfg, env, rng) builds the learner and returns (learner, step,
-    evaluate).  step(t) does training step t (from 1), drawing from rng in
-    the learner's own order, and returns (episodes finished, loss, epsilon,
-    extra); a loss of None means no update, so rows keep the last loss and
-    extra.  evaluate(episodes, rng) returns (per-episode returns, the metrics
-    row's per-agent returns, info); the training rows and `marlab eval` both
-    call it."""
-    start: typing.Callable
+    """An algorithm as plain functions of its Run.  build(cfg, env, rng) returns the
+    learner; step(run, t) does training step t (from 1), drawing from run.rng in the
+    learner's own order, and returns (episodes finished, loss, epsilon, extra), a loss
+    of None meaning no update; evaluate(run, episodes, rng) returns (per-episode
+    returns, the metrics row's per-agent returns, info) for the rows and `marlab eval`."""
+    build: typing.Callable
+    step: typing.Callable
+    evaluate: typing.Callable
     defaults: dict              # values for the config keys left unset
     extra_csv: tuple = ()       # files of (step, loss, eval accuracy) rows
 
@@ -180,107 +172,105 @@ def _epsilon(cfg, t):
                            cfg.epsilon_decay_steps)
 
 
-def _rollout(env, gamma, policy):
-    def evaluate(episodes, rng):
-        # a greedy policy depends only on the state, so one forward over the
-        # n_states rows tabulates it; on a one-state game that forward is a
-        # batch of one, whose float bits a larger batch need not reproduce
-        table = policy(np.arange(env.n_states))
-        totals = rollout_returns(env, lambda index: table[index], episodes, gamma, rng)
-        return totals, totals.mean(axis=0), {}
-    return evaluate
+def _greedy_rollout(run, episodes, rng, policy=None):
+    """Per-episode returns of policy(state indices) -> joint actions, or of greedy_joint."""
+    # a greedy policy depends only on the state, so one forward over the
+    # n_states rows tabulates it; on a one-state game that forward is a
+    # batch of one, whose float bits a larger batch need not reproduce
+    table = (policy or run.learner.greedy_joint)(np.arange(run.env.n_states))
+    totals = rollout_returns(run.env, lambda index: table[index], episodes, run.learner.gamma, rng)
+    return totals, totals.mean(axis=0), {}
 
 
-def _replay_step(cfg, env, rng, act, learn, epsilon=lambda t: None):
-    """Training step t of a replay learner: one qmix.collect_step of the live episode,
-    acting by act(index, epsilon(t)), one push, then, once the replay holds a batch,
-    learn(batch), which returns (loss, extra)."""
-    buf, live = ReplayBuffer(cfg.buffer_capacity), (env.reset_batch(1, rng), 0)
-
-    def step(t):
-        nonlocal live
-        eps = epsilon(t)
-        tr, live = qmix.collect_step(env, lambda index: act(index, eps), live, rng)
-        buf.push(tr)
-        if len(buf) < cfg.batch_size:
-            return int(tr.done), None, eps, {}
-        loss, extra = learn(buf.sample(cfg.batch_size, rng))
-        return int(tr.done), loss, eps, extra
-    return step
+def _collect(run, act):
+    """The records of one qmix.collect_step of the live episode, started at the
+    first call, acting by act(index)."""
+    if run.live is None:
+        run.live = (run.env.reset_batch(1, run.rng), 0)
+    tr, run.live = qmix.collect_step(run.env, act, run.live, run.rng)
+    return [tr]
 
 
-def _q_start(mode, cfg, env, rng):
-    learner = qmix.QmixLearner(
+def _replay_step(run, records, eps, learn, shape=()):
+    """The one replay loop: push a step's records into the run's replay and, once it
+    holds a batch, learn(a draw of shape + (batch_size,) records) -> (loss, extra).
+    The step finished an episode if its last record did."""
+    done = int(records[-1].done.all())
+    for record in records:
+        run.buffer.push(record)
+    if len(run.buffer) < run.cfg.batch_size:
+        return done, None, eps, {}
+    loss, extra = learn(run.buffer.sample(shape + (run.cfg.batch_size,), run.rng))
+    return done, loss, eps, extra
+
+
+def _q_build(mode, cfg, env, rng):
+    return qmix.QmixLearner(
         env, mode, rng, hidden=tuple(cfg.hidden_sizes), embed_dim=cfg.embed_dim,
         gamma=cfg.gamma, lr=cfg.lr, target_interval=cfg.target_update_interval)
-    step = _replay_step(cfg, env, rng, lambda index, eps: learner.act(index, rng, eps),
-                        lambda batch: (learner.td_update(batch), {}),
-                        functools.partial(_epsilon, cfg))
-    return learner, step, _rollout(env, learner.gamma, learner.greedy_joint)
 
 
-def _maddpg_start(decentralized, cfg, env, rng):
-    learner = maddpg.MaddpgLearner(
+def _q_step(run, t):
+    eps, learner = _epsilon(run.cfg, t), run.learner
+    return _replay_step(run, _collect(run, lambda index: learner.act(index, run.rng, eps)), eps,
+                        lambda batch: (learner.td_update(batch), {}))
+
+
+def _maddpg_build(decentralized, cfg, env, rng):
+    return maddpg.MaddpgLearner(
         env, rng, hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
         tau=cfg.tau, beta=cfg.beta, decentralized=decentralized)
 
-    def learn(batch):
-        out = learner.learner_step(batch, rng)
-        return out["critic_loss"], out
-    step = _replay_step(cfg, env, rng, lambda index, _: learner.act(index, rng), learn)
-    return learner, step, _rollout(env, learner.gamma,
-                                   lambda index: learner.act(index, None, explore=False))
+
+def _maddpg_learn(run, batch):
+    out = run.learner.learner_step(batch, run.rng)
+    return out["critic_loss"], out
 
 
-def _selfplay_start(cfg, env, rng):
-    run = selfplay.SelfPlayRun(env, lr=cfg.lr, batch_episodes=cfg.batch_size)
-    uniform = np.full(run.k, 1.0 / run.k)
-
-    def step(t):
-        reported = selfplay.selfplay_step(run, env, cfg.batch_size, rng)
-        return cfg.batch_size, run.last_loss, None, {"train_batch_mean": reported}
-
-    def evaluate(episodes, erng):
-        p = run.policy()
-        _, _, r1, r2 = selfplay.play_batch(env, p, p, episodes, erng)
-        # as in training, a fair coin picks the seat whose payoff the row reports
-        m = float(np.where(erng.random(episodes) < 0.5, r1, r2).mean())
-        info = {"policy": [float(x) for x in p],
-                "tv_from_uniform": selfplay.total_variation(p, uniform)}
-        return np.stack([r1, r2], axis=1), [m, -m], info
-    return run, step, evaluate
+def _maddpg_step(run, t):
+    return _replay_step(run, _collect(run, lambda index: run.learner.act(index, run.rng)), None,
+                        functools.partial(_maddpg_learn, run))
 
 
-def _comm_eval(cfg, env, system):
+def _maddpg_evaluate(run, episodes, rng):
+    return _greedy_rollout(run, episodes, rng,
+                           lambda index: run.learner.act(index, None, explore=False))
+
+
+def _selfplay_step(run, t):
+    reported = selfplay.selfplay_step(run.learner, run.env, run.cfg.batch_size, run.rng)
+    return run.cfg.batch_size, run.learner.last_loss, None, {"train_batch_mean": reported}
+
+
+def _selfplay_evaluate(run, episodes, rng):
+    p = run.learner.policy()
+    _, _, r1, r2 = selfplay.play_batch(run.env, p, p, episodes, rng)
+    # as in training, a fair coin picks the seat whose payoff the row reports
+    m = float(np.where(rng.random(episodes) < 0.5, r1, r2).mean())
+    info = {"policy": [float(x) for x in p],
+            "tv_from_uniform": selfplay.total_variation(p, np.full(len(p), 1.0 / len(p)))}
+    return np.stack([r1, r2], axis=1), [m, -m], info
+
+
+def _comm_evaluate(run, episodes, rng):
+    env, cfg = run.env, run.cfg
     gamma = env.gamma if cfg.gamma is None else cfg.gamma
-
-    def evaluate(episodes, rng):
-        acc = system.evaluate(episodes, rng)
-        # the shared reward is 1 on the final step iff the listener matches the
-        # bit, so the discounted per-agent return is gamma^(horizon-1) * accuracy
-        returns = [(gamma ** (env.horizon - 1)) * acc] * env.n_agents
-        return np.tile(returns, (episodes, 1)), returns, {"accuracy": float(acc)}
-    return evaluate
+    acc = run.learner.evaluate(episodes, rng)
+    # the shared reward is 1 on the final step iff the listener matches the
+    # bit, so the discounted per-agent return is gamma^(horizon-1) * accuracy
+    returns = [(gamma ** (env.horizon - 1)) * acc] * env.n_agents
+    return np.tile(returns, (episodes, 1)), returns, {"accuracy": float(acc)}
 
 
-def _dial_start(cfg, env, rng):
-    system = dialmod.DialSystem(env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr)
-
-    def step(t):
-        return cfg.batch_size, system.train_step(cfg.batch_size, rng), None, {}
-    return system, step, _comm_eval(cfg, env, system)
+def _dial_step(run, t):
+    return run.cfg.batch_size, run.learner.train_step(run.cfg.batch_size, run.rng), None, {}
 
 
-def _rial_start(cfg, env, rng):
-    system = dialmod.RialSystem(
-        env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
-        target_interval=cfg.target_update_interval,
-        buffer_capacity=cfg.buffer_capacity, batch_size=cfg.batch_size)
-
-    def step(t):
-        eps = _epsilon(cfg, t)
-        return 1, system.step(rng, eps), eps, {}
-    return system, step, _comm_eval(cfg, env, system)
+def _rial_step(run, t):
+    eps, learner = _epsilon(run.cfg, t), run.learner
+    # one episode's records; each agent learns on its own row of the draw
+    return _replay_step(run, learner.play_episode(run.rng, eps), eps,
+                        lambda sample: (learner.td_update(sample), {}), (learner.n_agents,))
 
 
 _VALUE = {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]}
@@ -288,15 +278,23 @@ _ACTOR_CRITIC = {"lr": 1e-3, "batch_size": 64, "hidden_sizes": [64, 64]}
 _COMM_CSV = ("dial_metrics.csv",)
 
 ALGO_SPECS = {
-    "iql": AlgoSpec(functools.partial(_q_start, "independent"), _VALUE),
-    "vdn": AlgoSpec(functools.partial(_q_start, "vdn"), _VALUE),
-    "qmix": AlgoSpec(functools.partial(_q_start, "qmix"), _VALUE),
-    "maddpg_ctde": AlgoSpec(functools.partial(_maddpg_start, False), _ACTOR_CRITIC),
-    "maddpg_dec": AlgoSpec(functools.partial(_maddpg_start, True), _ACTOR_CRITIC),
-    "selfplay": AlgoSpec(_selfplay_start, {"lr": 0.05, "batch_size": 256, "hidden_sizes": []}),
-    "dial": AlgoSpec(_dial_start, {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]},
-                     _COMM_CSV),
-    "rial": AlgoSpec(_rial_start, _VALUE, _COMM_CSV),
+    "iql": AlgoSpec(functools.partial(_q_build, "independent"), _q_step, _greedy_rollout, _VALUE),
+    "vdn": AlgoSpec(functools.partial(_q_build, "vdn"), _q_step, _greedy_rollout, _VALUE),
+    "qmix": AlgoSpec(functools.partial(_q_build, "qmix"), _q_step, _greedy_rollout, _VALUE),
+    "maddpg_ctde": AlgoSpec(functools.partial(_maddpg_build, False), _maddpg_step,
+                            _maddpg_evaluate, _ACTOR_CRITIC),
+    "maddpg_dec": AlgoSpec(functools.partial(_maddpg_build, True), _maddpg_step,
+                           _maddpg_evaluate, _ACTOR_CRITIC),
+    "selfplay": AlgoSpec(lambda cfg, env, rng: selfplay.SelfPlayRun(env, lr=cfg.lr),
+                         _selfplay_step, _selfplay_evaluate,
+                         {"lr": 0.05, "batch_size": 256, "hidden_sizes": []}),
+    "dial": AlgoSpec(lambda cfg, env, rng: dialmod.DialSystem(
+        env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr), _dial_step, _comm_evaluate,
+        {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]}, _COMM_CSV),
+    "rial": AlgoSpec(lambda cfg, env, rng: dialmod.RialSystem(
+        env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
+        target_interval=cfg.target_update_interval), _rial_step, _comm_evaluate, _VALUE,
+        _COMM_CSV),
 }
 
 ALGOS = tuple(ALGO_SPECS)
@@ -446,31 +444,43 @@ def check_compat(algo, env):
 # train subcommand
 # ---------------------------------------------------------------------------
 
-def train(cfg, env):
-    """The one training loop.  Returns the metrics rows, the checkpoint
-    payload and the (step, loss, eval accuracy) rows."""
-    spec = ALGO_SPECS[cfg.algo]
-    learner, step, evaluate = spec.start(cfg, env, np.random.default_rng(cfg.seed))
-    episodes, loss, extra, rows, acc_rows = 0, None, {}, [], []
-    for t in range(1, cfg.total_steps + 1):
+class Run:
+    """One training run's state, as plain attributes: the learner and the generator of
+    every training draw; the one replay, which every replay learner pushes into and
+    samples from; the live episode (state index, timestep) of the learners that collect
+    one, None before the first collect; steps, episodes finished, and the last loss,
+    epsilon and extra; and the metrics and (step, loss, eval accuracy) rows so far."""
+
+    def __init__(self, cfg, env, seed):
+        check_compat(cfg.algo, env)
+        self.cfg, self.env, self.seed, self.spec = cfg, env, seed, ALGO_SPECS[cfg.algo]
+        self.rng = np.random.default_rng(seed)
+        self.learner = self.spec.build(cfg, env, self.rng)
+        self.buffer, self.live = ReplayBuffer(cfg.buffer_capacity), None
+        self.steps, self.episodes, self.loss, self.eps, self.extra = 0, 0, None, None, {}
+        self.rows, self.acc_rows = [], []
+
+    def step(self):
+        """Training step steps + 1; at an eval step, that step's rows too."""
+        t, cfg = self.steps + 1, self.cfg
         try:
-            done, step_loss, eps, step_extra = step(t)
+            done, loss, self.eps, extra = self.spec.step(self, t)
         except ndiff.NonFiniteGradient as e:
             raise ndiff.NonFiniteGradient(f"{cfg.algo} training step {t}: {e}") from e
-        episodes += done
-        if step_loss is not None:
-            loss, extra = step_loss, step_extra
+        self.steps, self.episodes = t, self.episodes + done
+        if loss is not None:
+            self.loss, self.extra = loss, extra
         if t % cfg.eval_interval == 0 or t == cfg.total_steps:
-            _, returns, info = evaluate(cfg.eval_episodes, _eval_rng(cfg.seed, t))
-            rows.append(_row(t, episodes, loss, eps, returns, {**info, **extra}))
-            acc_rows.append([t, _fmt(loss), _fmt(info.get("accuracy"))])
-    payload = {**ndiff.tree_to_json(learner.checkpoint_tree()), "config": dataclasses.asdict(cfg)}
-    return rows, payload, acc_rows
+            _, returns, info = self.spec.evaluate(self, cfg.eval_episodes, _eval_rng(self.seed, t))
+            per_agent, extra = [float(v) for v in returns], {**info, **self.extra}
+            self.rows.append([t, self.episodes, _fmt(self.loss), _fmt(self.eps),
+                              _fmt(float(np.mean(per_agent))), json.dumps(per_agent),
+                              json.dumps(extra, sort_keys=True) if extra else ""])
+            self.acc_rows.append([t, _fmt(self.loss), _fmt(info.get("accuracy"))])
 
 
 def cmd_train(cfg):
-    env = envs.resolve_env(cfg.env)
-    check_compat(cfg.algo, env)
+    run = Run(cfg, envs.resolve_env(cfg.env), cfg.seed)
     out = pathlib.Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -479,13 +489,16 @@ def cmd_train(cfg):
     _write_text(out / "config_echo.json",
                 json.dumps(dataclasses.asdict(cfg), indent=1, sort_keys=True) + "\n")
 
-    rows, payload, acc_rows = train(cfg, env)
-    _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
-    for name in ALGO_SPECS[cfg.algo].extra_csv:
-        _write_csv(out / name, ["step", "loss", "eval_accuracy"], acc_rows)
+    while run.steps < cfg.total_steps:     # the one training loop
+        run.step()
+    _write_csv(out / "metrics.csv", METRICS_HEADER, run.rows)
+    for name in run.spec.extra_csv:
+        _write_csv(out / name, ["step", "loss", "eval_accuracy"], run.acc_rows)
+    payload = {**ndiff.tree_to_json(run.learner.checkpoint_tree()),
+               "config": dataclasses.asdict(cfg)}
     _write_text(out / "checkpoint.json", _checkpoint_text(cfg.algo, cfg.env, payload))
 
-    final = dict(zip(METRICS_HEADER, rows[-1]))
+    final = dict(zip(METRICS_HEADER, run.rows[-1]))
     print(json.dumps({"out_dir": str(out), "final_step": final["step"],
                       "eval_return_mean": final["eval_return_mean"]},
                      sort_keys=True))
@@ -547,15 +560,14 @@ def evaluate_checkpoint(blob, env, episodes, seed):
     if cfg.algo != blob["algo"]:
         raise IncompatibleAlgoEnv(f"checkpoint algo {blob['algo']!r} differs from "
                                   f"its payload's config algo {cfg.algo!r}")
-    spec = ALGO_SPECS[cfg.algo]
     try:
-        # an untrained learner shaped like the one that wrote the checkpoint
-        learner, _, evaluate = spec.start(cfg, env, np.random.default_rng(seed))
-        ndiff.tree_from_json(payload, learner.checkpoint_tree())
-    except (envs.EnvError, qmix.QmixError, maddpg.MaddpgError,
+        # an untrained run like the one that wrote the checkpoint, on a game it fits
+        run = Run(cfg, env, seed)
+        ndiff.tree_from_json(payload, run.learner.checkpoint_tree())
+    except (IncompatibleAlgoEnv, envs.EnvError, qmix.QmixError, maddpg.MaddpgError,
             dialmod.DialError, ndiff.NdiffError) as e:
         raise IncompatibleAlgoEnv(f"checkpoint does not fit {env.name}: {e}")
-    totals, _, info = evaluate(episodes, _eval_rng(seed, 0))
+    totals, _, info = run.spec.evaluate(run, episodes, _eval_rng(seed, 0))
 
     per_agent = [float(v) for v in totals.mean(axis=0)]
     summary = {"algo": cfg.algo, "episodes": int(totals.shape[0]),
@@ -573,6 +585,8 @@ def evaluate_checkpoint(blob, env, episodes, seed):
 def cmd_eval(args):
     if args.episodes < 1:
         raise InvalidConfig(f"--episodes must be at least 1, got {args.episodes}")
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be non-negative, got {args.seed}")
     blob = _load_checkpoint_file(args.checkpoint)
     env = envs.resolve_env(args.env or blob["env"])
     summary = evaluate_checkpoint(blob, env, args.episodes, args.seed)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffer import ReplayBuffer
 from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, backward, copy_params,
                     target_graph, value_of)
 
@@ -229,17 +228,15 @@ class RialSystem:
     (input, action, message) choices.  An agent's input is its observation, the other
     agents' previous messages one-hot, and its own previous message one-hot (needed so
     its value function can see what it signalled), a row of one table (see _row).  The
-    heads are one stack, one optimizer and one target; one replay holds every agent's
-    records by row, one per env step; one batched episode loop trains and evaluates."""
+    heads are one stack, one optimizer and one target; the caller's replay holds every
+    agent's records by row, one per env step; one batched episode loop plays and evaluates."""
 
     def __init__(self, env, rng, n_messages=2, net_hidden=(32,), lr=5e-3,
-                 gamma=None, target_interval=100,
-                 buffer_capacity=5000, batch_size=32):
+                 gamma=None, target_interval=100):
         _check_comm_env(env)
         self.env = env
         self.n_messages = int(n_messages)
         self.gamma = env.gamma if gamma is None else float(gamma)
-        self.batch_size = int(batch_size)
         self.target_interval = int(target_interval)
         n = self.n_agents = env.n_agents
         self.in_dim = env.obs_dim(0) + n * self.n_messages
@@ -247,7 +244,6 @@ class RialSystem:
                                    net_hidden, rng, [f"rial{i}" for i in range(n)])
         self.opt = AdamState([self.heads.net.params], lr=lr)
         (self.target_value,), self.target = target_graph([self.opt])
-        self.buffer = ReplayBuffer(buffer_capacity)
         self._order = np.array([[j for j in range(n) if j != i] + [i] for i in range(n)])
         self._obs = np.stack(env.obs_tables)   # (agent, state, obs)
         states, msgs = np.arange(env.n_states), np.indices((self.n_messages,) * n).reshape(n, -1).T
@@ -301,23 +297,21 @@ class RialSystem:
         return bits, RialTransition(rows[:-1], actions, msgs, rewards, rows[1:], done)
 
     def play_episode(self, rng, epsilon):
-        """One epsilon-greedy episode, a rollout of one; pushes one record per env
-        step into the replay and returns the final shared reward."""
+        """One epsilon-greedy episode, a rollout of one; returns its records for the
+        replay, one RialTransition per env step."""
         _, steps = self.rollout(1, rng, epsilon)
-        for t in range(self.env.horizon):
-            self.buffer.push(RialTransition._make(field[t, 0] for field in steps))
-        return float(steps.reward[-1, 0, 0])
+        return [RialTransition._make(field[t, 0] for field in steps)
+                for t in range(self.env.horizon)]
 
-    def td_update(self, rng):
+    def td_update(self, sample):
         """One factored TD step for every agent on one tape: each head's Qa[a] +
         Qm[m] regresses onto r + gamma (1-done) (max Qa' + max Qm') from its
-        target table, on its own batch of the replay's records, all agents' indices
-        drawn in one (n_agents, batch) call before any forward; one backward, one
-        Adam step.  The root is n_agents times the mean squared error; returns the
-        per-agent means' sum, folded agent by agent."""
+        target table, on its own batch of replayed records, row i of sample, a
+        replay's draw of shape (n_agents, batch) made before any forward; one
+        backward, one Adam step.  The root is n_agents times the mean squared
+        error; returns the per-agent means' sum, folded agent by agent."""
         own = np.arange(self.n_agents)
-        b = RialTransition._make(col[own, :, own] for col in
-                                 self.buffer.sample((self.n_agents, self.batch_size), rng))
+        b = RialTransition._make(col[own, :, own] for col in sample)
         y = b.reward + self.gamma * (1.0 - b.done) * self.target_table()[own[:, None], b.row_next]
         g = Graph()
         loss, sq = self.td_loss(g, b, y)
@@ -348,13 +342,6 @@ class RialSystem:
     def sync_targets(self):
         copy_params(self.opt.value, self.target_value)
         self._targets = None
-
-    def step(self, rng, epsilon):
-        """Collect one episode, then learn if the replay has a batch."""
-        self.play_episode(rng, epsilon)
-        if len(self.buffer) >= self.batch_size:
-            return self.td_update(rng)
-        return None
 
     def evaluate(self, episodes, rng):
         """Greedy accuracy over fresh episodes, all stepped together."""

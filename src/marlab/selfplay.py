@@ -36,13 +36,12 @@ def check_selfplay_env(env):
 class SelfPlayRun:
     """Shared-policy training state: one logits row serves both seats."""
 
-    def __init__(self, env, lr=0.05, batch_episodes=256):
+    def __init__(self, env, lr=0.05):
         check_selfplay_env(env)
         self.env = env
         self.k = env.action_space[0].n
         self.logits = param(np.zeros((1, self.k)), name="shared_policy/logits")
         self.lr = float(lr)
-        self.batch_episodes = int(batch_episodes)
         self.history = []
         self.last_loss = None
 

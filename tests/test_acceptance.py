@@ -174,7 +174,7 @@ def test_A4_iql_converges_to_induced_mdp_values():
 def test_A5_selfplay_balance_and_equilibrium():
     env = envs.matching_pennies()
     rng = np.random.default_rng(5)
-    run = selfplay.SelfPlayRun(env, lr=0.05, batch_episodes=256)
+    run = selfplay.SelfPlayRun(env, lr=0.05)
     for _ in range(5000):
         selfplay.selfplay_step(run, env, 256, rng)
 

@@ -1,4 +1,5 @@
 import base64
+import csv
 import dataclasses
 import json
 import math
@@ -223,8 +224,9 @@ def test_selfplay_and_comm_gates():
 
 
 def test_train_incompatible_pair_exits_2(tmp_path):
-    rc, _ = _train(tmp_path, "bad", "--algo", "qmix", "--env", "matching_pennies")
+    rc, out = _train(tmp_path, "bad", "--algo", "qmix", "--env", "matching_pennies")
     assert rc == 2
+    assert not out.exists()     # refused before the out dir or its config echo
 
 
 # -- train artifacts ---------------------------------------------------------
@@ -410,6 +412,14 @@ def test_eval_episodes_below_one_exits_2(tmp_path, capsys, algo, env):
         assert not (out / "eval.json").exists()
 
 
+def test_eval_negative_seed_exits_2(tmp_path, capsys):
+    _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
+    rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--seed", "-1"])
+    assert rc == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
 @pytest.mark.parametrize("fmt", ["marlab-checkpoint-v3", "", None])
 def test_eval_refuses_an_unknown_checkpoint_format(tmp_path, capsys, fmt):
     _, out = _train(tmp_path, "run", "--algo", "vdn", "--env", "coop_climb", *QUICK)
@@ -476,6 +486,7 @@ def test_eval_fresh_selfplay_policy_is_balanced(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algo,home,other", [("qmix", "two_step_coop", "coop_climb"),
+                                              ("vdn", "coop_climb", "rock_paper_scissors"),
                                               ("maddpg_ctde", "coop_cts", "two_step_coop"),
                                               ("selfplay", "rock_paper_scissors",
                                                "matching_pennies")])
@@ -597,9 +608,37 @@ def test_eval_steps_all_episodes_together(tmp_path, capsys, monkeypatch, algo):
 def _started(algo, seed=0):
     cfg = build_config(flag_dict={"algo": algo, "env": HOME_ENVS[algo], "seed": seed,
                                   "batch_size": 8})
-    env = envs.resolve_env(cfg.env)
-    learner, step, _ = cli.ALGO_SPECS[algo].start(cfg, env, np.random.default_rng(seed))
-    return learner, step
+    return cli.Run(cfg, envs.resolve_env(cfg.env), seed)
+
+
+@pytest.mark.parametrize("algo", ["iql", "rial"])
+def test_a_run_keeps_its_state_as_attributes(tmp_path, algo):
+    k, flags = 12, ["--algo", algo, "--env", HOME_ENVS[algo], "--batch-size", "8",
+                    "--total-steps", "12", "--eval-interval", "5", "--eval-episodes", "5"]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["train", *flags]))
+    run = cli.Run(cfg, envs.resolve_env(cfg.env), cfg.seed)
+    for step in range(1, k + 1):
+        run.step()
+        assert run.steps == step
+        assert len(run.rows) == len(run.acc_rows) == step // 5 + (step == k)    # one per eval
+    b = run.buffer.contents()
+    ended = b.done.reshape(len(b.done), -1).all(axis=1)
+    assert run.episodes == ended.sum()
+    if algo == "iql":
+        assert len(run.buffer) == k
+        # the live episode goes on from the last record, or starts afresh after an ending
+        index, t = run.live
+        assert t == k - (np.flatnonzero(ended)[-1] + 1 if ended.any() else 0)
+        assert index.shape == (1,) and (t == 0 or index[0] == b.next_state[-1])
+    else:
+        assert run.live is None     # RIAL plays whole episodes
+        assert len(run.buffer) == run.env.horizon * k and run.episodes == k
+    assert run.loss is not None and run.rows[-1][2] == cli._fmt(run.loss)
+    # the rows are the ones `marlab train` writes for the same flags
+    rc, out = _train(tmp_path, "run", *flags)
+    assert rc == 0
+    with open(out / "metrics.csv", newline="") as f:
+        assert list(csv.reader(f))[1:] == [[str(v) for v in row] for row in run.rows]
 
 
 def _optimizers(learner):
@@ -620,7 +659,7 @@ _ADAM_ALGOS = [a for a in cli.ALGOS if a != "selfplay"]
 
 @pytest.mark.parametrize("algo", _ADAM_ALGOS)
 def test_every_optimizer_keeps_its_params_in_one_vector(algo):
-    learner, _ = _started(algo)
+    learner = _started(algo).learner
     opts = _optimizers(learner)
     assert opts
     for opt in opts:
@@ -634,7 +673,7 @@ def test_every_optimizer_keeps_its_params_in_one_vector(algo):
 @pytest.mark.parametrize("algo", _ADAM_ALGOS)
 def test_every_reachable_net_steps_with_an_optimizer(algo):
     # a target network is the live net run on the target graph, not a model of its own
-    learner, _ = _started(algo)
+    learner = _started(algo).learner
     owned = {id(p) for opt in _optimizers(learner) for p in opt.params}
     nets = reachable_dense_nets(learner)
     assert nets
@@ -644,11 +683,11 @@ def test_every_reachable_net_steps_with_an_optimizer(algo):
 
 @pytest.mark.parametrize("algo", ["qmix", "maddpg_dec", "dial", "rial"])
 def test_checkpoint_load_into_fresh_learner_keeps_bytes(algo):
-    learner, step = _started(algo)
-    for t in range(1, 41):
-        step(t)
-    blob = _checkpoint_bytes(learner)
-    fresh, _ = _started(algo, seed=1)
+    run = _started(algo)
+    for _ in range(40):
+        run.step()
+    blob = _checkpoint_bytes(run.learner)
+    fresh = _started(algo, seed=1).learner
     assert _checkpoint_bytes(fresh) != blob
     ndiff.tree_from_json(json.loads(blob), fresh.checkpoint_tree())
     assert _checkpoint_bytes(fresh) == blob
@@ -669,9 +708,10 @@ def _v1_json(tree):
 
 @pytest.mark.parametrize("algo", cli.ALGOS)
 def test_v1_and_v2_files_of_one_tree_load_alike_and_evaluate_alike(tmp_path, algo):
-    learner, step = _started(algo)
-    for t in range(1, 41):
-        step(t)
+    run = _started(algo)
+    for _ in range(40):
+        run.step()
+    learner = run.learner
     config = dataclasses.asdict(build_config(flag_dict={"algo": algo, "env": HOME_ENVS[algo],
                                                         "batch_size": 8}))
     tree = learner.checkpoint_tree()
@@ -687,7 +727,7 @@ def test_v1_and_v2_files_of_one_tree_load_alike_and_evaluate_alike(tmp_path, alg
         path.write_text(text)
         payload = dict(cli._load_checkpoint_file(path)["payload"])
         del payload["config"]
-        fresh, _ = _started(algo, seed=1)
+        fresh = _started(algo, seed=1).learner
         ndiff.tree_from_json(payload, fresh.checkpoint_tree())
         assert _checkpoint_bytes(fresh) == _checkpoint_bytes(learner)
         assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "20",

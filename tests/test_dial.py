@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from marlab import cli, dial, envs, ndiff
+from marlab.buffer import ReplayBuffer
 from marlab.dial import (
     CHANNEL_MODES,
     DialError,
@@ -25,6 +26,22 @@ def relay():
 
 def make_system(seed=0, **kw):
     return DialSystem(relay(), np.random.default_rng(seed), **kw)
+
+
+def fill(sys_, buf, rng, episodes, epsilon=0.5):
+    """Push the records of RIAL episodes into buf, one record per env step."""
+    for _ in range(episodes):
+        for record in sys_.play_episode(rng, epsilon):
+            buf.push(record)
+
+
+def rial_step(sys_, buf, rng, epsilon, batch_size=32):
+    """One RIAL training step as a run takes it: an episode into the replay, then,
+    once it holds a batch, one TD update on an (n_agents, batch_size) draw."""
+    fill(sys_, buf, rng, 1, epsilon)
+    if len(buf) >= batch_size:
+        return sys_.td_update(buf.sample((sys_.n_agents, batch_size), rng))
+    return None
 
 
 def test_channel_mode_validated():
@@ -267,14 +284,14 @@ def test_every_input_table_row_is_the_input_it_stands_for():
 
 
 def test_td_update_runs_the_target_heads_only_after_a_sync(monkeypatch):
-    sys_ = RialSystem(relay(), np.random.default_rng(17), batch_size=4, target_interval=3)
-    rng = np.random.default_rng(6)
-    while len(sys_.buffer) < 4:
-        sys_.play_episode(rng, 0.5)
+    sys_ = RialSystem(relay(), np.random.default_rng(17), target_interval=3)
+    rng, buf = np.random.default_rng(6), ReplayBuffer(5000)
+    while len(buf) < 4:
+        fill(sys_, buf, rng, 1)
     calls = count_calls(monkeypatch, sys_.target, ["op"])
     counts = []
     for _ in range(7):
-        sys_.td_update(rng)
+        sys_.td_update(buf.sample((2, 4), rng))
         counts.append(calls["op"])
     per_build = counts[0]
     assert per_build > 0
@@ -284,22 +301,23 @@ def test_td_update_runs_the_target_heads_only_after_a_sync(monkeypatch):
 
 
 def test_factored_td_terminal_loss_is_squared_reward():
-    sys_ = RialSystem(relay(), np.random.default_rng(12), batch_size=1)
+    sys_ = RialSystem(relay(), np.random.default_rng(12))
     sys_.opt.value[...] = 0.0
     sys_.target_value[...] = 0.0
     zero = np.zeros(2, dtype=int)    # row 0: state 0 at t=0
-    sys_.buffer.push(RialTransition(zero, zero, zero, np.ones(2), zero, np.ones(2, dtype=bool)))
-    loss = sys_.td_update(np.random.default_rng(0))
+    buf = ReplayBuffer(5000)
+    buf.push(RialTransition(zero, zero, zero, np.ones(2), zero, np.ones(2, dtype=bool)))
+    loss = sys_.td_update(buf.sample((2, 1), np.random.default_rng(0)))
     assert loss == 2.0
 
 
 def test_td_update_runs_one_backward_for_all_heads(monkeypatch):
-    sys_ = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
-    rng = np.random.default_rng(1)
-    while len(sys_.buffer) < 4:
-        sys_.play_episode(rng, 0.5)
+    sys_ = RialSystem(relay(), np.random.default_rng(13))
+    rng, buf = np.random.default_rng(1), ReplayBuffer(5000)
+    while len(buf) < 4:
+        fill(sys_, buf, rng, 1)
     calls = count_calls(monkeypatch, dial, ["backward", "adam_step"])
-    sys_.td_update(rng)
+    sys_.td_update(buf.sample((2, 4), rng))
     assert calls == {"backward": 1, "adam_step": 1}
 
 
@@ -307,9 +325,10 @@ def test_rial_learns_to_signal():
     env = relay()
     rng = np.random.default_rng(0)
     sys_ = RialSystem(env, rng)
+    buf = ReplayBuffer(5000)
     acc = 0.0
     for step in range(12000):
-        sys_.step(rng, 0.15)
+        rial_step(sys_, buf, rng, 0.15)
         if step % 1000 == 999:
             acc = sys_.evaluate(300, rng)
             if acc >= 0.9:
@@ -318,29 +337,33 @@ def test_rial_learns_to_signal():
 
 
 def test_rial_reaches_the_env_only_through_its_batched_calls(monkeypatch):
-    sys_ = RialSystem(relay(), np.random.default_rng(15), batch_size=4)
+    sys_ = RialSystem(relay(), np.random.default_rng(15))
     calls = count_calls(monkeypatch, envs.MarkovGame, ["reset_batch", "step_batch"])
-    rng = np.random.default_rng(4)
-    losses = [sys_.step(rng, 0.3) for _ in range(5)]
+    rng, buf = np.random.default_rng(4), ReplayBuffer(5000)
+    losses = [rial_step(sys_, buf, rng, 0.3, batch_size=4) for _ in range(5)]
     assert losses[0] is None and losses[-1] is not None
     sys_.evaluate(50, rng)
     horizon = relay().horizon
     assert calls == {"reset_batch": 6, "step_batch": 6 * horizon}
 
 
-def test_play_episode_pushes_one_record_per_env_step(monkeypatch):
+def test_play_episode_returns_one_record_per_env_step(monkeypatch):
     sys_ = RialSystem(relay(), np.random.default_rng(16))
     calls = count_calls(monkeypatch, envs.MarkovGame, ["step_batch"])
-    pushes = count_calls(monkeypatch, dial.ReplayBuffer, ["push"])
-    reward = sys_.play_episode(np.random.default_rng(5), 0.5)
-    assert pushes["push"] == calls["step_batch"] == relay().horizon
-    b = sys_.buffer.contents()
+    records = sys_.play_episode(np.random.default_rng(5), 0.5)
+    assert len(records) == calls["step_batch"] == relay().horizon
+    buf = ReplayBuffer(5000)
+    for record in records:
+        buf.push(record)
+    b = buf.contents()
     assert b.row.shape == b.row_next.shape == (relay().horizon, 2)
     assert b.row.dtype.kind == "i" and (b.row == b.row[:, :1]).all()
     assert np.array_equal(b.row_next[0], b.row[1])
     assert b.row[0, 0] < relay().n_states <= b.row[1, 0]    # no messages yet, then some
     assert b.done.tolist() == [[False, False], [True, True]]
-    assert reward == b.reward[-1, 0]
+    # the same draws as a rollout of one: the final shared reward is the rollout's
+    _, steps = sys_.rollout(1, np.random.default_rng(5), 0.5)
+    assert steps.reward[-1, 0, 0] == b.reward[-1, 0]
 
 
 def test_unroll_steps_all_episodes_together(monkeypatch):
@@ -417,25 +440,25 @@ def test_stacked_unroll_equals_per_agent_cells_bit_for_bit(channel, net_hidden):
 
 def test_rial_td_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
-    sys_ = RialSystem(relay(), rng, net_hidden=(6,), batch_size=6)
-    for _ in range(4):
-        sys_.play_episode(rng, 0.5)
+    sys_ = RialSystem(relay(), rng, net_hidden=(6,))
+    buf = ReplayBuffer(5000)
+    fill(sys_, buf, rng, 4)
     # every parameter, biases too, away from zero: at their initial zero biases, all-zero
     # input rows put relu inputs at the kink, where finite differences straddle it
     for p in sys_.opt.params:
         p.value[...] = rng.choice([-1.0, 1.0], size=p.shape) * rng.uniform(0.2, 1.0, size=p.shape)
     own = np.arange(sys_.n_agents)
-    b = RialTransition._make(col[own, :, own] for col in sys_.buffer.sample((2, 6), rng))
+    b = RialTransition._make(col[own, :, own] for col in buf.sample((2, 6), rng))
     y = rng.normal(size=(sys_.n_agents, 6))
     err = grad_check(lambda g: sys_.td_loss(g, b, y)[0], sys_.opt.params)
     assert err < cli.GRADCHECK_TOL
 
 
 def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
-    sys_ = RialSystem(relay(), np.random.default_rng(14), batch_size=8, target_interval=7)
-    rng = np.random.default_rng(2)
+    sys_ = RialSystem(relay(), np.random.default_rng(14), target_interval=7)
+    rng, buf = np.random.default_rng(2), ReplayBuffer(5000)
     for _ in range(30):
-        sys_.step(rng, 0.5)      # Adam moments, and a target synced at step 7, 14 ...
+        rial_step(sys_, buf, rng, 0.5, batch_size=8)   # Adam moments, a target synced at 7, 14 ...
     assert sys_.learn_steps % 7 and sys_.opt.step_count > 7
     heads, opts, targets = [], [], []
     for i, views in enumerate(sys_.checkpoint_tree()["heads"]):
@@ -455,7 +478,7 @@ def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
     g, total = Graph(), None
     for i, (head, target) in enumerate(zip(heads, targets)):
         # agent i's own size-B draw, in agent order, of its column of the replay
-        b = RialTransition._make(col[:, i] for col in sys_.buffer.sample(sys_.batch_size, ref_rng))
+        b = RialTransition._make(col[:, i] for col in buf.sample(8, ref_rng))
         qa2, qm2 = head.forward(target, sys_.table[i])
         y = b.reward + sys_.gamma * (1.0 - b.done) * (qa2.max(axis=1) + qm2.max(axis=1))[b.row_next]
         qa, qm = head.forward(g, g.constant(sys_.table[i][b.row]))
@@ -467,7 +490,7 @@ def test_stacked_td_update_equals_per_head_updates_bit_for_bit():
         adam_step(opt.params, opt)
 
     rng = np.random.default_rng(3)
-    assert sys_.td_update(rng) == float(total.value)
+    assert sys_.td_update(buf.sample((2, 8), rng)) == float(total.value)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     for i, opt in enumerate(opts):
         for mine, ref in ((sys_.opt.value, opt.value), (sys_.opt.m, opt.m), (sys_.opt.v, opt.v)):
@@ -482,12 +505,13 @@ def test_one_update_records_one_stack_of_ops(monkeypatch):
     assert len(u.messages) == relay().horizon - 1
     assert [r.kind for r in u.graph.records].count("dense") == 2 * relay().horizon
 
-    rial = RialSystem(relay(), np.random.default_rng(13), batch_size=4)
-    rng = np.random.default_rng(1)
-    while len(rial.buffer) < 4:
-        rial.play_episode(rng, 0.5)
+    rial = RialSystem(relay(), np.random.default_rng(13))
+    rng, buf = np.random.default_rng(1), ReplayBuffer(5000)
+    while len(buf) < 4:
+        fill(rial, buf, rng, 1)
+    sample = buf.sample((2, 4), rng)
     records = count_calls(monkeypatch, ndiff, ["forward_op"])
     steps = count_calls(monkeypatch, dial, ["adam_step"])
-    rial.td_update(rng)
+    rial.td_update(sample)
     assert records["forward_op"] <= 10
     assert steps["adam_step"] == 1

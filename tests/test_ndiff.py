@@ -231,6 +231,18 @@ def test_no_module_imports_copy():
         assert "copy" not in imported, info.name
 
 
+def test_only_the_run_constructs_a_replay():
+    # every replay learner, RIAL included, pushes into and samples from the one
+    # replay its cli.Run holds
+    built = {}
+    for info in pkgutil.iter_modules(marlab.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"marlab.{info.name}")))
+        calls = [n.func for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        built[info.name] = sum(getattr(f, "id", getattr(f, "attr", None)) == "ReplayBuffer"
+                               for f in calls)
+    assert {name: n for name, n in built.items() if n} == {"cli": 1}
+
+
 @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
        acts=st.lists(st.sampled_from(ndiff._ACTIVATIONS),
                      min_size=3, max_size=3),
