@@ -606,7 +606,7 @@ def cmd_oracle(args):
     env = envs.resolve_env(args.game)
     sub = args.oracle_cmd
     if sub == "nash":
-        if all(sp.n == 2 for sp in env.action_space):
+        if env.all_discrete() and all(sp.n == 2 for sp in env.action_space):
             p1, p2, v = oracle.nash_2x2_zero_sum(env)
         else:
             p1, p2, v = oracle.nash_zero_sum_enumerate(env)

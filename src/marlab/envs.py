@@ -309,28 +309,20 @@ def induce_mdp(env, me, opponent_policies):
         pi = np.asarray(opponent_policies[j], dtype=np.float64)
         if pi.shape != (env.n_states, env.action_space[j].n):
             raise EnvError(f"policy for agent {j} has shape {pi.shape}")
-        if pi.min() < 0 or np.abs(pi.sum(axis=-1) - 1.0).max() > _FLAG_TOL:
+        # NaN fails both comparisons
+        if not pi.min() >= 0 or not np.abs(pi.sum(axis=-1) - 1.0).max() <= _FLAG_TOL:
             raise EnvError(f"policy for agent {j} is not a distribution")
         pols[j] = pi
 
-    k_me = env.action_space[me].n
-    reward = np.zeros((env.n_states, k_me))
-    kernel = np.zeros((env.n_states, k_me, env.n_states))
-    cont = np.zeros((env.n_states, k_me, env.n_states))
-    for s in range(env.n_states):
-        for joint in enumerate_joint_actions(env):
-            w = 1.0
-            for j, aj in enumerate(joint):
-                if j != me:
-                    w *= pols[j][s, aj]
-            if w == 0.0:
-                continue
-            key = (s,) + joint
-            a = joint[me]
-            reward[s, a] += w * env.rewards[key][me]
-            kernel[s, a] += w * env.transition[key]
-            if not env.terminal_after[key]:
-                cont[s, a] += w * env.transition[key]
+    # w[s, a_0, ..., a_n-1, 0]: the opponents' joint probability, each
+    # policy broadcast along its agent's axis and multiplied in agent order
+    w = np.ones((env.n_states,) + (1,) * (env.n_agents + 1))
+    for j, pi in pols.items():
+        w = w * np.expand_dims(pi, tuple(i for i in range(1, env.n_agents + 2) if i != 1 + j))
+    theirs = tuple(1 + j for j in pols)
+    reward = (w[..., 0] * env.rewards[..., me]).sum(axis=theirs)
+    kernel = (w * env.transition).sum(axis=theirs)
+    cont = (w * np.where(env.terminal_after[..., None], 0.0, env.transition)).sum(axis=theirs)
     return InducedMdp(env, me, pols, reward, kernel, cont)
 
 

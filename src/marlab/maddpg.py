@@ -150,8 +150,8 @@ class MaddpgLearner:
         sampled behavior actions, or greedy ones when explore is False.
         Each actor draws for all n rows at once, in agent order."""
         tables = [actor.forward(EVAL, self._eye) for actor in self.actors]
-        return np.stack([actor.sample(t, index, rng) if explore else actor.greedy(t, index)
-                         for actor, t in zip(self.actors, tables)], axis=1)
+        return np.array([actor.sample(t, index, rng) if explore else actor.greedy(t, index)
+                         for actor, t in zip(self.actors, tables)]).T
 
     def _bootstrap(self, batch, x2):
         """y_i = r_i + gamma (1-done) Q'_i(s', a'), (n_agents, B), from one forward of the
@@ -192,7 +192,7 @@ class MaddpgLearner:
         models, drawn owner by owner first.  Returns the pre-step summed loss."""
         if self.decentralized:
             models = self._model_tables()
-            y = self._bootstrap(batch, np.stack([self._owner_x2(batch, i, rng, models)
+            y = self._bootstrap(batch, np.array([self._owner_x2(batch, i, rng, models)
                                                  for i in range(self.n_agents)]))
         else:
             y = self.target_ctde(batch, rng).T
@@ -256,7 +256,7 @@ class MaddpgLearner:
         total, nlls = None, []
         for net, run in zip(self.opponent_models, self.model_runs):
             k = net.layer_sizes[-1]
-            counts = np.stack([np.bincount(s * k + batch.actions[:, j], minlength=n_s * k)
+            counts = np.array([np.bincount(s * k + batch.actions[:, j], minlength=n_s * k)
                                for _, j in run]).reshape(len(run), n_s, k) / size
             logits = net.forward(g, g.constant(self._eye))
             logp = g.log_softmax(logits)

@@ -23,15 +23,13 @@ class NonFinite(OracleError):
 
 
 def _payoff_matrix(game, agent=0):
+    """agent's payoffs in a 2-player, 1-state discrete game, rows indexed by
+    seat 0's action: a view of the game's reward table."""
     if not game.all_discrete():
         raise NonDiscrete("matrix oracles need discrete actions")
     if game.n_agents != 2 or game.n_states != 1:
         raise WrongShape("expected a 2-player, 1-state matrix game")
-    k1, k2 = (sp.n for sp in game.action_space)
-    out = np.empty((k1, k2))
-    for a, b in itertools.product(range(k1), range(k2)):
-        out[a, b] = game.reward_vector(0, (a, b))[agent]
-    return out
+    return game.rewards[0, ..., agent]
 
 
 def nash_2x2_zero_sum(game):
@@ -41,9 +39,9 @@ def nash_2x2_zero_sum(game):
     the lowest indices); otherwise applies the closed-form mixing formula.
     Returns (p1_mix, p2_mix, value) with value from player 1's side.
     """
+    r1 = _payoff_matrix(game, 0)
     if not game.zero_sum:
         raise NotZeroSum(f"{game.name} is not flagged zero-sum")
-    r1 = _payoff_matrix(game, 0)
     if r1.shape != (2, 2):
         raise WrongShape(f"payoff matrix is {r1.shape}, need (2, 2)")
     for i, j in itertools.product(range(2), range(2)):
@@ -67,80 +65,64 @@ def nash_zero_sum_enumerate(game, tol=1e-9):
     lexicographic order and returns the first consistent solution.  An
     independent route to the same answers as nash_2x2_zero_sum.
     """
+    r1 = _payoff_matrix(game, 0)
     if not game.zero_sum:
         raise NotZeroSum(f"{game.name} is not flagged zero-sum")
-    r1 = _payoff_matrix(game, 0)
     k1, k2 = r1.shape
 
-    def supports(k):
-        for size in range(1, k + 1):
-            yield from itertools.combinations(range(k), size)
+    def equalize(sub):
+        """Mix on sub's columns and value v that pay v against every row of
+        sub; the last equation makes the mix sum to one."""
+        m = len(sub)
+        lhs = np.zeros((m + 1, m + 1))
+        lhs[:m, :m] = sub
+        lhs[:m, m] = -1.0
+        lhs[m, :m] = 1.0
+        return np.linalg.solve(lhs, np.eye(m + 1)[m])
 
-    for s1 in supports(k1):
-        for s2 in supports(k2):
-            if len(s1) != len(s2):
-                continue
-            m = len(s1)
-            # unknowns q on s2 plus v: rows of s1 equalize, q sums to one
-            lhs = np.zeros((m + 1, m + 1))
-            rhs = np.zeros(m + 1)
-            lhs[:m, :m] = r1[np.ix_(s1, s2)]
-            lhs[:m, m] = -1.0
-            lhs[m, :m] = 1.0
-            rhs[m] = 1.0
-            # unknowns p on s1 plus v: columns of s2 equalize
-            lhs2 = np.zeros((m + 1, m + 1))
-            rhs2 = np.zeros(m + 1)
-            lhs2[:m, :m] = r1[np.ix_(s1, s2)].T
-            lhs2[:m, m] = -1.0
-            lhs2[m, :m] = 1.0
-            rhs2[m] = 1.0
-            try:
-                qv = np.linalg.solve(lhs, rhs)
-                pv = np.linalg.solve(lhs2, rhs2)
-            except np.linalg.LinAlgError:
-                continue
-            q_s, v = qv[:m], qv[m]
-            p_s, v2 = pv[:m], pv[m]
-            if abs(v - v2) > tol or q_s.min() < -tol or p_s.min() < -tol:
-                continue
-            p = np.zeros(k1)
-            q = np.zeros(k2)
-            p[list(s1)] = np.clip(p_s, 0.0, None)
-            q[list(s2)] = np.clip(q_s, 0.0, None)
-            p /= p.sum()
-            q /= q.sum()
-            # off-support deviations must not profit
-            if (r1 @ q).max() > v + tol:
-                continue
-            if (p @ r1).min() < v - tol:
-                continue
-            return p, q, float(v)
+    for m in range(1, min(k1, k2) + 1):
+        for s1 in itertools.combinations(range(k1), m):
+            for s2 in itertools.combinations(range(k2), m):
+                sub = r1[np.ix_(s1, s2)]
+                try:
+                    qv, pv = equalize(sub), equalize(sub.T)
+                except np.linalg.LinAlgError:
+                    continue
+                q_s, v = qv[:m], qv[m]
+                p_s, v2 = pv[:m], pv[m]
+                if abs(v - v2) > tol or q_s.min() < -tol or p_s.min() < -tol:
+                    continue
+                p = np.zeros(k1)
+                q = np.zeros(k2)
+                p[list(s1)] = np.clip(p_s, 0.0, None)
+                q[list(s2)] = np.clip(q_s, 0.0, None)
+                p /= p.sum()
+                q /= q.sum()
+                # off-support deviations must not profit
+                if (r1 @ q).max() > v + tol:
+                    continue
+                if (p @ r1).min() < v - tol:
+                    continue
+                return p, q, float(v)
     raise OracleError("no equilibrium found (should not happen for finite games)")
 
 
 def best_response_value(game, me, frozen_mix):
     """Best pure reply and its expected payoff against a fixed opponent mix
     in a 2-player matrix game."""
-    if not game.all_discrete():
-        raise NonDiscrete("best_response_value needs discrete actions")
-    if game.n_agents != 2 or game.n_states != 1:
-        raise WrongShape("expected a 2-player, 1-state matrix game")
     if me not in (0, 1):
         raise WrongShape(f"no seat {me}")
-    other = 1 - me
+    mine = _payoff_matrix(game, me)
+    if me == 1:
+        mine = mine.T     # rows are my actions either way
     mix = np.asarray(frozen_mix, dtype=np.float64)
-    k_other = game.action_space[other].n
-    if mix.shape != (k_other,) or mix.min() < 0 or abs(mix.sum() - 1.0) > 1e-9:
+    k_other = mine.shape[1]
+    # NaN fails both comparisons
+    if mix.shape != (k_other,) or not mix.min() >= 0 or not abs(mix.sum() - 1.0) <= 1e-9:
         raise WrongShape(f"frozen_mix must be a distribution over {k_other} actions")
-    k_me = game.action_space[me].n
-    values = np.zeros(k_me)
-    for a in range(k_me):
-        for b in range(k_other):
-            joint = (a, b) if me == 0 else (b, a)
-            values[a] += mix[b] * game.reward_vector(0, joint)[me]
+    values = (mine * mix).sum(axis=1)
     best = int(np.argmax(values))   # lowest index wins ties
-    br = np.zeros(k_me)
+    br = np.zeros(len(values))
     br[best] = 1.0
     return br, float(values[best])
 
@@ -149,14 +131,9 @@ def is_equilibrium(game, mix1, mix2, tol=1e-9):
     """No seat can gain more than tol by deviating from (mix1, mix2)."""
     mix1 = np.asarray(mix1, dtype=np.float64)
     mix2 = np.asarray(mix2, dtype=np.float64)
-    value = np.zeros(2)
-    for a in range(game.action_space[0].n):
-        for b in range(game.action_space[1].n):
-            w = mix1[a] * mix2[b]
-            if w:
-                value += w * game.reward_vector(0, (a, b))
     _, br0 = best_response_value(game, 0, mix2)
     _, br1 = best_response_value(game, 1, mix1)
+    value = (mix1[:, None, None] * mix2[:, None] * game.rewards[0]).sum(axis=(0, 1))
     return br0 <= value[0] + tol and br1 <= value[1] + tol
 
 
@@ -204,17 +181,12 @@ def tabular_q_iteration(model, gamma=None, tol=1e-10, max_sweeps=100_000):
             raise NonDiscrete("q iteration needs discrete actions")
         if not model.cooperative:
             raise OracleError("joint-action q iteration is defined for cooperative games")
-        joints = envs.enumerate_joint_actions(model)
-        actions = joints
-        n_s, n_j = model.n_states, len(joints)
-        reward = np.zeros((n_s, n_j))
-        cont = np.zeros((n_s, n_j, n_s))
-        for s in range(n_s):
-            for ji, joint in enumerate(joints):
-                key = (s,) + joint
-                reward[s, ji] = model.rewards[key][0]
-                if not model.terminal_after[key]:
-                    cont[s, ji] = model.transition[key]
+        actions = envs.enumerate_joint_actions(model)
+        n_s = model.n_states
+        # one row per (state, joint action), joints in the order of `actions`
+        reward = model.rewards[..., 0].reshape(n_s, -1)
+        cont = np.where(model.terminal_after[..., None], 0.0,
+                        model.transition).reshape(n_s, -1, n_s)
         g = model.gamma if gamma is None else float(gamma)
     else:
         raise OracleError(f"cannot run q iteration on {type(model).__name__}")

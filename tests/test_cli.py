@@ -879,6 +879,12 @@ def test_oracle_bad_fixture_exits_2():
     assert cli.main(["oracle", "nash", "no_such_game"]) == 2
 
 
+def test_oracle_nash_on_continuous_actions_exits_2(capsys):
+    assert cli.main(["oracle", "nash", "coop_cts"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: matrix oracles need discrete actions\n"
+
+
 def test_oracle_argmax_needs_cooperative():
     assert cli.main(["oracle", "argmax", "matching_pennies"]) == 2
 
@@ -895,7 +901,7 @@ def test_oracle_rejects_out_of_range_input(capsys, argv, message):
     assert captured.out == "" and f"error: {message}\n" == captured.err
 
 
-@pytest.mark.parametrize("mix", ["0.5,abc", "0.5,0.6"])
+@pytest.mark.parametrize("mix", ["0.5,abc", "0.5,0.6", "nan,0.5"])
 def test_oracle_bestresp_bad_mix_exits_2(capsys, mix):
     assert cli.main(["oracle", "bestresp", "matching_pennies", "--me", "1", "--mix", mix]) == 2
     captured = capsys.readouterr()

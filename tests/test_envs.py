@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marlab import cli, envs
+from marlab import cli, envs, oracle
 from marlab.envs import (
     Discrete,
     EnvError,
@@ -198,6 +198,8 @@ def test_induced_mdp_rejects_bad_policies():
     g = fixture_by_name("matching_pennies")
     with pytest.raises(EnvError):
         induce_mdp(g, 0, {1: np.array([[0.9, 0.3]])})
+    with pytest.raises(EnvError, match="not a distribution"):
+        induce_mdp(fixture_by_name("two_step_coop"), 0, {1: [[np.nan, 0.5], [0.5, 0.5]]})
     with pytest.raises(NonDiscrete):
         induce_mdp(fixture_by_name("coop_cts"), 0, {1: np.array([[1.0]])})
 
@@ -288,6 +290,63 @@ def test_induced_mdp_rows_sum_to_one_and_bound_the_continuation(g, data):
     mdp = induce_mdp(g, me, policies)
     assert np.allclose(mdp.kernel.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
     assert np.all(mdp.cont_kernel >= 0.0) and np.all(mdp.cont_kernel <= mdp.kernel)
+
+
+def _per_joint_tables(g, me, policies):
+    """induce_mdp's reward, kernel and cont_kernel, one (state, joint action)
+    at a time."""
+    k = g.action_space[me].n
+    reward = np.zeros((g.n_states, k))
+    kernel = np.zeros((g.n_states, k, g.n_states))
+    cont = np.zeros_like(kernel)
+    for s in range(g.n_states):
+        for joint in enumerate_joint_actions(g):
+            w = np.prod([policies[j][s, a] for j, a in enumerate(joint) if j != me])
+            key, a = (s, *joint), joint[me]
+            reward[s, a] += w * g.rewards[key][me]
+            kernel[s, a] += w * g.transition[key]
+            if not g.terminal_after[key]:
+                cont[s, a] += w * g.transition[key]
+    return reward, kernel, cont
+
+
+@given(small_games(), st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_induced_mdp_matches_a_per_joint_loop(g, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    me = data.draw(st.integers(0, g.n_agents - 1))
+    policies = {j: rng.dirichlet(np.full(sp.n, 0.5), size=g.n_states)
+                for j, sp in enumerate(g.action_space) if j != me}
+    mdp = induce_mdp(g, me, policies)
+    # atol covers sums that cancel to near zero, where the summation order shows
+    for got, want in zip((mdp.reward, mdp.kernel, mdp.cont_kernel),
+                         _per_joint_tables(g, me, policies)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@given(small_games())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_q_iteration_reads_a_cooperative_game_as_the_per_joint_loop_does(g):
+    coop = MarkovGame(
+        name="coop", action_space=g.action_space, horizon=g.horizon, gamma=g.gamma,
+        cooperative=True, zero_sum=False, n_states=g.n_states,
+        rewards=np.repeat(g.rewards[..., :1], g.n_agents, axis=-1),
+        transition=g.transition, terminal_after=g.terminal_after)
+    joints = enumerate_joint_actions(coop)
+    reward = np.zeros((g.n_states, len(joints)))
+    cont = np.zeros((g.n_states, len(joints), g.n_states))
+    for s in range(g.n_states):
+        for ji, joint in enumerate(joints):
+            reward[s, ji] = coop.rewards[(s, *joint)][0]
+            if not coop.terminal_after[(s, *joint)]:
+                cont[s, ji] = coop.transition[(s, *joint)]
+    # the loop's tables, run through the same sweeps as an induced MDP; a
+    # fixed gamma below 1 keeps every draw convergent
+    looped = envs.InducedMdp(coop, 0, {}, reward, None, cont)
+    tq = oracle.tabular_q_iteration(coop, gamma=0.9)
+    assert tq.actions == joints
+    np.testing.assert_allclose(tq.q, oracle.tabular_q_iteration(looped, gamma=0.9).q,
+                               rtol=1e-12)
 
 
 def test_shipped_fixture_files_resolve():

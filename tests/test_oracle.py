@@ -189,6 +189,22 @@ def test_q_iteration_two_step_coop():
     assert abs(tq.value(0) - 9.9) < 1e-9
 
 
+@pytest.mark.parametrize("name,value", [("two_step_coop", 9.9), ("coop_climb", 11.0),
+                                        ("signal_relay", 0.99)])
+def test_q_iteration_value_equals_backward_induction_to_the_horizon(name, value):
+    g = fixture_by_name(name)
+    n = g.n_states
+    reward = g.rewards[..., 0].reshape(n, -1)
+    cont = np.where(g.terminal_after[..., None], 0.0, g.transition).reshape(n, -1, n)
+    v = np.zeros(n)
+    for t in reversed(range(g.horizon)):
+        # step_batch ends every episode once t + 1 >= horizon
+        v = (reward + (g.gamma * cont @ v if t + 1 < g.horizon else 0.0)).max(axis=-1)
+    exact = g.init_dist @ tabular_q_iteration(g).q.max(axis=-1)
+    assert abs(g.init_dist @ v - exact) <= 1e-12
+    assert exact == pytest.approx(value, abs=1e-12)
+
+
 def test_q_iteration_horizon_one_equals_payoffs():
     g = fixture_by_name("coop_climb")
     tq = tabular_q_iteration(g)
