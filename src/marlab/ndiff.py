@@ -7,9 +7,10 @@ arrays and records nothing, so one forward per model serves the tape and the
 numpy-only paths.  An off-tape graph may read a parameter from its own array:
 a target graph from a lagged copy of its optimizer's value vector, so a
 target net is the live net's forward run there; a Stacked graph from S copies
-at once, each op one numpy call with a leading copy axis, which is how
-grad_check takes all its finite differences in one pass.  Tensors hold no
-reference to a graph, so a dropped tape is freed at once.
+at once, each op the op table's own forward told by the attribute copied
+which operands carry a leading copy axis, which is how grad_check takes all
+its finite differences in one pass.  Tensors hold no reference to a graph, so
+a dropped tape is freed at once.
 """
 
 import base64
@@ -108,13 +109,34 @@ class _Record:
 # matrix (a bias).  Anything else is a ShapeMismatch.  take indexes the
 # leading (agent) axis: it routes a stack's messages to other agents and picks
 # one agent's slice out of a stack.
+#
+# Only a Stacked graph sets the attribute copied: one flag per operand, set if
+# it holds S copies of its value along a leading copy axis.  Under it a forward
+# checks one copy's shapes on v[0] views and keeps the copy axis in front: add,
+# mul and dense rank-align their operands (_align) so that numpy pairs copy axis
+# with copy axis; sum, mean, take, pick and concat reduce or index each copy;
+# the rest broadcast as they are.  Slice c of the result is, bit for bit, what
+# the forward computes from copy c's operands.  No backward reads the flags.
 # ---------------------------------------------------------------------------
 
-def _binary_shapes(a, b, kind):
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0]):
-        return
+def _one_copy(vals, copied):
+    return [v[0] if c else v for v, c in zip(vals, copied)]
+
+
+def _align(vals, copied):
+    # give each copied operand the largest per-copy rank
+    rank = max(v.ndim - c for v, c in zip(vals, copied))
+    return [v.reshape(v.shape[:1] + (1,) * (rank + 1 - v.ndim) + v.shape[1:])
+            if c and v.ndim <= rank else v for v, c in zip(vals, copied)]
+
+
+def _binary(vals, attrs, kind):
+    # the two operands once their shapes (one copy's, if copied) pass; if copied, rank-aligned
+    copied = attrs.get("copied")
+    a, b = vals if copied is None else _one_copy(vals, copied)
+    if a.shape == b.shape or a.size == 1 or b.size == 1 or (
+            a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0])):
+        return vals if copied is None else _align(vals, copied)
     raise ShapeMismatch(f"{kind}: {a.shape} vs {b.shape} (exact match, scalar or (1, k) row only)")
 
 
@@ -127,15 +149,11 @@ def _reduce_to(g, shape):
     return np.full(shape, g.sum(), dtype=np.float64)
 
 
-def _matmul_shapes(a, b):
+def _fw_matmul(vals, attrs):
+    a, b = vals if "copied" not in attrs else _one_copy(vals, attrs["copied"])
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-
-
-def _fw_matmul(vals, attrs):
-    a, b = vals
-    _matmul_shapes(a, b)
-    return a @ b, None
+    return vals[0] @ vals[1], None
 
 
 def _bw_matmul(ctx, vals, g):
@@ -144,8 +162,7 @@ def _bw_matmul(ctx, vals, g):
 
 
 def _fw_add(vals, attrs):
-    a, b = vals
-    _binary_shapes(a, b, "add")
+    a, b = _binary(vals, attrs, "add")
     return a + b, None
 
 
@@ -155,8 +172,7 @@ def _bw_add(ctx, vals, g):
 
 
 def _fw_mul(vals, attrs):
-    a, b = vals
-    _binary_shapes(a, b, "mul")
+    a, b = _binary(vals, attrs, "mul")
     return a * b, None
 
 
@@ -166,13 +182,20 @@ def _bw_mul(ctx, vals, g):
 
 
 def _fw_concat(vals, attrs):
+    # if copied, a shared operand is broadcast to the copies, but one whose leading axes are a
+    # copied operand's holds one value per copy (such as the states of the copies' own episodes)
     if not vals:
         raise ShapeMismatch("concat: no inputs")
-    nd = vals[0].ndim
-    if nd == 0:
-        raise ShapeMismatch("concat: inputs must have rank >= 1")
+    copied = attrs.get("copied")
+    lead = vals[0].shape[:-1]
+    if copied is not None:
+        lead = next(v.shape[:-1] for v, c in zip(vals, copied) if c)
+        if not lead:
+            raise ShapeMismatch("concat: inputs must have rank >= 1")
+        vals = [np.broadcast_to(v, lead + v.shape[-1:]) if not c and v.shape[:-1] == lead[1:] else v
+                for v, c in zip(vals, copied)]
     for v in vals:
-        if v.ndim != nd or v.shape[:-1] != vals[0].shape[:-1]:
+        if v.ndim == 0 or v.shape[:-1] != lead:
             raise ShapeMismatch(f"concat: {[x.shape for x in vals]}")
     widths = [v.shape[-1] for v in vals]
     return np.concatenate(vals, axis=-1), widths
@@ -233,7 +256,7 @@ def _bw_sigmoid(ctx, vals, g):
 
 def _fw_softmax(vals, attrs):
     (x,) = vals
-    if x.ndim == 0:
+    if (x[0] if "copied" in attrs else x).ndim == 0:
         raise ShapeMismatch("softmax: rank >= 1 required")
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -250,6 +273,8 @@ def _bw_softmax(ctx, vals, g):
 def _fw_log_softmax(vals, attrs):
     # log(softmax(x)) without forming softmax: finite however far apart x's entries are
     (x,) = vals
+    if (x[0] if "copied" in attrs else x).ndim == 0:
+        raise ShapeMismatch("log_softmax: rank >= 1 required")
     z = x - x.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z, z
@@ -271,9 +296,13 @@ def _bw_log(ctx, vals, g):
 
 
 def _fw_sum(vals, attrs):
-    # the sum of all entries, or the sums along `axis` with that dim kept (size 1)
+    # the sum of all entries, or the sums along `axis` with that dim kept (size 1); if copied,
+    # each copy's
     (x,) = vals
     axis = attrs.get("axis")
+    if "copied" in attrs:
+        return (x.reshape(len(x), -1).sum(axis=1) if axis is None
+                else x.sum(axis=range(1, x.ndim)[axis], keepdims=True)), None
     return (np.asarray(x.sum()) if axis is None else x.sum(axis=axis, keepdims=True)), None
 
 
@@ -286,7 +315,7 @@ def _bw_sum(ctx, vals, g):
 
 def _fw_mean(vals, attrs):
     (x,) = vals
-    return np.asarray(x.mean()), None
+    return (x.reshape(len(x), -1).mean(axis=1) if "copied" in attrs else np.asarray(x.mean())), None
 
 
 def _bw_mean(ctx, vals, g):
@@ -326,7 +355,7 @@ def _bw_neg(ctx, vals, g):
 def _fw_slice(vals, attrs):
     (x,) = vals
     start, stop = attrs["start"], attrs["stop"]
-    if x.ndim == 0:
+    if (x[0] if "copied" in attrs else x).ndim == 0:
         raise ShapeMismatch("slice: rank >= 1 required")
     width = x.shape[-1]
     if not (0 <= start < stop <= width):
@@ -343,17 +372,20 @@ def _bw_slice(ctx, vals, g):
 
 
 def _fw_pick(vals, attrs):
-    # the (B, 1) column x[b, index[b]]; on n stacked (B, k) x, the (B, n) x[i, b, index[b, i]]
+    # the (B, 1) column x[b, index[b]]; on n stacked (B, k) x, the (B, n) x[i, b, index[b, i]];
+    # if copied, in each copy
     (x,) = vals
+    one = x[0] if "copied" in attrs else x
     index = np.asarray(attrs["index"], dtype=np.intp)
-    if x.ndim == 2 and index.shape == x.shape[:1]:
-        rows = np.arange(x.shape[0])
-        return x[rows, index][:, None], (rows, index)
-    if x.ndim != 3 or index.ndim != 2 or index.shape[0] != x.shape[1] \
-            or len(x) not in (1, index.shape[1]):
-        raise ShapeMismatch(f"pick: index of shape {index.shape} on {x.shape}")
-    ctx = (np.arange(index.shape[1]) % len(x), np.arange(x.shape[1])[:, None], index)
-    return x[ctx], ctx
+    if one.ndim == 2 and index.shape == one.shape[:1]:
+        ctx = (np.arange(len(one)), index)
+    elif one.ndim != 3 or index.ndim != 2 or index.shape[0] != one.shape[1] \
+            or len(one) not in (1, index.shape[1]):
+        raise ShapeMismatch(f"pick: index of shape {index.shape} on {one.shape}")
+    else:
+        ctx = (np.arange(index.shape[1]) % len(one), np.arange(one.shape[1])[:, None], index)
+    out = x[ctx] if one is x else x[(slice(None),) + ctx]
+    return (out[..., None] if one.ndim == 2 else out), ctx
 
 
 def _bw_pick(ctx, vals, g):
@@ -379,8 +411,13 @@ def _take_index(x, attrs):
 
 
 def _fw_take(vals, attrs):
-    index = _take_index(vals[0], attrs)
-    return vals[0][index], index
+    # if copied, from each copy
+    (x,) = vals
+    if "copied" in attrs:
+        index = _take_index(x[0], attrs)
+        return x[:, index], index
+    index = _take_index(x, attrs)
+    return x[index], index
 
 
 def _bw_take(ctx, vals, g):
@@ -389,23 +426,22 @@ def _bw_take(ctx, vals, g):
     return (out,)
 
 
-def _stack_shapes(x, w, b):
-    if b.shape != (len(w), 1, w.shape[2]) or x.shape[-1:] != w.shape[1:2] \
-            or x.shape[:-2] not in ((), w.shape[:1]) or x.ndim < 2:
-        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
-
-
 def _fw_dense(vals, attrs):
-    # one layer act(x @ W + b) through the matmul, add and activation kernels; n stacked layers,
-    # W (n, in, out) and b (n, 1, out), each run on x or on its slice of an (n, B, in) x
-    x, w, b = vals
+    # one layer act(x @ W + b), W (in, out) and b (1, out); n stacked layers, W (n, in, out) and
+    # b (n, 1, out), each run on x or on its slice of an (n, B, in) x
+    copied = attrs.get("copied")
+    x, w, b = vals if copied is None else _one_copy(vals, copied)
+    xs, ws = x.shape, w.shape    # a w of rank < 2 fails xs[-1:] before ws[-1] is read
+    if len(xs) < 2 or len(ws) > 3 or xs[-1:] != ws[-2:-1] or xs[:-2] not in ((), ws[:-2]) \
+            or b.shape != ws[:-2] + (1, ws[-1]):
+        raise ShapeMismatch(f"dense: {xs} @ {ws} + {b.shape}")
     act = attrs["act"]
-    if w.ndim == 3:
-        _stack_shapes(x, w, b)
+    if copied is None:
         pre = np.matmul(x, w)
         pre += b    # in place, as relu below: past 128 KiB each new array can cost page faults
-    else:
-        pre = _fw_add((_fw_matmul((x, w), attrs)[0], b), attrs)[0]
+    else:    # a copied b alone widens the product
+        x, w, b = _align(vals, copied)
+        pre = np.matmul(x, w) + b
     out = (np.maximum(pre, 0.0, out=pre) if act == "relu"    # its backward reads only the sign
            else pre if act == "identity" else OPS[act][0]((pre,), attrs)[0])
     return out, (act, pre, out)
@@ -417,18 +453,16 @@ def _bw_dense(ctx, vals, g):
     x, w, b = vals
     if act != "identity":
         (g,) = OPS[act][1](out, (pre,), g)
-    if w.ndim == 2:
-        return (*_bw_matmul(None, (x, w), g), _reduce_to(g, b.shape))
-    gx = np.matmul(g, np.swapaxes(w, 1, 2))
-    if x.ndim == 2:    # summed last slice first, as n records' adjoints sum in the sweep
+    gx = np.matmul(g, np.swapaxes(w, -1, -2))
+    if gx.ndim > x.ndim:    # summed last slice first, as n records' adjoints sum in the sweep
         gx = sum(gx[-2::-1], gx[-1])
-    return gx, np.matmul(np.swapaxes(x, -1, -2), g), g.sum(axis=1, keepdims=True)
+    return gx, np.matmul(np.swapaxes(x, -1, -2), g), g.sum(axis=-2, keepdims=True)
 
 
-def _fw_mix(vals, attrs, copy=None):
+def _fw_mix(vals, attrs):
     # per row |w2| . elu(|W1| q + b1) + b2, W1 the row's (e, n) block of w1, b1 and w2 hyper's
-    # two slices; leading axes broadcast, so Stacked copies run it, their shapes checked on one
-    q, w1, hyper, b2 = vals if copy is None else copy
+    # two slices; leading axes broadcast, so copied operands need no alignment
+    q, w1, hyper, b2 = vals if "copied" not in attrs else _one_copy(vals, attrs["copied"])
     if q.ndim != 2 or hyper.ndim != 3 or hyper.shape[:2] != (2, len(q)) or b2.shape != (len(q), 1) \
             or w1.shape != (len(q), q.shape[1] * hyper.shape[2]):
         raise ShapeMismatch(f"mix: q {q.shape}, w1 {w1.shape}, b1|w2 {hyper.shape}, b2 {b2.shape}")
@@ -576,114 +610,6 @@ class OffTape(Graph):
 EVAL = OffTape()
 
 
-# ---------------------------------------------------------------------------
-# stacked copies: forward kernels with a leading copy axis
-#
-# A stacked operand holds S copies of one value along axis 0; any other
-# operand is shared by every copy.  Each kernel checks the shapes of one copy
-# as the op table's forward does, and slice c of its result is, bit for bit,
-# what that forward computes from copy c's operands.  The ops that act
-# elementwise or along the last axis (activations, log, square, abs, neg,
-# slice) have no kernel here: the op table's forward already is one.
-# ---------------------------------------------------------------------------
-
-def _one_copy(vals, stacked):
-    return [v[0] if s else v for v, s in zip(vals, stacked)]
-
-
-def _align(vals, stacked):
-    # give each stacked operand the largest per-copy rank, so that numpy
-    # broadcasting pairs the copy axis with the copy axis
-    rank = max(v.ndim - s for v, s in zip(vals, stacked))
-    return [v.reshape(v.shape[:1] + (1,) * (rank + 1 - v.ndim) + v.shape[1:])
-            if s and v.ndim <= rank else v for v, s in zip(vals, stacked)]
-
-
-def _stk_matmul(vals, stacked, attrs):
-    _matmul_shapes(*_one_copy(vals, stacked))
-    return np.matmul(*vals)
-
-
-def _stk_add(vals, stacked, attrs):
-    _binary_shapes(*_one_copy(vals, stacked), "add")
-    a, b = _align(vals, stacked)
-    return a + b
-
-
-def _stk_mul(vals, stacked, attrs):
-    _binary_shapes(*_one_copy(vals, stacked), "mul")
-    a, b = _align(vals, stacked)
-    return a * b
-
-
-def _stk_dense(vals, stacked, attrs):
-    x, w, b = vals
-    sx, sw, sb = stacked
-    if w.ndim - sw == 3:    # a stack of nets: one copy's x, if 2-D, feeds each of its nets
-        _stack_shapes(*_one_copy(vals, stacked))
-        pre = np.matmul(x[:, None] if sx and x.ndim == 3 else x, w) + b
-    else:
-        pre = _stk_add((_stk_matmul((x, w), (sx, sw), attrs), b), (sx or sw, sb), attrs)
-    act = attrs["act"]
-    return pre if act == "identity" else OPS[act][0]((pre,), attrs)[0]
-
-
-def _stk_concat(vals, stacked, attrs):
-    # a shared operand is broadcast to the copies; one that already carries
-    # the copy axis in front holds one value per copy (such as the states of
-    # the copies' own episodes)
-    lead = next(v.shape[:-1] for v, s in zip(vals, stacked) if s)
-    for v, s in zip(vals, stacked):
-        if not lead or v.ndim == 0 or (v.shape[:-1] != lead and (s or v.shape[:-1] != lead[1:])):
-            raise ShapeMismatch(f"concat: {[x.shape for x in vals]} on {lead[:1]} copies")
-    return np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in vals], axis=-1)
-
-
-def _stk_pick(vals, stacked, attrs):
-    # one copy's pick, (B, 1) or a stack's (B, n), in every copy
-    (x,) = vals
-    out = x[(slice(None),) + _fw_pick((x[0],), attrs)[1]]
-    return out[..., None] if x.ndim == 3 else out
-
-
-def _stk_take(vals, stacked, attrs):
-    return vals[0][:, _take_index(vals[0][0], attrs)]
-
-
-def _stk_mix(vals, stacked, attrs):
-    return _fw_mix(vals, attrs, _one_copy(vals, stacked))[0]
-
-
-def _stk_sum(vals, stacked, attrs):
-    (x,) = vals
-    axis = attrs.get("axis")
-    if axis is None:
-        return x.reshape(len(x), -1).sum(axis=1)
-    return x.sum(axis=range(1, x.ndim)[axis], keepdims=True)
-
-
-def _stk_mean(vals, stacked, attrs):
-    (x,) = vals
-    return x.reshape(len(x), -1).mean(axis=1)
-
-
-_STACKED_FW = {
-    "matmul": _stk_matmul,
-    "add": _stk_add,
-    "mul": _stk_mul,
-    "dense": _stk_dense,
-    "concat": _stk_concat,
-    "pick": _stk_pick,
-    "take": _stk_take,
-    "mix": _stk_mix,
-    "sum": _stk_sum,
-    "mean": _stk_mean,
-}
-
-# op table forwards that act along the last axis, so need one in each copy
-_LAST_AXIS = {"softmax", "log_softmax", "slice"}
-
-
 class Stacked(OffTape):
     """The Graph ops on S copies of some parameters at once, off the tape.
 
@@ -694,7 +620,8 @@ class Stacked(OffTape):
     a Tensor outside stacks, a result of such operands only) is shared by
     every copy; concat also takes a constant with the copy axis in front, one
     value per copy.  A stacked result must reach the next op as the very
-    array returned here.
+    array returned here.  Each op runs the op table's forward, given the
+    attribute copied when an operand is stacked (see the op table).
     """
 
     def __init__(self, stacks):
@@ -705,24 +632,19 @@ class Stacked(OffTape):
         pair = OPS.get(kind)
         if pair is None:
             raise UnknownOp(kind)
-        vals, stacked = [], []
+        vals, copied = [], []
         for x in inputs:
             if type(x) is Tensor:
                 v = self.reads.get(x)
                 vals.append(x.value if v is None else v)
-                stacked.append(v is not None)
+                copied.append(v is not None)
             else:
                 vals.append(x)
-                stacked.append(id(x) in self._results)
-        if not any(stacked):
+                copied.append(id(x) in self._results)
+        if not any(copied):
             return pair[0](vals, attrs)[0]
-        kernel = _STACKED_FW.get(kind)
-        if kernel is not None:
-            out = kernel(vals, stacked, attrs)
-        elif kind in _LAST_AXIS and vals[0].ndim < 2:
-            raise ShapeMismatch(f"{kind}: rank >= 1 required")
-        else:
-            out = pair[0](vals, attrs)[0]
+        attrs["copied"] = tuple(copied)
+        out = pair[0](vals, attrs)[0]
         self._results[id(out)] = out
         return out
 

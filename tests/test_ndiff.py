@@ -211,6 +211,15 @@ def test_no_model_keeps_a_second_forward():
                 assert not twins & set(vars(cls)), f"{mod.__name__}.{name}"
 
 
+def test_stacked_runs_the_op_tables_own_forwards():
+    # a Stacked graph keeps no second forward table: each forward reads the copied flags itself
+    names = set(vars(ndiff))
+    assert not {"_STACKED_FW", "_LAST_AXIS", "_stack_shapes"} & names
+    assert not [name for name in names if name.startswith("_stk_")]
+    for kind, (fw, _) in ndiff.OPS.items():
+        assert list(inspect.signature(fw).parameters) == ["vals", "attrs"], kind
+
+
 def test_no_module_draws_with_generator_choice():
     # every categorical draw goes through envs._cdf/envs._draw, which match
     # Generator.choice's draws without re-checking p and rebuilding its CDF per call
@@ -347,7 +356,7 @@ def test_a_stack_of_one_picks_for_every_column():
     assert np.array_equal(x.grad[0], expect)
 
 
-@pytest.mark.parametrize("x,w,b", [
+MALFORMED_DENSE = [
     ((4, 3), (2, 3, 5), (2, 1, 4)),
     ((4, 3), (2, 3, 5), (3, 1, 5)),
     ((4, 3), (2, 3, 5), (2, 5)),
@@ -358,13 +367,35 @@ def test_a_stack_of_one_picks_for_every_column():
     ((1, 2, 4, 3), (2, 3, 5), (2, 1, 5)),
     ((2, 4, 3), (3, 5), (1, 5)),
     ((4, 3), (1, 2, 3, 5), (1, 2, 1, 5)),
-])
+    # a lone layer's bias is one (1, out) row: neither a (B, out) matrix nor a scalar
+    ((4, 3), (3, 5), (4, 5)),
+    ((4, 3), (3, 5), ()),
+]
+
+
+@pytest.mark.parametrize("x,w,b", MALFORMED_DENSE)
 def test_stacked_dense_rejects_malformed_shapes(x, w, b):
     vals = [np.ones(shape) for shape in (x, w, b)]
     g = Graph()
     for graph, inputs in ((EVAL, vals), (g, [g.constant(v) for v in vals])):
         with pytest.raises(ShapeMismatch):
             graph.op("dense", inputs, act="relu")
+
+
+@pytest.mark.parametrize("x,w,b", MALFORMED_DENSE)
+@pytest.mark.parametrize("mask", range(1, 8))
+def test_copied_dense_rejects_each_copy_of_malformed_shapes(x, w, b, mask):
+    # two copies of the operands that mask picks, the others shared
+    g = Stacked({})
+    inputs = []
+    for j, shape in enumerate((x, w, b)):
+        if mask >> j & 1:
+            inputs.append(param(np.ones(shape)))
+            g.reads[inputs[-1]] = np.ones((2,) + shape)
+        else:
+            inputs.append(g.constant(np.ones(shape)))
+    with pytest.raises(ShapeMismatch):
+        g.op("dense", inputs, act="relu")
 
 
 @pytest.mark.parametrize("x,index", [
@@ -704,13 +735,22 @@ def _stacked_case(kind, rng, n, k):
         return [draw(n, int(rng.integers(1, 4))) for _ in range(3)], {}
     if kind == "dense":
         act = ndiff._ACTIVATIONS[int(rng.integers(len(ndiff._ACTIVATIONS)))]
-        return [draw(n, k), draw(k, m), draw(1, m)], {"act": act}
+        # a lone layer, or a stack of n layers on one (B, k) x or on each its own (B, k) slice
+        b = int(rng.integers(1, 4))
+        forms = [lambda: [draw(n, k), draw(k, m), draw(1, m)],
+                 lambda: [draw(b, k), draw(n, k, m), draw(n, 1, m)],
+                 lambda: [draw(n, b, k), draw(n, k, m), draw(n, 1, m)]]
+        return forms[int(rng.integers(3))](), {"act": act}
     if kind == "sum":
         return [draw(n, k)], {"axis": [None, 0, 1, -1][int(rng.integers(4))]}
     if kind == "slice":
         start = int(rng.integers(k))
         return [draw(n, k)], {"start": start, "stop": int(rng.integers(start + 1, k + 1))}
     if kind == "pick":
+        # one (n, k) x, or a stack of n (B, k) x with a (B, n) index
+        b = int(rng.integers(1, 4))
+        if rng.integers(2):
+            return [draw(n, b, k)], {"index": rng.integers(k, size=(b, n))}
         return [draw(n, k)], {"index": rng.integers(k, size=n)}
     if kind == "mix":
         # n rows of k utilities, an embedding of m
@@ -827,6 +867,7 @@ def test_stacked_unknown_op_raises_like_off_tape():
 
 @pytest.mark.parametrize("build", [
     lambda g, x: g.softmax(g.sum(x)),
+    lambda g, x: g.log_softmax(g.sum(x)),
     lambda g, x: g.slice(g.mean(x), 0, 1),
     lambda g, x: g.concat(g.sum(x), g.sum(x)),
     lambda g, x: g.matmul(x, g.constant(np.ones((3, 1)))),
@@ -844,6 +885,14 @@ def test_stacked_rejects_each_copy_that_eval_rejects(build):
         build(EVAL, x)
     with pytest.raises(ShapeMismatch):
         build(Stacked({x: np.ones((3, 2, 2))}), x)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "log_softmax"])
+def test_a_rank_0_input_to_softmax_or_log_softmax_is_refused_on_every_graph(kind):
+    x = param(np.array(1.5))
+    for g in (Graph(), EVAL, Stacked({x: np.array([1.5, 2.0])})):
+        with pytest.raises(ShapeMismatch):
+            g.op(kind, (x,))
 
 
 def test_adam_first_step_is_bias_corrected():
