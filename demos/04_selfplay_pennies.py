@@ -16,7 +16,7 @@ run = selfplay.SelfPlayRun(env, lr=0.05)
 print("steps  policy(heads)  window mean payoff")
 for block in range(8):
     for _ in range(250):
-        selfplay.selfplay_step(run, env, 256, rng)
+        selfplay.selfplay_step(run, 256, rng)
     window = float(np.mean(run.history[-50:]))
     print(f"{(block + 1) * 250:5d}  {run.policy()[0]:13.4f}  {window:+.4f}")
 

@@ -4,7 +4,8 @@ emission, checkpointing, oracle queries, and a gradient self-test.
 Config is a single JSON file; command-line flags override file keys and both
 override built-in defaults.  The environment variable MARLAB_SEED, when set,
 overrides the seed from either source.  Exit codes: 0 success, 1 runtime
-failure, 2 usage or config error.
+failure, 2 usage or config error, such as a game the learner's constructor
+refuses or, for vdn and qmix, a game without a shared reward.
 
 Every training run leaves three artifacts in its output directory:
 metrics.csv (fixed column schema), checkpoint.json (parameters plus a
@@ -161,6 +162,7 @@ class AlgoSpec(typing.NamedTuple):
     evaluate: typing.Callable
     defaults: dict              # values for the config keys left unset
     extra_csv: tuple = ()       # files of (step, loss, eval accuracy) rows
+    replay: bool = True         # learns from batches of the run's replay
 
 
 # the info keys `marlab eval` adds to its summary
@@ -205,6 +207,8 @@ def _replay_step(run, records, eps, learn, shape=()):
 
 
 def _q_build(mode, cfg, env, rng):
+    if mode != "independent" and not env.cooperative:
+        raise qmix.NonCooperative(f"{mode} needs a shared reward; {env.name} is not cooperative")
     return qmix.QmixLearner(
         env, mode, rng, hidden=tuple(cfg.hidden_sizes), embed_dim=cfg.embed_dim,
         gamma=cfg.gamma, lr=cfg.lr, target_interval=cfg.target_update_interval)
@@ -238,7 +242,7 @@ def _maddpg_evaluate(run, episodes, rng):
 
 
 def _selfplay_step(run, t):
-    reported = selfplay.selfplay_step(run.learner, run.env, run.cfg.batch_size, run.rng)
+    reported = selfplay.selfplay_step(run.learner, run.cfg.batch_size, run.rng)
     return run.cfg.batch_size, run.learner.last_loss, None, {"train_batch_mean": reported}
 
 
@@ -287,10 +291,10 @@ ALGO_SPECS = {
                            _maddpg_evaluate, _ACTOR_CRITIC),
     "selfplay": AlgoSpec(lambda cfg, env, rng: selfplay.SelfPlayRun(env, lr=cfg.lr),
                          _selfplay_step, _selfplay_evaluate,
-                         {"lr": 0.05, "batch_size": 256, "hidden_sizes": []}),
+                         {"lr": 0.05, "batch_size": 256, "hidden_sizes": []}, replay=False),
     "dial": AlgoSpec(lambda cfg, env, rng: dialmod.DialSystem(
         env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr), _dial_step, _comm_evaluate,
-        {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]}, _COMM_CSV),
+        {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [16]}, _COMM_CSV, replay=False),
     "rial": AlgoSpec(lambda cfg, env, rng: dialmod.RialSystem(
         env, rng, net_hidden=tuple(cfg.hidden_sizes), lr=cfg.lr, gamma=cfg.gamma,
         target_interval=cfg.target_update_interval), _rial_step, _comm_evaluate, _VALUE,
@@ -414,30 +418,9 @@ def build_config(file_dict=None, flag_dict=None):
         check = f.metadata["check"]
         if check is not None and not check(v):
             raise InvalidConfig(f"{f.name} {f.metadata['rule']}")
+    if ALGO_SPECS[algo].replay and merged["buffer_capacity"] < merged["batch_size"]:
+        raise InvalidConfig(f"buffer_capacity must be at least batch_size ({merged['batch_size']})")
     return RunConfig(**merged)
-
-
-def check_compat(algo, env):
-    """Reject algo/env pairings the learner cannot represent."""
-    if algo in ("iql", "vdn", "qmix"):
-        if not env.all_discrete():
-            raise IncompatibleAlgoEnv(f"{algo} needs discrete action spaces")
-        if algo != "iql" and not env.cooperative:
-            raise IncompatibleAlgoEnv(
-                f"{algo} factorizes one shared value; {env.name} is not cooperative")
-    elif algo == "maddpg_dec":
-        if not env.all_discrete():
-            raise IncompatibleAlgoEnv(
-                "decentralized targets model opponents with categorical "
-                "distributions; continuous co-actors are not supported")
-    elif algo == "selfplay":
-        try:
-            selfplay.check_selfplay_env(env)
-        except (envs.NotZeroSum, envs.NotSymmetric) as e:
-            raise IncompatibleAlgoEnv(str(e))
-    elif algo in ("dial", "rial"):
-        if not env.meta.get("comm"):
-            raise IncompatibleAlgoEnv(f"{algo} needs a signalling fixture")
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +432,16 @@ class Run:
     every training draw; the one replay, which every replay learner pushes into and
     samples from; the live episode (state index, timestep) of the learners that collect
     one, None before the first collect; steps, episodes finished, and the last loss,
-    epsilon and extra; and the metrics and (step, loss, eval accuracy) rows so far."""
+    epsilon and extra; and the metrics and (step, loss, eval accuracy) rows so far.
+    A game the learner's constructor refuses raises IncompatibleAlgoEnv."""
 
     def __init__(self, cfg, env, seed):
-        check_compat(cfg.algo, env)
         self.cfg, self.env, self.seed, self.spec = cfg, env, seed, ALGO_SPECS[cfg.algo]
         self.rng = np.random.default_rng(seed)
-        self.learner = self.spec.build(cfg, env, self.rng)
+        try:
+            self.learner = self.spec.build(cfg, env, self.rng)
+        except (envs.EnvError, qmix.QmixError, maddpg.MaddpgError, dialmod.DialError) as e:
+            raise IncompatibleAlgoEnv(f"{cfg.algo} cannot learn on {env.name}: {e}") from e
         self.buffer, self.live = ReplayBuffer(cfg.buffer_capacity), None
         self.steps, self.episodes, self.loss, self.eps, self.extra = 0, 0, None, None, {}
         self.rows, self.acc_rows = [], []
@@ -564,8 +550,7 @@ def evaluate_checkpoint(blob, env, episodes, seed):
         # an untrained run like the one that wrote the checkpoint, on a game it fits
         run = Run(cfg, env, seed)
         ndiff.tree_from_json(payload, run.learner.checkpoint_tree())
-    except (IncompatibleAlgoEnv, envs.EnvError, qmix.QmixError, maddpg.MaddpgError,
-            dialmod.DialError, ndiff.NdiffError) as e:
+    except (IncompatibleAlgoEnv, ndiff.NdiffError) as e:
         raise IncompatibleAlgoEnv(f"checkpoint does not fit {env.name}: {e}")
     totals, _, info = run.spec.evaluate(run, episodes, _eval_rng(seed, 0))
 

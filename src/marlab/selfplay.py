@@ -79,13 +79,12 @@ def _policy_gradient_step(logits, lr, weights, scale):
     return loss.item()
 
 
-def selfplay_step(run, env, batch_episodes, rng):
-    """Play a batch with the shared policy in both seats, apply one pooled
-    policy-gradient step (each seat's own reward as its return), and return
-    the coin-relabeled seat-1 mean payoff."""
-    check_selfplay_env(env)
+def selfplay_step(run, batch_episodes, rng):
+    """Play a batch on run.env with the shared policy in both seats, apply one
+    pooled policy-gradient step (each seat's own reward as its return), and
+    return the coin-relabeled seat-1 mean payoff."""
     p = run.policy()
-    a, b, r1, r2 = play_batch(env, p, p, batch_episodes, rng)
+    a, b, r1, r2 = play_batch(run.env, p, p, batch_episodes, rng)
     coin = rng.random(batch_episodes) < 0.5
     reported = float(np.where(coin, r1, r2).mean())
 

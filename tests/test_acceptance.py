@@ -176,7 +176,7 @@ def test_A5_selfplay_balance_and_equilibrium():
     rng = np.random.default_rng(5)
     run = selfplay.SelfPlayRun(env, lr=0.05)
     for _ in range(5000):
-        selfplay.selfplay_step(run, env, 256, rng)
+        selfplay.selfplay_step(run, 256, rng)
 
     history = np.asarray(run.history)
     windows = history.reshape(100, 50).mean(axis=1)

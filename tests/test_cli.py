@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 from unittest import mock
 
@@ -17,7 +18,6 @@ from marlab.cli import (
     IncompatibleAlgoEnv,
     InvalidConfig,
     build_config,
-    check_compat,
 )
 from marlab.envs import fixture_by_name, game_to_dict, two_step_coop
 
@@ -193,34 +193,56 @@ def test_marlab_seed_env_var_overrides(monkeypatch):
         build_config({"algo": "qmix"})
 
 
+REPLAY_ALGOS = {"iql", "vdn", "qmix", "maddpg_ctde", "maddpg_dec", "rial"}
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_a_replay_smaller_than_one_batch_is_refused(tmp_path, capsys, algo):
+    # such a replay never holds a batch, so the run would never learn; dial
+    # and self-play keep no replay
+    rc, out = _train(tmp_path, algo, "--algo", algo, "--env", HOME_ENVS[algo],
+                     "--batch-size", "8", "--buffer-capacity", "7", "--total-steps", "4",
+                     "--eval-interval", "4", "--eval-episodes", "2")
+    if algo in REPLAY_ALGOS:
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "buffer_capacity" in err and "batch_size" in err
+        assert not out.exists()
+    else:
+        assert rc == 0
+    build_config({"algo": algo, "batch_size": 8, "buffer_capacity": 8})
+
+
 # -- algo/env compatibility --------------------------------------------------
 
-def test_qmix_needs_cooperative():
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("qmix", fixture_by_name("matching_pennies"))
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("vdn", fixture_by_name("rock_paper_scissors"))
-    check_compat("iql", fixture_by_name("matching_pennies"))
+TWO_STEP_FILE = str(pathlib.Path(envs.__file__).parent / "fixtures" / "two_step_coop.json")
+GAMES = (*envs.FIXTURES, TWO_STEP_FILE)
+DISCRETE = {"two_step_coop", "coop_climb", "matching_pennies", "rock_paper_scissors",
+            "signal_relay", TWO_STEP_FILE}
+SHARED_REWARD = {"two_step_coop", "coop_climb", "signal_relay", TWO_STEP_FILE}
+# the 31 of 56 pairs that train: value heads need discrete actions and, to
+# factorize one team value, a shared reward; decentralized maddpg models
+# discrete co-actors; self-play needs a symmetric zero-sum matrix game and the
+# communication learners a signalling fixture
+ACCEPTED = {"iql": DISCRETE, "vdn": SHARED_REWARD, "qmix": SHARED_REWARD,
+            "maddpg_ctde": set(GAMES), "maddpg_dec": DISCRETE,
+            "selfplay": {"matching_pennies", "rock_paper_scissors"},
+            "dial": {"signal_relay"}, "rial": {"signal_relay"}}
 
 
-def test_value_heads_need_discrete_actions():
-    cts = fixture_by_name("coop_cts")
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("qmix", cts)
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("maddpg_dec", cts)
-    check_compat("maddpg_ctde", cts)
-
-
-def test_selfplay_and_comm_gates():
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("selfplay", fixture_by_name("coop_climb"))
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("dial", fixture_by_name("coop_climb"))
-    with pytest.raises(IncompatibleAlgoEnv):
-        check_compat("rial", fixture_by_name("matching_pennies"))
-    check_compat("selfplay", fixture_by_name("matching_pennies"))
-    check_compat("dial", fixture_by_name("signal_relay"))
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_each_algo_trains_on_exactly_the_games_its_learner_accepts(tmp_path, algo):
+    cfg = build_config({"algo": algo})
+    accepted = set()
+    for i, game in enumerate(GAMES):
+        try:
+            cli.Run(cfg, envs.resolve_env(game), 0)
+            accepted.add(game)
+        except IncompatibleAlgoEnv:
+            rc, out = _train(tmp_path, f"refused{i}", "--algo", algo, "--env", game)
+            assert rc == 2, game
+            assert not out.exists(), game
+    assert accepted == ACCEPTED[algo]
 
 
 def test_train_incompatible_pair_exits_2(tmp_path):
@@ -489,7 +511,11 @@ def test_eval_fresh_selfplay_policy_is_balanced(tmp_path, capsys):
                                               ("vdn", "coop_climb", "rock_paper_scissors"),
                                               ("maddpg_ctde", "coop_cts", "two_step_coop"),
                                               ("selfplay", "rock_paper_scissors",
-                                               "matching_pennies")])
+                                               "matching_pennies"),
+                                              ("iql", "two_step_coop", "coop_cts"),
+                                              ("maddpg_dec", "two_step_coop", "coop_cts"),
+                                              ("selfplay", "rock_paper_scissors", "coop_climb"),
+                                              ("rial", "signal_relay", "two_step_coop")])
 def test_eval_on_a_game_the_checkpoint_does_not_fit_exits_2(tmp_path, capsys, algo, home,
                                                            other):
     rc, out = _train(tmp_path, algo, "--algo", algo, "--env", home, "--batch-size", "8",

@@ -252,6 +252,36 @@ def test_only_the_run_constructs_a_replay():
     assert {name: n for name, n in built.items() if n} == {"cli": 1}
 
 
+def _callers(name):
+    """The qualified names of the functions in marlab that call name."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(where)
+            visit(child, where)
+
+    for info in pkgutil.iter_modules(marlab.__path__):
+        visit(ast.parse(inspect.getsource(importlib.import_module(f"marlab.{info.name}"))),
+              info.name)
+    return found
+
+
+def test_each_learner_checks_its_game_once_where_it_is_built():
+    # the learners' constructors decide which games they learn on; cli keeps no
+    # second copy of those rules, and a self-play step does not re-check its game
+    tree = ast.parse(inspect.getsource(importlib.import_module("marlab.cli")))
+    assert "check_compat" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    # exploit still checks the game its caller passes in
+    assert _callers("check_selfplay_env") == {"selfplay.SelfPlayRun.__init__", "selfplay.exploit"}
+    assert _callers("_check_comm_env") == {"dial.DialSystem.__init__", "dial.RialSystem.__init__"}
+
+
 @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
        acts=st.lists(st.sampled_from(ndiff._ACTIVATIONS),
                      min_size=3, max_size=3),

@@ -69,7 +69,7 @@ def test_reported_payoff_centered_for_skewed_policy():
     run = SelfPlayRun(env)
     run.logits.value[...] = np.array([[2.0, -2.0]])
     rng = np.random.default_rng(1)
-    means = [selfplay_step(run, env, 256, rng) for _ in range(40)]
+    means = [selfplay_step(run, 256, rng) for _ in range(40)]
     run.logits.value[...] = np.array([[2.0, -2.0]])
     assert abs(np.mean(means)) < 0.05
 
@@ -79,7 +79,7 @@ def test_training_stays_balanced_and_near_equilibrium():
     rng = np.random.default_rng(5)
     run = SelfPlayRun(env)
     for _ in range(5000):
-        selfplay_step(run, env, 256, rng)
+        selfplay_step(run, 256, rng)
     h = np.array(run.history)
     window = 39  # ~10000 episodes of 256 per step
     for i in range(0, len(h) - window + 1, window):
@@ -93,7 +93,7 @@ def test_rps_selfplay_balanced():
     env = envs.fixture_by_name("rock_paper_scissors")
     rng = np.random.default_rng(2)
     run = SelfPlayRun(env)
-    means = [selfplay_step(run, env, 256, rng) for _ in range(200)]
+    means = [selfplay_step(run, 256, rng) for _ in range(200)]
     assert abs(np.mean(means)) < 0.05
 
 
@@ -128,7 +128,7 @@ def test_exploit_never_mutates_frozen_policy():
     rng = np.random.default_rng(7)
     run = SelfPlayRun(env)
     for _ in range(50):
-        selfplay_step(run, env, 256, rng)
+        selfplay_step(run, 256, rng)
     before = run.logits.value.tobytes()
     exploit(run, env, 200, rng)
     assert run.logits.value.tobytes() == before
@@ -147,7 +147,7 @@ def test_exploitability_trend_over_training():
         _, value = exploit(run, env, 300, rng, eval_episodes=4000)
         probes.append(value)
         for _ in range(500):
-            selfplay_step(run, env, 256, rng)
+            selfplay_step(run, 256, rng)
     _, value = exploit(run, env, 300, rng, eval_episodes=4000)
     probes.append(value)
     assert np.median(probes[-5:]) <= np.median(probes[:5])
@@ -160,7 +160,7 @@ def test_history_is_deterministic_under_seed():
         rng = np.random.default_rng(11)
         run = SelfPlayRun(env)
         for _ in range(20):
-            selfplay_step(run, env, 128, rng)
+            selfplay_step(run, 128, rng)
         runs.append((run.history, run.policy()))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -171,7 +171,7 @@ def test_checkpoint_roundtrip():
     rng = np.random.default_rng(12)
     run = SelfPlayRun(env)
     for _ in range(30):
-        selfplay_step(run, env, 128, rng)
+        selfplay_step(run, 128, rng)
     blob = tree_to_json(run.checkpoint_tree())
     saved = run.policy().copy()
     run.logits.value[...] = 9.0
@@ -282,7 +282,7 @@ def test_selfplay_step_equals_the_reference_formulation_bit_for_bit():
     runs = [SelfPlayRun(env, lr=0.3), SelfPlayRun(env, lr=0.3)]
     rngs = [np.random.default_rng(21), np.random.default_rng(21)]
     for _ in range(50):
-        selfplay_step(runs[0], env, 256, rngs[0])
+        selfplay_step(runs[0], 256, rngs[0])
         _reference_step(runs[1], env, 256, rngs[1])
         assert runs[0].logits.value.tobytes() == runs[1].logits.value.tobytes()
         assert np.float64(runs[0].last_loss).tobytes() == np.float64(runs[1].last_loss).tobytes()
