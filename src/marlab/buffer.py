@@ -41,16 +41,18 @@ class ReplayBuffer:
 
     def push(self, record):
         values = [np.asarray(v) for v in record]
+        kinds = [(v.shape, v.dtype) for v in values]
         if self._make is None:
-            self._make = type(record)._make
+            self._make, self._kinds = type(record)._make, kinds
             self._cols = [np.empty((self.capacity, *v.shape), v.dtype) for v in values]
-        # all fields are checked before any is written, so a rejected record
-        # leaves the slot it would overwrite intact
-        if any(v.shape != col.shape[1:] or not np.can_cast(v.dtype, col.dtype)
-               for col, v in zip(self._cols, values)):
+        # all fields are checked before any is written, so a rejected record leaves the
+        # slot it would overwrite intact; only a field of another dtype needs a cast check
+        if kinds != self._kinds and any(shape != want[0] or not np.can_cast(dtype, want[1])
+                                        for (shape, dtype), want in zip(kinds, self._kinds)):
             raise TypeError(f"{record!r} does not fit columns {[c.dtype for c in self._cols]}")
+        slot = self._pushes % self.capacity
         for col, v in zip(self._cols, values):
-            col[self._pushes % self.capacity] = v
+            col[slot] = v
         self._pushes += 1
 
     def sample(self, k, rng):
@@ -59,7 +61,7 @@ class ReplayBuffer:
         if not self._pushes:
             raise Empty("cannot sample from an empty buffer")
         idx = rng.integers(0, len(self), size=k)
-        return self._make(col[idx] for col in self._cols)
+        return self._make([col.take(idx, axis=0) for col in self._cols])
 
     def contents(self):
         """All stored records oldest-first, as one stacked record."""

@@ -184,26 +184,24 @@ def _greedy_rollout(run, episodes, rng, policy=None):
     return totals, totals.mean(axis=0), {}
 
 
-def _collect(run, act):
-    """The records of one qmix.collect_step of the live episode, started at the
-    first call, acting by act(index)."""
+def _collect(run, act, *args):
+    """The transition of one qmix.collect_step of the live episode, started at the
+    first call, acting by act(index, *args)."""
     if run.live is None:
         run.live = (run.env.reset_batch(1, run.rng), 0)
-    tr, run.live = qmix.collect_step(run.env, act, run.live, run.rng)
-    return [tr]
+    tr, run.live = qmix.collect_step(run.env, act, run.live, run.rng, *args)
+    return tr
 
 
-def _replay_step(run, records, eps, learn, shape=()):
+def _replay_draw(run, records, shape=()):
     """The one replay loop: push a step's records into the run's replay and, once it
-    holds a batch, learn(a draw of shape + (batch_size,) records) -> (loss, extra).
-    The step finished an episode if its last record did."""
-    done = int(records[-1].done.all())
+    holds a batch, return a draw of shape + (batch_size,) records to learn from, else
+    None."""
     for record in records:
         run.buffer.push(record)
-    if len(run.buffer) < run.cfg.batch_size:
-        return done, None, eps, {}
-    loss, extra = learn(run.buffer.sample(shape + (run.cfg.batch_size,), run.rng))
-    return done, loss, eps, extra
+    if len(run.buffer) >= run.cfg.batch_size:
+        return run.buffer.sample(shape + (run.cfg.batch_size,), run.rng)
+    return None
 
 
 def _q_build(mode, cfg, env, rng):
@@ -215,9 +213,12 @@ def _q_build(mode, cfg, env, rng):
 
 
 def _q_step(run, t):
-    eps, learner = _epsilon(run.cfg, t), run.learner
-    return _replay_step(run, _collect(run, lambda index: learner.act(index, run.rng, eps)), eps,
-                        lambda batch: (learner.td_update(batch), {}))
+    # the step's one forward of the live heads: acting reads it, and the update extends it
+    eps, learner, g = _epsilon(run.cfg, t), run.learner, ndiff.Graph()
+    heads = learner.forward(g)
+    tr = _collect(run, learner.act, run.rng, eps, heads)
+    batch = _replay_draw(run, [tr])
+    return int(tr.done), None if batch is None else learner.td_update(batch, g, heads), eps, {}
 
 
 def _maddpg_build(decentralized, cfg, env, rng):
@@ -226,14 +227,11 @@ def _maddpg_build(decentralized, cfg, env, rng):
         tau=cfg.tau, beta=cfg.beta, decentralized=decentralized)
 
 
-def _maddpg_learn(run, batch):
-    out = run.learner.learner_step(batch, run.rng)
-    return out["critic_loss"], out
-
-
 def _maddpg_step(run, t):
-    return _replay_step(run, _collect(run, lambda index: run.learner.act(index, run.rng)), None,
-                        functools.partial(_maddpg_learn, run))
+    tr = _collect(run, run.learner.act, run.rng)
+    batch = _replay_draw(run, [tr])
+    out = {} if batch is None else run.learner.learner_step(batch, run.rng)
+    return int(tr.done), out.get("critic_loss"), None, out
 
 
 def _maddpg_evaluate(run, episodes, rng):
@@ -273,8 +271,10 @@ def _dial_step(run, t):
 def _rial_step(run, t):
     eps, learner = _epsilon(run.cfg, t), run.learner
     # one episode's records; each agent learns on its own row of the draw
-    return _replay_step(run, learner.play_episode(run.rng, eps), eps,
-                        lambda sample: (learner.td_update(sample), {}), (learner.n_agents,))
+    records = learner.play_episode(run.rng, eps)
+    sample = _replay_draw(run, records, (learner.n_agents,))
+    return (int(records[-1].done.all()), None if sample is None else learner.td_update(sample),
+            eps, {})
 
 
 _VALUE = {"lr": 5e-3, "batch_size": 32, "hidden_sizes": [32]}

@@ -315,7 +315,9 @@ def _bw_sum(ctx, vals, g):
 
 def _fw_mean(vals, attrs):
     (x,) = vals
-    return (x.reshape(len(x), -1).mean(axis=1) if "copied" in attrs else np.asarray(x.mean())), None
+    # np.mean's sum and division, without its wrapper
+    return (x.reshape(len(x), -1).mean(axis=1) if "copied" in attrs
+            else np.asarray(x.sum() / x.size)), None
 
 
 def _bw_mean(ctx, vals, g):
@@ -372,30 +374,30 @@ def _bw_slice(ctx, vals, g):
 
 
 def _fw_pick(vals, attrs):
-    # the (B, 1) column x[b, index[b]]; on n stacked (B, k) x, the (B, n) x[i, b, index[b, i]];
-    # if copied, in each copy
+    # the (B, 1) column x[rows[b], index[b]]; on n stacked (R, k) x, the (B, n) x[i, rows[b],
+    # index[b, i]]; rows, each row of x in turn unless given, may repeat; if copied, in each copy
     (x,) = vals
     one = x[0] if "copied" in attrs else x
     index = np.asarray(attrs["index"], dtype=np.intp)
-    if one.ndim == 2 and index.shape == one.shape[:1]:
-        ctx = (np.arange(len(one)), index)
-    elif one.ndim != 3 or index.ndim != 2 or index.shape[0] != one.shape[1] \
+    rows = np.asarray(np.arange(one.shape[-2] if one.ndim > 1 else 0) if attrs.get("rows") is None
+                      else attrs["rows"], dtype=np.intp)
+    if one.ndim == 2 and index.ndim == 1 and index.shape == rows.shape:
+        ctx = (rows, index)
+    elif one.ndim != 3 or index.ndim != 2 or rows.shape != index.shape[:1] \
             or len(one) not in (1, index.shape[1]):
-        raise ShapeMismatch(f"pick: index of shape {index.shape} on {one.shape}")
+        raise ShapeMismatch(f"pick: index of shape {index.shape}, rows {rows.shape} on {one.shape}")
     else:
-        ctx = (np.arange(index.shape[1]) % len(one), np.arange(one.shape[1])[:, None], index)
+        ctx = (np.arange(index.shape[1]) % len(one), rows[:, None], index)
     out = x[ctx] if one is x else x[(slice(None),) + ctx]
     return (out[..., None] if one.ndim == 2 else out), ctx
 
 
 def _bw_pick(ctx, vals, g):
+    # each read's adjoint added to its entry in the reads' C order, so an entry read twice (a
+    # repeated row, or a stack of one serving all n columns) sums its adjoints
     (x,) = vals
-    out = np.zeros_like(x)
-    if x.ndim == 3 and len(x) < g.shape[1]:
-        np.add.at(out, ctx, g)    # a stack of one serves all n columns
-    else:
-        out[ctx] = g.reshape(ctx[-1].shape)
-    return (out,)
+    flat = np.ravel_multi_index(ctx, x.shape, mode="wrap")
+    return (np.bincount(flat.reshape(-1), g.reshape(-1), x.size).reshape(x.shape),)
 
 
 def _take_index(x, attrs):
@@ -453,34 +455,46 @@ def _bw_dense(ctx, vals, g):
     x, w, b = vals
     if act != "identity":
         (g,) = OPS[act][1](out, (pre,), g)
-    gx = np.matmul(g, np.swapaxes(w, -1, -2))
+    gx = np.matmul(g, w.swapaxes(-1, -2))
     if gx.ndim > x.ndim:    # summed last slice first, as n records' adjoints sum in the sweep
         gx = sum(gx[-2::-1], gx[-1])
-    return gx, np.matmul(np.swapaxes(x, -1, -2), g), g.sum(axis=-2, keepdims=True)
+    return gx, np.matmul(x.swapaxes(-1, -2), g), g.sum(axis=-2, keepdims=True)
 
 
 def _fw_mix(vals, attrs):
-    # per row |w2| . elu(|W1| q + b1) + b2, W1 the row's (e, n) block of w1, b1 and w2 hyper's
-    # two slices; leading axes broadcast, so copied operands need no alignment
+    # per row b, |w2| . elu(|W1| q + b1) + b2, W1 the (e, n) block of w1, b1 and w2 hyper's two
+    # slices, all read at row rows[b] of the R-row w1, hyper and b2, or at row b unless rows is
+    # given; leading axes broadcast, so copied operands need no alignment
     q, w1, hyper, b2 = vals if "copied" not in attrs else _one_copy(vals, attrs["copied"])
-    if q.ndim != 2 or hyper.ndim != 3 or hyper.shape[:2] != (2, len(q)) or b2.shape != (len(q), 1) \
-            or w1.shape != (len(q), q.shape[1] * hyper.shape[2]):
-        raise ShapeMismatch(f"mix: q {q.shape}, w1 {w1.shape}, b1|w2 {hyper.shape}, b2 {b2.shape}")
+    rows = attrs.get("rows")
+    if q.ndim != 2 or hyper.ndim != 3 or hyper.shape[0] != 2 or b2.shape != (hyper.shape[1], 1) \
+            or w1.shape != (hyper.shape[1], q.shape[1] * hyper.shape[2]) \
+            or (np.shape(rows) if rows is not None else hyper.shape[1:2]) != q.shape[:1]:
+        raise ShapeMismatch(f"mix: q {q.shape}, w1 {w1.shape}, b1|w2 {hyper.shape}, b2 {b2.shape}"
+                            f", rows {np.shape(rows)}")
     q, w1, hyper, b2 = vals
+    if rows is not None:
+        rows = np.asarray(rows, np.intp)
+        w1, hyper, b2 = w1.take(rows, axis=-2), hyper.take(rows, axis=-2), b2.take(rows, axis=-2)
     a1 = np.abs(w1).reshape(w1.shape[:-1] + hyper.shape[-1:] + q.shape[-1:])
     pre = (a1 * q[..., None, :]).sum(axis=-1) + hyper[..., 0, :, :]
     hidden = _fw_elu((pre,), attrs)[0]
     a2 = np.abs(hyper[..., 1, :, :])
-    return (a2 * hidden).sum(axis=-1, keepdims=True) + b2, (a1, pre, hidden, a2)
+    return (a2 * hidden).sum(axis=-1, keepdims=True) + b2, (rows, a1, pre, hidden, a2)
 
 
 def _bw_mix(ctx, vals, g):
+    # the adjoints of |W1|, b1, |w2| and b2 at each row b, summed into row rows[b] if given,
+    # then through |.|
     q, w1, hyper, _ = vals
-    a1, pre, hidden, a2 = ctx
+    rows, a1, pre, hidden, a2 = ctx
     (gpre,) = _bw_elu(None, (pre,), g * a2)
-    gw1 = (gpre[:, :, None] * q[:, None, :]).reshape(w1.shape) * np.sign(w1)
-    return ((gpre[:, :, None] * a1).sum(axis=1), gw1,
-            np.stack([gpre, g * hidden * np.sign(hyper[1])]), g)
+    gw1, gb1, gw2 = (gpre[:, :, None] * q[:, None, :]).reshape(len(q), -1), gpre, g * hidden
+    if rows is not None:
+        onehot = np.eye(len(w1)).take(rows, axis=1)
+        gw1, gb1, gw2, g = onehot @ gw1, onehot @ gb1, onehot @ gw2, onehot @ g
+    return ((gpre[:, :, None] * a1).sum(axis=1), gw1 * np.sign(w1),
+            np.array([gb1, gw2 * np.sign(hyper[1])]), g)
 
 
 OPS = {
@@ -575,8 +589,8 @@ class Graph:
     def slice(self, x, start, stop):
         return self.op("slice", (x,), start=start, stop=stop)
 
-    def pick(self, x, index):
-        return self.op("pick", (x,), index=index)
+    def pick(self, x, index, rows=None):
+        return self.op("pick", (x,), index=index, rows=rows)
 
     def take(self, x, index):
         return self.op("take", (x,), index=index)

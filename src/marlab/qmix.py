@@ -4,9 +4,11 @@ mixing network whose weights come from hypernetworks.
 
 Greedy joint actions are taken per agent on the utility heads; the mixing
 network exists so that this decentralized argmax coincides with the argmax
-of the mixed joint value.  The learner's inputs are one-hot states, so the TD
-targets bootstrap from a table of the target nets' value at every state,
-built off the tape at the first update after each target sync.
+of the mixed joint value.  The learner's inputs are one-hot states, so every
+net runs once per state and each batch row reads its state's row: the live
+nets on the tape, where a training step's one forward serves both acting and
+the update, and the target nets off it, in a table of their value at every
+state built at the first update after each target sync.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from . import ndiff
 from .buffer import JointTransition
 from .ndiff import (EVAL, AdamState, DenseNet, Graph, adam_step, clip_grad_norm, copy_params,
-                    target_graph)
+                    target_graph, value_of)
 
 MODES = ("independent", "vdn", "qmix")
 MAX_GRAD_NORM = 10.0
@@ -32,9 +34,6 @@ class NonCooperative(QmixError):
     pass
 
 
-_COOP_TOL = 1e-12
-
-
 class MixingNet:
     """Two-layer monotone mixer: q_tot = w2(s) . elu(W1(s) q + b1(s)) + b2(s).
 
@@ -42,7 +41,8 @@ class MixingNet:
     derivative of q_tot with respect to a utility nonnegative; biases are
     unconstrained.  Weights are emitted per state by dense hypernetworks: b1
     and w2, of one shape, by a stack of two.  The mixer itself is one `mix`
-    op, which routes each row's utilities through its own (e, n) block W1.
+    op, which routes each row's utilities through its own (e, n) block W1,
+    the hypernets' output at row rows[b] of s if rows is given.
     """
 
     def __init__(self, state_dim, n_agents, embed_dim, hyper_hidden, rng):
@@ -57,8 +57,8 @@ class MixingNet:
     def params(self):
         return [p for net in self.nets for p in net.params]
 
-    def forward(self, g, q, s):
-        return g.op("mix", (q, *(net.forward(g, s) for net in self.nets)))
+    def forward(self, g, q, s, rows=None):
+        return g.op("mix", (q, *(net.forward(g, s) for net in self.nets)), rows=rows)
 
 
 class QmixLearner:
@@ -76,6 +76,7 @@ class QmixLearner:
         if not env.all_discrete():
             raise QmixError("utility heads need discrete actions")
         self.env = env
+        self.cooperative = env.cooperative
         self.mode = mode
         self.gamma = env.gamma if gamma is None else float(gamma)
         self.target_interval = int(target_interval)
@@ -109,27 +110,39 @@ class QmixLearner:
         return {"mode": self.mode, "psi": psi, "theta": theta}
 
     # -- acting ---------------------------------------------------------------
+    def forward(self, g):
+        """Per run, its heads' (n, n_states, k) utilities at every state, a shared stack of one
+        (1, n_states, k), on graph g: a training step's one forward, which act reads and
+        td_update extends to the loss."""
+        s = g.constant(self._eye)
+        return [net.forward(g, s) for net in self.heads]
+
+    def _per_agent(self, us):
+        """Per run, the (n, B, k) utilities of its n agents from its heads' values in us."""
+        for u, run in zip(us, self.runs):
+            yield u if len(u) == len(run) else np.broadcast_to(u, (len(run),) + u.shape[1:])
+
     def _head_values(self, g, x):
         """Per run, the (n, B, k) utilities of its n agents at encoded states x, off the tape."""
-        for net, run in zip(self.heads, self.runs):
-            u = net.forward(g, x)
-            yield u if len(u) == len(run) else np.broadcast_to(u, (len(run),) + u.shape[1:])
+        return self._per_agent(net.forward(g, x) for net in self.heads)
 
     def utilities(self, index):
         """Per-agent utility vectors at one state index, from the current heads."""
         return [u for us in self._head_values(EVAL, self._eye[[index]]) for u in us[:, 0]]
 
-    def greedy_joint(self, index):
-        """Per-agent argmax of the current heads at an (n,) array of state
-        indices: (n, n_agents) joint actions."""
-        x = self._eye[np.asarray(index)]
-        return np.hstack([u.argmax(axis=2).T for u in self._head_values(EVAL, x)])
+    def greedy_joint(self, index, heads=None):
+        """Per-agent argmax of the current heads at an (n,) array of state indices: (n, n_agents)
+        joint actions, read from the rows of heads, a step's forward (see forward), if given."""
+        us = (self._head_values(EVAL, self._eye[np.asarray(index)]) if heads is None
+              else self._per_agent(value_of(u)[:, index] for u in heads))
+        return np.hstack([u.argmax(axis=2).T for u in us])
 
-    def act(self, index, rng, epsilon):
+    def act(self, index, rng, epsilon, heads=None):
         """Epsilon-greedy joint actions at an (n,) array of state indices, (n, n_agents):
-        the greedy joint, each choice then made uniform with chance epsilon, one uniform
-        per choice and one integer per replaced choice, drawn agent by agent, row by row."""
-        joint = self.greedy_joint(index)
+        the greedy joint (of heads, if given), each choice then made uniform with chance
+        epsilon, one uniform per choice and one integer per replaced choice, drawn agent by
+        agent, row by row."""
+        joint = self.greedy_joint(index, heads)
         for i, k in enumerate(self.n_actions):
             for row in range(len(joint)):
                 if rng.random() < epsilon:
@@ -144,13 +157,13 @@ class QmixLearner:
             raise QmixError(f"need {self.n_agents} utilities, got {q.shape[1]}")
         return float(self._mix(EVAL, q, self._eye[[index]])[0, 0])
 
-    def _mix(self, g, q, s):
-        """(n, 1) q_tot of the utility columns q at encoded states s."""
+    def _mix(self, g, q, s, rows=None):
+        """(n, 1) q_tot of the utility columns q at encoded states s, or at rows of s."""
         if self.mode == "independent":
             raise ModeMismatch("independent mode has no joint mixer")
         if self.mode == "vdn":
             return g.sum(q, axis=1)
-        return self.mixing.forward(g, q, s)
+        return self.mixing.forward(g, q, s, rows)
 
     # -- learning -------------------------------------------------------------
     def target_table(self):
@@ -162,25 +175,24 @@ class QmixLearner:
                              else self._mix(self.target, best, self._eye))
         return self._targets
 
-    def td_loss(self, g, batch, y):
+    def td_loss(self, g, batch, y, heads=None):
         """The mean squared error of the live nets' taken values, mixed in the joint modes,
-        against the TD targets y, on graph g."""
-        s_t = g.constant(self._eye[batch.state])
-        taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
-                 for net, run in zip(self.heads, self.runs)]
+        against the TD targets y, on graph g.  The nets run once per state, the heads in heads
+        (see forward) if given, and each batch row reads its state's row."""
+        heads = self.forward(g) if heads is None else heads
+        taken = [g.pick(u, batch.actions[:, run], batch.state) for u, run in zip(heads, self.runs)]
         q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
         if self.mode != "independent":
-            q_taken = self._mix(g, q_taken, s_t)
+            q_taken = self._mix(g, q_taken, g.constant(self._eye), batch.state)
         return g.mean(g.square(g.sub(q_taken, g.constant(y))))
 
-    def td_update(self, batch):
-        """One optimization step on a stacked batch of joint transitions;
-        returns the pre-step loss."""
+    def td_update(self, batch, g=None, heads=None):
+        """One optimization step on a stacked batch of joint transitions, its loss built on
+        graph g over heads, a step's forward there (see forward), if given; returns the
+        pre-step loss."""
+        if self.mode != "independent" and not self.cooperative:
+            raise NonCooperative(f"{self.mode} needs a shared reward; {self.env.name} has none")
         rewards, done = batch.rewards, batch.done
-        if self.mode != "independent":
-            spread = np.abs(rewards - rewards[:, :1]).max()
-            if spread > _COOP_TOL:
-                raise NonCooperative(f"joint modes need a shared reward (spread {spread:.3g})")
 
         target = self.target_table()[batch.next_state]
         if self.mode == "independent":
@@ -188,8 +200,8 @@ class QmixLearner:
         else:
             y = (rewards[:, 0] + self.gamma * (1.0 - done) * target[:, 0])[:, None]
 
-        g = Graph()
-        loss = self.td_loss(g, batch, y)
+        g = Graph() if g is None else g
+        loss = self.td_loss(g, batch, y, heads)
         self.opt.grad[...] = 0.0
         ndiff.backward(g, loss)
         clip_grad_norm(self.opt.grad, MAX_GRAD_NORM)
@@ -213,12 +225,12 @@ def epsilon_at(step, start, end, decay_steps):
     return start + (end - start) * frac
 
 
-def collect_step(env, act, live, rng):
+def collect_step(env, act, live, rng, *args):
     """One env step of the live episode (index, t), index a (1,) state index array, by
-    act(index)'s (1, n_agents) joint actions.  Returns the transition and the live
+    act(index, *args)'s (1, n_agents) joint actions.  Returns the transition and the live
     episode after it, a fresh one from reset_batch(1, rng) when this one ended."""
     index, t = live
-    joint = act(index)
+    joint = act(index, *args)
     nxt, rewards, done = env.step_batch(index, t, joint, rng)
     tr = JointTransition(state=index[0], actions=joint[0], rewards=rewards[0],
                          next_state=nxt[0], done=done[0])

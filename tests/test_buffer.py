@@ -113,6 +113,19 @@ def test_value_its_column_cannot_hold_raises(bad):
     assert buf.contents().actions.tolist() == [[0, 1]]
 
 
+def test_a_record_of_other_dtypes_its_columns_hold_without_loss_writes():
+    buf = ReplayBuffer(2)
+    buf.push(JointTransition(state=0, actions=(0, 1), rewards=(1.0, 1.0),
+                             next_state=1, done=False))
+    buf.push(JointTransition(state=np.int8(3), actions=np.array([2, 0], np.int32),
+                             rewards=np.array([0.5, -2.0], np.float32), next_state=np.uint8(2),
+                             done=np.True_))
+    got = buf.contents()
+    assert got.state.tolist() == [0, 3] and got.actions.tolist() == [[0, 1], [2, 0]]
+    assert got.rewards.tolist() == [[1.0, 1.0], [0.5, -2.0]] and got.rewards.dtype == np.float64
+    assert got.next_state.tolist() == [1, 2] and got.done.tolist() == [False, True]
+
+
 @pytest.mark.parametrize("pushes", [1, 5, 12])
 @pytest.mark.parametrize("batch", [1, 3, 32])
 def test_sample_of_a_shape_equals_one_call_per_row_in_order(pushes, batch):

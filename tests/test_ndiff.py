@@ -777,13 +777,23 @@ def _stacked_case(kind, rng, n, k):
         start = int(rng.integers(k))
         return [draw(n, k)], {"start": start, "stop": int(rng.integers(start + 1, k + 1))}
     if kind == "pick":
-        # one (n, k) x, or a stack of n (B, k) x with a (B, n) index
-        b = int(rng.integers(1, 4))
-        if rng.integers(2):
-            return [draw(n, b, k)], {"index": rng.integers(k, size=(b, n))}
-        return [draw(n, k)], {"index": rng.integers(k, size=n)}
+        # one (n, k) x, or a stack of n (B, k) x with a (B, n) index; or, reading rows that
+        # may repeat, n rows of an (r, k) x, or B rows of a stack of n or one (r, k) x
+        b, r = (int(v) for v in rng.integers(1, 4, size=2))
+        forms = [lambda: ([draw(n, k)], {"index": rng.integers(k, size=n)}),
+                 lambda: ([draw(n, b, k)], {"index": rng.integers(k, size=(b, n))}),
+                 lambda: ([draw(r, k)], {"index": rng.integers(k, size=n),
+                                         "rows": rng.integers(r, size=n)}),
+                 lambda: ([draw(int(rng.choice([1, n])), r, k)],
+                          {"index": rng.integers(k, size=(b, n)), "rows": rng.integers(r, size=b)})]
+        return forms[int(rng.integers(4))]()
     if kind == "mix":
-        # n rows of k utilities, an embedding of m
+        # n rows of k utilities, an embedding of m; the hyper outputs on n rows, or on r
+        # rows that the n rows read
+        r = int(rng.integers(1, 4))
+        if rng.integers(2):
+            return ([draw(n, k), draw(r, k * m), draw(2, r, m), draw(r, 1)],
+                    {"rows": rng.integers(r, size=n)})
         return [draw(n, k), draw(n, k * m), draw(2, n, m), draw(n, 1)], {}
     if kind == "take":
         # an int, or an index array that may repeat and reorder the rows
@@ -886,6 +896,55 @@ def test_mix_rejects_malformed_operands(shapes):
                           (Stacked(stacks), list(stacks))):
         with pytest.raises(ShapeMismatch):
             graph.op("mix", inputs)
+
+
+@pytest.mark.parametrize("stack", [None, 1, 3])
+def test_pick_reads_rows_and_sums_the_gradients_of_repeated_reads(stack):
+    # 8 reads of 3 rows, each row read more than once; a stack of one serves all 3 columns
+    rng = np.random.default_rng(14)
+    rows = np.array([2, 0, 2, 1, 0, 0, 2, 1])
+    index = rng.integers(4, size=(8,) if stack is None else (8, 3))
+    x = param(rng.normal(size=(3, 4) if stack is None else (stack, 3, 4)))
+    reads = (rows, index) if stack is None else (np.arange(3) % stack, rows[:, None], index)
+    weights = rng.normal(size=(8, 1 if stack is None else 3))
+    g = Graph()
+    picked = g.pick(x, index, rows)
+    assert np.array_equal(picked.value, x.value[reads].reshape(weights.shape))
+    backward(g, g.sum(g.mul(picked, g.constant(weights))))
+    expect = np.zeros_like(x.value)
+    np.add.at(expect, reads, weights.reshape(index.shape))
+    assert np.array_equal(x.grad, expect)
+    assert grad_check(lambda g: g.sum(g.square(g.pick(x, index, rows))), [x]) < 1e-6
+
+
+def test_mix_on_rows_equals_mix_on_the_rows_it_reads():
+    rng = np.random.default_rng(15)
+    b, r, n, e = 6, 3, 2, 4
+    rows = np.array([1, 1, 0, 2, 0, 1])
+    q, w1, hyper, b2 = (param(rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.2, 1.5, size=s))
+                        for s in ((b, n), (r, e * n), (2, r, e), (r, 1)))
+    out = EVAL.op("mix", (q, w1, hyper, b2), rows=rows)
+    assert np.array_equal(out, EVAL.op("mix", (q.value, w1.value[rows], hyper.value[:, rows],
+                                               b2.value[rows])))
+    weights = rng.normal(size=(b, 1))
+    assert grad_check(lambda g: g.sum(g.mul(g.op("mix", (q, w1, hyper, b2), rows=rows),
+                                            g.constant(weights))), [q, w1, hyper, b2]) < 1e-6
+
+
+@pytest.mark.parametrize("kind,shapes,attrs", [
+    ("pick", [(3, 4)], {"index": [0, 1], "rows": [0, 1, 2]}),
+    ("pick", [(3, 4)], {"index": [[0], [1]], "rows": [[0], [1]]}),
+    ("pick", [(2, 3, 4)], {"index": np.zeros((5, 2), int), "rows": [0, 1]}),
+    ("mix", [(5, 2), (3, 4), (2, 3, 2), (3, 1)], {"rows": [0, 1, 2]}),
+    ("mix", [(3, 2), (3, 4), (2, 3, 2), (3, 1)], {"rows": [[0, 1, 2]]}),
+])
+def test_pick_and_mix_reject_rows_of_another_shape(kind, shapes, attrs):
+    vals = [np.ones(shape) for shape in shapes]
+    stacks = {param(v): np.ones((2,) + v.shape) for v in vals}
+    for graph, inputs in ((EVAL, vals), (Graph(), [param(v) for v in vals]),
+                          (Stacked(stacks), list(stacks))):
+        with pytest.raises(ShapeMismatch):
+            graph.op(kind, inputs, **attrs)
 
 
 def test_stacked_unknown_op_raises_like_off_tape():

@@ -1,4 +1,7 @@
+import ast
 import functools
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -294,12 +297,13 @@ def _per_agent_loss(learner, batch, shared):
     else:
         tot2 = learner._mix(learner.target, best, eye)[batch.next_state, 0]
         y = (batch.rewards[:, 0] + learner.gamma * (1.0 - batch.done) * tot2)[:, None]
-    s = eye[batch.state]
+    # each head runs once per state, and each batch row reads its state's row
     g = Graph()
-    s_t = g.constant(s)
-    taken = [g.pick(net.forward(g, s_t), batch.actions[:, i]) for i, net in enumerate(live)]
+    s_t = g.constant(eye)
+    taken = [g.pick(net.forward(g, s_t), batch.actions[:, i], batch.state)
+             for i, net in enumerate(live)]
     q = taken[0] if len(taken) == 1 else g.concat(*taken)
-    q = q if learner.mode == "independent" else learner._mix(g, q, s_t)
+    q = q if learner.mode == "independent" else learner._mix(g, q, s_t, batch.state)
     loss = g.mean(g.square(g.sub(q, g.constant(y))))
     backward(g, loss)
     heads = [[p.grad for p in net.params] for net in live]
@@ -376,6 +380,44 @@ def test_td_loss_gradients_match_finite_differences(mode, arities, share):
     assert err < cli.GRADCHECK_TOL
 
 
+def _batch_row_loss(learner, g, batch, y):
+    """The TD loss as the learner once computed it: the heads, and qmix's hypernets, run
+    on the one-hot state of every batch row rather than once per state."""
+    s_t = g.constant(learner._eye[batch.state])
+    taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
+             for net, run in zip(learner.heads, learner.runs)]
+    q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
+    if learner.mode == "vdn":
+        q_taken = g.sum(q_taken, axis=1)
+    elif learner.mode == "qmix":
+        q_taken = g.op("mix", (q_taken, *(net.forward(g, s_t) for net in learner.mixing.nets)))
+    return g.mean(g.square(g.sub(q_taken, g.constant(y))))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arities,share", [((2, 3, 2), False), ((3, 3, 3), True),
+                                           ((2, 2, 3), False)])
+def test_table_reads_give_the_batch_row_loss_and_gradient(mode, arities, share):
+    rng = np.random.default_rng(29)
+    env = three_agent_coop(rng, arities, n_states=3)
+    learner = QmixLearner(env, mode, rng, hidden=(5,), embed_dim=3, hyper_hidden=4,
+                          share_params=share)
+    for p in learner.opt.params:    # biases too, so that every path carries a gradient
+        p.value[...] = rng.normal(size=p.shape)
+    batch = _random_batch(rng, env, 32)
+    y = rng.normal(size=(32, 3 if mode == "independent" else 1))
+    losses, grads = [], []
+    for loss_of in (learner.td_loss, functools.partial(_batch_row_loss, learner)):
+        g = Graph()
+        loss = loss_of(g, batch, y)
+        backward(g, loss)
+        losses.append(float(loss.value))
+        grads.append(learner.opt.grad.copy())
+        learner.opt.grad[...] = 0.0
+    assert np.isclose(losses[0], losses[1], rtol=1e-12, atol=0.0)
+    assert np.allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15) and grads[1].any()
+
+
 def _target_forward(learner, index):
     """The bootstrap values at a batch of next states, by the target graph's batch forward."""
     s2 = learner._eye[index]
@@ -423,6 +465,24 @@ def test_td_update_moves_hypernet_parameters():
     assert moved
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_an_update_above_the_clip_norm_hands_adam_the_clipped_gradient(monkeypatch, mode):
+    learner, _ = make(mode, seed=8)
+    tr = JointTransition(state=0, actions=(0, 1), rewards=(1e3, 1e3), next_state=1, done=True)
+    batch = stacked([tr] * 4)
+    g = Graph()    # a terminal batch's TD targets are its rewards
+    backward(g, learner.td_loss(g, batch, batch.rewards[:, :1 if mode != "independent" else 2]))
+    raw, norm = learner.opt.grad.copy(), np.linalg.norm(learner.opt.grad)
+    learner.opt.grad[...] = 0.0
+    assert norm > 10 * qmix.MAX_GRAD_NORM
+    handed = []
+    monkeypatch.setattr(qmix, "adam_step", lambda params, state, step=qmix.adam_step:
+                        handed.append(state.grad.copy()) or step(params, state))
+    learner.td_update(batch)
+    assert np.allclose(handed[0], raw * (qmix.MAX_GRAD_NORM / norm), rtol=1e-12, atol=0.0)
+    assert np.isclose(np.linalg.norm(handed[0]), qmix.MAX_GRAD_NORM, rtol=1e-12)
+
+
 @pytest.mark.parametrize("mode,records", [("qmix", 13), ("vdn", 7), ("independent", 6)])
 def test_td_update_tape_length(monkeypatch, mode, records):
     # the two agents' heads are one stack: one dense record per layer and one pick for both
@@ -444,6 +504,45 @@ def test_acting_runs_one_off_tape_dense_per_layer(monkeypatch, mode):
     assert calls["op"] == 3
     learner.act(env.reset_batch(1, np.random.default_rng(0)), np.random.default_rng(1), 0.5)
     assert calls["op"] == 6
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("share", [False, True])
+def test_greedy_joint_reads_the_rows_of_a_steps_forward(mode, share):
+    learner, env = make(mode, seed=9, share_params=share)
+    rng = np.random.default_rng(10)
+    for p in learner.opt.params:
+        p.value[...] = rng.normal(size=p.shape)
+    g = Graph()
+    heads = learner.forward(g)
+    assert g.records    # on the tape, for the update to extend
+    for index in ([0], [1], [1, 0, 1]):
+        assert np.array_equal(learner.greedy_joint(index, heads), learner.greedy_joint(index))
+        joint, ref = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(learner.act(np.array(index), joint, 0.5, heads),
+                              learner.act(np.array(index), ref, 0.5))
+
+
+@pytest.mark.parametrize("algo,env_name", [("iql", "two_step_coop"), ("vdn", "coop_climb"),
+                                           ("qmix", "two_step_coop")])
+def test_a_training_step_runs_one_forward_of_the_live_heads(monkeypatch, algo, env_name):
+    cfg = cli.build_config(None, {"algo": algo, "env": env_name, "total_steps": 100,
+                                  "eval_interval": 100})
+    run = cli.Run(cfg, envs.resolve_env(env_name), 0)
+    for _ in range(40):    # past the first batch and the first target table
+        run.step()
+    calls = count_calls(monkeypatch, QmixLearner, ["forward", "td_update"])
+    off_tape = count_calls(monkeypatch, ndiff.OffTape, ["op"])
+    for _ in range(20):
+        run.step()
+    assert calls == {"forward": 20, "td_update": 20} and off_tape["op"] == 0
+
+
+def test_the_value_step_builds_no_closure():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli._q_step)))
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Lambda, ast.GeneratorExp))
+                or isinstance(n, ast.FunctionDef) and n.name != "_q_step"
+                or isinstance(n, ast.Attribute) and n.attr == "partial"]
 
 
 def test_target_nets_sync_on_interval():
