@@ -176,9 +176,8 @@ def _epsilon(cfg, t):
 
 def _greedy_rollout(run, episodes, rng, policy=None):
     """Per-episode returns of policy(state indices) -> joint actions, or of greedy_joint."""
-    # a greedy policy depends only on the state, so one forward over the
-    # n_states rows tabulates it; on a one-state game that forward is a
-    # batch of one, whose float bits a larger batch need not reproduce
+    # a greedy policy depends only on the state, so one call on every state index
+    # tabulates it for all the episodes
     table = (policy or run.learner.greedy_joint)(np.arange(run.env.n_states))
     totals = rollout_returns(run.env, lambda index: table[index], episodes, run.learner.gamma, rng)
     return totals, totals.mean(axis=0), {}
@@ -194,9 +193,8 @@ def _collect(run, act, *args):
 
 
 def _replay_draw(run, records, shape=()):
-    """The one replay loop: push a step's records into the run's replay and, once it
-    holds a batch, return a draw of shape + (batch_size,) records to learn from, else
-    None."""
+    """The one replay loop: push a step's records into the run's replay and, once it holds
+    a batch, return a draw of shape + (batch_size,) records to learn from, else None."""
     for record in records:
         run.buffer.push(record)
     if len(run.buffer) >= run.cfg.batch_size:

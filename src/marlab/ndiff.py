@@ -430,16 +430,20 @@ def _bw_take(ctx, vals, g):
 
 def _fw_dense(vals, attrs):
     # one layer act(x @ W + b), W (in, out) and b (1, out); n stacked layers, W (n, in, out) and
-    # b (n, 1, out), each run on x or on its slice of an (n, B, in) x
+    # b (n, 1, out), each run on x or on its slice of an (n, B, in) x.  Given no x, the layer at
+    # each one-hot input, the rows of eye(in), whose product is W itself: act(W + b)
     copied = attrs.get("copied")
-    x, w, b = vals if copied is None else _one_copy(vals, copied)
-    xs, ws = x.shape, w.shape    # a w of rank < 2 fails xs[-1:] before ws[-1] is read
-    if len(xs) < 2 or len(ws) > 3 or xs[-1:] != ws[-2:-1] or xs[:-2] not in ((), ws[:-2]) \
+    *x, w, b = vals if copied is None else _one_copy(vals, copied)
+    ws = w.shape    # a w of rank < 2 fails xs[-1:] != ws[-2:-1]
+    xs = x[0].shape if x else ws[-2:-1] * 2    # no x: eye(in)'s shape
+    if len(x) > 1 or len(xs) < 2 or len(ws) > 3 or xs[-1:] != ws[-2:-1] or xs[:-2] not in ((), ws[:-2]) \
             or b.shape != ws[:-2] + (1, ws[-1]):
         raise ShapeMismatch(f"dense: {xs} @ {ws} + {b.shape}")
     act = attrs["act"]
-    if copied is None:
-        pre = np.matmul(x, w)
+    if not x:    # operand shapes match from the right, so copies need no alignment
+        pre = vals[0] + vals[1]
+    elif copied is None:
+        pre = np.matmul(x[0], w)
         pre += b    # in place, as relu below: past 128 KiB each new array can cost page faults
     else:    # a copied b alone widens the product
         x, w, b = _align(vals, copied)
@@ -452,9 +456,11 @@ def _fw_dense(vals, attrs):
 def _bw_dense(ctx, vals, g):
     # the activation's own backward, looked up now, reads the output or the pre-activation
     act, pre, out = ctx
-    x, w, b = vals
     if act != "identity":
         (g,) = OPS[act][1](out, (pre,), g)
+    if len(vals) == 2:    # eye(in)' g is g
+        return g, g.sum(axis=-2, keepdims=True)
+    x, w, b = vals
     gx = np.matmul(g, w.swapaxes(-1, -2))
     if gx.ndim > x.ndim:    # summed last slice first, as n records' adjoints sum in the sweep
         gx = sum(gx[-2::-1], gx[-1])
@@ -491,7 +497,7 @@ def _bw_mix(ctx, vals, g):
     (gpre,) = _bw_elu(None, (pre,), g * a2)
     gw1, gb1, gw2 = (gpre[:, :, None] * q[:, None, :]).reshape(len(q), -1), gpre, g * hidden
     if rows is not None:
-        onehot = np.eye(len(w1)).take(rows, axis=1)
+        onehot = (np.arange(len(w1))[:, None] == rows).astype(g.dtype)
         gw1, gb1, gw2, g = onehot @ gw1, onehot @ gb1, onehot @ gw2, onehot @ g
     return ((gpre[:, :, None] * a1).sum(axis=1), gw1 * np.sign(w1),
             np.array([gb1, gw2 * np.sign(hyper[1])]), g)
@@ -754,11 +760,12 @@ class DenseNet:
 
     def forward(self, g, x, params=None):
         """(B, out) output of a (B, in) x, or a stack's (n, B, out) on x or an (n, B, in) x;
-        given one net's net_params(), that net's (B, out) alone, by views taking no gradient."""
+        x None stands for eye(in), each one-hot input, with no product taken on it.  Given one
+        net's net_params(), that net's output alone, by views taking no gradient."""
         h = x
         ws, bs = (self.weights, self.biases) if params is None else (params[::2], params[1::2])
         for act, w, b in zip(self.activations, ws, bs):
-            h = g.op("dense", (h, w, b), act=act)
+            h = g.op("dense", (w, b) if h is None else (h, w, b), act=act)
         return h
 
 

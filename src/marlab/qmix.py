@@ -37,12 +37,11 @@ class NonCooperative(QmixError):
 class MixingNet:
     """Two-layer monotone mixer: q_tot = w2(s) . elu(W1(s) q + b1(s)) + b2(s).
 
-    All multiplicative weights pass through |.|, which keeps every partial
-    derivative of q_tot with respect to a utility nonnegative; biases are
-    unconstrained.  Weights are emitted per state by dense hypernetworks: b1
-    and w2, of one shape, by a stack of two.  The mixer itself is one `mix`
-    op, which routes each row's utilities through its own (e, n) block W1,
-    the hypernets' output at row rows[b] of s if rows is given.
+    All multiplicative weights pass through |.|, which keeps every partial derivative of q_tot
+    with respect to a utility nonnegative; biases are unconstrained.  Weights are emitted per
+    state by dense hypernetworks: b1 and w2, of one shape, by a stack of two.  The mixer itself
+    is one `mix` op, which routes each row's utilities through its own (e, n) block W1, the
+    hypernets' output at row rows[b] of s if rows is given; s None stands for eye(state_dim).
     """
 
     def __init__(self, state_dim, n_agents, embed_dim, hyper_hidden, rng):
@@ -84,7 +83,6 @@ class QmixLearner:
         self.n_agents = env.n_agents
         self.n_actions = [sp.n for sp in env.action_space]
         state_dim = env.state_dim
-        self._eye = np.eye(state_dim)
 
         if share_params and len(set(self.n_actions)) != 1:
             raise QmixError("shared parameters need identical action counts")
@@ -114,28 +112,27 @@ class QmixLearner:
         """Per run, its heads' (n, n_states, k) utilities at every state, a shared stack of one
         (1, n_states, k), on graph g: a training step's one forward, which act reads and
         td_update extends to the loss."""
-        s = g.constant(self._eye)
-        return [net.forward(g, s) for net in self.heads]
+        return [net.forward(g, None) for net in self.heads]
 
     def _per_agent(self, us):
         """Per run, the (n, B, k) utilities of its n agents from its heads' values in us."""
         for u, run in zip(us, self.runs):
             yield u if len(u) == len(run) else np.broadcast_to(u, (len(run),) + u.shape[1:])
 
-    def _head_values(self, g, x):
-        """Per run, the (n, B, k) utilities of its n agents at encoded states x, off the tape."""
-        return self._per_agent(net.forward(g, x) for net in self.heads)
+    def _rows(self, index, heads=None):
+        """Per run, the (n, B, k) utilities of its n agents at a (B,) array of state indices,
+        read from heads, a step's forward (see forward), or from the current heads' own."""
+        heads = self.forward(EVAL) if heads is None else heads
+        return self._per_agent(value_of(u)[:, index] for u in heads)
 
     def utilities(self, index):
         """Per-agent utility vectors at one state index, from the current heads."""
-        return [u for us in self._head_values(EVAL, self._eye[[index]]) for u in us[:, 0]]
+        return [u for us in self._rows([index]) for u in us[:, 0]]
 
     def greedy_joint(self, index, heads=None):
-        """Per-agent argmax of the current heads at an (n,) array of state indices: (n, n_agents)
-        joint actions, read from the rows of heads, a step's forward (see forward), if given."""
-        us = (self._head_values(EVAL, self._eye[np.asarray(index)]) if heads is None
-              else self._per_agent(value_of(u)[:, index] for u in heads))
-        return np.hstack([u.argmax(axis=2).T for u in us])
+        """Per-agent argmax of the current heads, or of heads (see _rows), at an (n,) array of
+        state indices: (n, n_agents) joint actions."""
+        return np.hstack([u.argmax(axis=2).T for u in self._rows(index, heads)])
 
     def act(self, index, rng, epsilon, heads=None):
         """Epsilon-greedy joint actions at an (n,) array of state indices, (n, n_agents):
@@ -155,24 +152,23 @@ class QmixLearner:
         q = np.asarray(q_taken, dtype=np.float64)[np.newaxis, :]
         if q.shape[1] != self.n_agents:
             raise QmixError(f"need {self.n_agents} utilities, got {q.shape[1]}")
-        return float(self._mix(EVAL, q, self._eye[[index]])[0, 0])
+        return float(self._mix(EVAL, q, [index])[0, 0])
 
-    def _mix(self, g, q, s, rows=None):
-        """(n, 1) q_tot of the utility columns q at encoded states s, or at rows of s."""
+    def _mix(self, g, q, rows=None):
+        """(n, 1) q_tot of the utility columns q at the states rows, or at every state."""
         if self.mode == "independent":
             raise ModeMismatch("independent mode has no joint mixer")
         if self.mode == "vdn":
             return g.sum(q, axis=1)
-        return self.mixing.forward(g, q, s, rows)
+        return self.mixing.forward(g, q, None, rows)
 
     # -- learning -------------------------------------------------------------
     def target_table(self):
         """The target nets' bootstrap value at every state, built off the tape once per sync:
         each agent's greedy utility, (n_states, n_agents), or their mixed q_tot, (n_states, 1)."""
         if self._targets is None:
-            best = np.hstack([u.max(axis=2).T for u in self._head_values(self.target, self._eye)])
-            self._targets = (best if self.mode == "independent"
-                             else self._mix(self.target, best, self._eye))
+            best = np.hstack([u.max(axis=2).T for u in self._per_agent(self.forward(self.target))])
+            self._targets = best if self.mode == "independent" else self._mix(self.target, best)
         return self._targets
 
     def td_loss(self, g, batch, y, heads=None):
@@ -183,7 +179,7 @@ class QmixLearner:
         taken = [g.pick(u, batch.actions[:, run], batch.state) for u, run in zip(heads, self.runs)]
         q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
         if self.mode != "independent":
-            q_taken = self._mix(g, q_taken, g.constant(self._eye), batch.state)
+            q_taken = self._mix(g, q_taken, batch.state)
         return g.mean(g.square(g.sub(q_taken, g.constant(y))))
 
     def td_update(self, batch, g=None, heads=None):

@@ -403,6 +403,31 @@ MALFORMED_DENSE = [
 ]
 
 
+@pytest.mark.parametrize("act", ndiff._ACTIVATIONS)
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_dense_without_x_equals_dense_on_the_identity_bit_for_bit(act, lead):
+    rng = np.random.default_rng(31)
+    w, b = param(rng.normal(size=lead + (5, 2))), param(rng.normal(size=lead + (1, 2)))
+    weights = rng.normal(size=lead + (5, 2))
+    runs = []
+    for inputs in ((w, b), (Graph().constant(np.eye(5)), w, b)):
+        g = Graph()
+        out = g.op("dense", inputs, act=act)
+        assert np.array_equal(EVAL.op("dense", inputs, act=act), out.value)
+        backward(g, g.sum(g.mul(out, g.constant(weights))))
+        runs.append([out.value, w.grad.copy(), b.grad.copy()])
+        w.grad[...], b.grad[...] = 0.0, 0.0
+    assert all(np.array_equal(one, eye) for one, eye in zip(*runs))
+
+
+@pytest.mark.parametrize("w,b", [((5,), (1, 5)), ((3, 2), (2,)), ((2, 3, 2), (1, 2)),
+                                 ((4, 2, 3, 2), (4, 2, 1, 2))])
+def test_dense_without_x_rejects_malformed_shapes(w, b):
+    for graph in (EVAL, Graph()):
+        with pytest.raises(ShapeMismatch):
+            graph.op("dense", (param(np.ones(w)), param(np.ones(b))), act="relu")
+
+
 @pytest.mark.parametrize("x,w,b", MALFORMED_DENSE)
 def test_stacked_dense_rejects_malformed_shapes(x, w, b):
     vals = [np.ones(shape) for shape in (x, w, b)]
@@ -767,10 +792,13 @@ def _stacked_case(kind, rng, n, k):
         act = ndiff._ACTIVATIONS[int(rng.integers(len(ndiff._ACTIVATIONS)))]
         # a lone layer, or a stack of n layers on one (B, k) x or on each its own (B, k) slice
         b = int(rng.integers(1, 4))
+        # layer or stack at every one-hot input, given no x
         forms = [lambda: [draw(n, k), draw(k, m), draw(1, m)],
                  lambda: [draw(b, k), draw(n, k, m), draw(n, 1, m)],
-                 lambda: [draw(n, b, k), draw(n, k, m), draw(n, 1, m)]]
-        return forms[int(rng.integers(3))](), {"act": act}
+                 lambda: [draw(n, b, k), draw(n, k, m), draw(n, 1, m)],
+                 lambda: [draw(k, m), draw(1, m)],
+                 lambda: [draw(n, k, m), draw(n, 1, m)]]
+        return forms[int(rng.integers(5))](), {"act": act}
     if kind == "sum":
         return [draw(n, k)], {"axis": [None, 0, 1, -1][int(rng.integers(4))]}
     if kind == "slice":

@@ -286,7 +286,7 @@ def _per_agent_loss(learner, batch, shared):
     live = _lone_heads(learner, lambda t: t.value)
     target = _lone_heads(learner, learner.target.reads.get)
     # the target table: each target net's greedy value at every state, mixed in joint modes
-    eye = learner._eye
+    eye = np.eye(learner.env.n_states)
     best = np.empty((len(eye), learner.n_agents))
     for i, net in enumerate(target):
         tu = net.forward(EVAL, eye)
@@ -295,7 +295,7 @@ def _per_agent_loss(learner, batch, shared):
         target_q = best[batch.next_state]
         y = batch.rewards + learner.gamma * (1.0 - batch.done)[:, None] * target_q
     else:
-        tot2 = learner._mix(learner.target, best, eye)[batch.next_state, 0]
+        tot2 = learner._mix(learner.target, best)[batch.next_state, 0]
         y = (batch.rewards[:, 0] + learner.gamma * (1.0 - batch.done) * tot2)[:, None]
     # each head runs once per state, and each batch row reads its state's row
     g = Graph()
@@ -303,7 +303,7 @@ def _per_agent_loss(learner, batch, shared):
     taken = [g.pick(net.forward(g, s_t), batch.actions[:, i], batch.state)
              for i, net in enumerate(live)]
     q = taken[0] if len(taken) == 1 else g.concat(*taken)
-    q = q if learner.mode == "independent" else learner._mix(g, q, s_t, batch.state)
+    q = q if learner.mode == "independent" else learner._mix(g, q, batch.state)
     loss = g.mean(g.square(g.sub(q, g.constant(y))))
     backward(g, loss)
     heads = [[p.grad for p in net.params] for net in live]
@@ -338,7 +338,7 @@ def test_stacked_heads_match_per_agent_heads_bit_for_bit(monkeypatch, mode, arit
                for i, (a, r) in enumerate(zip(actions, rewards))]
         batch = stacked(trs)
         expect, grad, live = _per_agent_loss(learner, batch, share)
-        x = learner._eye[[0]]
+        x = np.eye(env.n_states)[[0]]
         assert learner.greedy_joint([0]).tolist() == [[int(net.forward(EVAL, x).argmax())
                                                        for net in live]]
         for u, net in zip(learner.utilities(0), live):
@@ -383,7 +383,7 @@ def test_td_loss_gradients_match_finite_differences(mode, arities, share):
 def _batch_row_loss(learner, g, batch, y):
     """The TD loss as the learner once computed it: the heads, and qmix's hypernets, run
     on the one-hot state of every batch row rather than once per state."""
-    s_t = g.constant(learner._eye[batch.state])
+    s_t = g.constant(np.eye(learner.env.n_states)[batch.state])
     taken = [g.pick(net.forward(g, s_t), batch.actions[:, run])
              for net, run in zip(learner.heads, learner.runs)]
     q_taken = taken[0] if len(taken) == 1 else g.concat(*taken)
@@ -420,9 +420,12 @@ def test_table_reads_give_the_batch_row_loss_and_gradient(mode, arities, share):
 
 def _target_forward(learner, index):
     """The bootstrap values at a batch of next states, by the target graph's batch forward."""
-    s2 = learner._eye[index]
-    best = np.hstack([u.max(axis=2).T for u in learner._head_values(learner.target, s2)])
-    return best if learner.mode == "independent" else learner._mix(learner.target, best, s2)
+    s2 = np.eye(learner.env.n_states)[index]
+    best = np.hstack([u.max(axis=2).T for u in learner._per_agent(
+        net.forward(learner.target, s2) for net in learner.heads)])
+    if learner.mode == "qmix":
+        return learner.mixing.forward(learner.target, best, s2)
+    return best if learner.mode == "independent" else learner.target.sum(best, axis=1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -517,10 +520,32 @@ def test_greedy_joint_reads_the_rows_of_a_steps_forward(mode, share):
     heads = learner.forward(g)
     assert g.records    # on the tape, for the update to extend
     for index in ([0], [1], [1, 0, 1]):
-        assert np.array_equal(learner.greedy_joint(index, heads), learner.greedy_joint(index))
+        # each head run on the one-hot states of the rows alone
+        per_row = learner._per_agent(net.forward(EVAL, np.eye(env.n_states)[index])
+                                     for net in learner.heads)
+        expect = np.hstack([u.argmax(axis=2).T for u in per_row])
+        assert np.array_equal(learner.greedy_joint(index, heads), expect)
+        assert np.array_equal(learner.greedy_joint(index), expect)
         joint, ref = np.random.default_rng(3), np.random.default_rng(3)
         assert np.array_equal(learner.act(np.array(index), joint, 0.5, heads),
                               learner.act(np.array(index), ref, 0.5))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_step_on_many_states_holds_no_state_by_state_array(mode):
+    # each net's first layer is its weight's rows, never an (n_states, n_states) one-hot product,
+    # so a step's cost grows with the state count once, as the batch rows' one-hot input did
+    n = 200
+    rng = np.random.default_rng(4)
+    env = three_agent_coop(rng, (2, 2, 2), n_states=n)
+    learner = QmixLearner(env, mode, rng, hidden=(8,))
+    g = Graph()
+    heads = learner.forward(g)
+    learner.act(np.array([7]), rng, 0.5, heads)
+    learner.td_update(_random_batch(rng, env, 32), g, heads)
+    sizes = [t.value.size for rec in g.records for t in (*rec.inputs, rec.output)]
+    assert len(g.records) == {"qmix": 13, "vdn": 7, "independent": 6}[mode]
+    assert max(sizes) < n * n // 4
 
 
 @pytest.mark.parametrize("algo,env_name", [("iql", "two_step_coop"), ("vdn", "coop_climb"),
